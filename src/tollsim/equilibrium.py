@@ -8,6 +8,7 @@ step and evaluates the two relative gaps plus their mean.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -208,7 +209,7 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
                 {k: list(zip(flows_d[k], costs_d[k])) for k in flows_d},
                 least_d, demands) if flows_d else 0.0)
         rgap = (gaps[UE] + gaps[SO]) / 2.0
-        if not (rgap == rgap):  # NaN guard
+        if not math.isfinite(rgap):
             raise ArithmeticError("non-finite relative gap")
         log.append(IterationRecord(it, gaps[UE], gaps[SO], rgap,
                                    result.tstt_veh_h,

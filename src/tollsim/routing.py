@@ -3,6 +3,11 @@
 Link costs are read at the interval of arrival at each link; arrival times
 propagate along travel-time skims. Ties are broken by the lexicographically
 smallest link-id sequence so searches are fully deterministic.
+
+A label-setting search from one origin settles nodes in the same order
+whatever the destination, so each (origin, departure interval, cost kind)
+is searched once, to every node, and the tree is kept on the skims it was
+built from; a path query is a lookup into that tree.
 """
 from __future__ import annotations
 
@@ -31,6 +36,8 @@ class CostSkims:
         self.clock = clock
         self._tt = travel_time
         self._costs = {UE_COST: ue_cost, SO_COST: so_cost}
+        # (network, origin, interval, kind) -> {node: (cost, link ids)}
+        self._trees: dict[tuple, dict] = {}
 
     @classmethod
     def from_loading(cls, result, toll_schedule=None, vot_per_hour: float = 15.0):
@@ -68,30 +75,44 @@ class CostSkims:
         return total
 
 
+def _search_tree(network: Network, skims: CostSkims, origin: str,
+                 departure_interval: int, cost_kind: str) -> dict:
+    """Least-cost labels {node: (cost, link ids)} of every node reachable
+    from `origin` for a departure at the start of the interval."""
+    clock = skims.clock
+    costs = skims._costs[cost_kind]
+    tt = skims._tt
+    heap = [(0.0, (), origin, float(departure_interval * clock.interval_s))]
+    tree: dict[str, tuple] = {}
+    while heap:
+        cost, lex, node, t = heapq.heappop(heap)
+        if node in tree:
+            continue
+        tree[node] = (cost, lex)
+        tau = clock.interval_of(t)
+        for link in network.out_links.get(node, ()):
+            if link.to_node in tree:
+                continue
+            key = (link.id, tau)
+            heapq.heappush(heap, (cost + costs[key], lex + (link.id,), link.to_node,
+                                  t + tt[key]))
+    return tree
+
+
 def td_shortest_path(network: Network, skims: CostSkims, origin: str,
                      destination: str, departure_interval: int,
                      cost_kind: str = UE_COST) -> tuple[Path, float]:
     """Least-cost acyclic path for a departure at the start of the interval."""
-    start_t = departure_interval * skims.clock.interval_s
-    heap = [(0.0, (), origin, float(start_t))]
-    settled: set[str] = set()
-    while heap:
-        cost, lex, node, t = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == destination:
-            if not lex:
-                raise UnreachableError(origin, destination)
-            return Path(lex, origin, destination), cost
-        for link in network.out_links.get(node, ()):
-            if link.to_node in settled:
-                continue
-            tau = skims.clock.interval_of(t)
-            c = skims.cost(cost_kind, link.id, tau)
-            heapq.heappush(heap, (cost + c, lex + (link.id,), link.to_node,
-                                  t + skims.travel_time(link.id, tau)))
-    raise UnreachableError(origin, destination)
+    key = (network, origin, departure_interval, cost_kind)
+    tree = skims._trees.get(key)
+    if tree is None:
+        tree = skims._trees[key] = _search_tree(network, skims, origin,
+                                                departure_interval, cost_kind)
+    label = tree.get(destination)
+    if label is None or not label[1]:
+        raise UnreachableError(origin, destination)
+    cost, lex = label
+    return Path(lex, origin, destination), cost
 
 
 def td_least_marginal_path(network, skims, origin, destination,

@@ -175,6 +175,7 @@ def test_ac05_relative_gap_hand_fixtures():
            f"ue={ue:.12f} so={so:.12f}")
 
 
+@pytest.mark.slow
 def test_ac06_nguyen_convergence_and_schedule_trend(nguyen_sweep):
     runs, sweep_s = nguyen_sweep
     t0 = time.perf_counter()
@@ -211,6 +212,7 @@ def test_ac06_nguyen_convergence_and_schedule_trend(nguyen_sweep):
            f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_ac07_tstt_non_increasing_in_so_ratio(nguyen_sweep):
     runs, sweep_s = nguyen_sweep
     ratios = sorted(runs)
@@ -290,6 +292,7 @@ def test_ac10_pi_controller_fixture_and_synthetic_plant():
            f"alpha={alpha:.12f}, setpoint hit at iter {hit}, {elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_ac11_bilevel_reduces_zone_density_and_hysteresis(nguyen_sweep):
     runs, _ = nguyen_sweep
     t0 = time.perf_counter()

@@ -3,6 +3,7 @@ and a hand-solved two-route equilibrium."""
 import pytest
 from hypothesis import given, strategies as st
 
+from tollsim import equilibrium
 from tollsim.demand import SO, UE, split_demand_uniform
 from tollsim.equilibrium import (SolverConfig, StepSchedule, UndefinedGapError,
                                  _relative_gap, path_flows, relative_gap_so,
@@ -202,6 +203,15 @@ class TestSolver:
         classes = {v.vehicle_class for v in res.loading.vehicles}
         assert classes == {UE, SO}
         assert res.loading.vehicles_entered == 400
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_gap_raises(self, clock_1h, monkeypatch, bad):
+        monkeypatch.setattr(equilibrium, "_relative_gap", lambda *args: bad)
+        net = bottleneck_pair_network()
+        demand = split_demand_uniform({("O", "D", 0): 40.0}, 0.0)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            solve_mixed_equilibrium(net, demand, clock_1h,
+                                    SolverConfig(max_iterations=3))
 
     def test_iteration_log_is_complete_and_ordered(self, clock_1h):
         net = bottleneck_pair_network()

@@ -6,7 +6,7 @@ from tollsim.demand import SO, UE
 from tollsim.loading import (GridlockError, PathAssignment, VehiclePlan,
                              discretize_assignments, link_marginal_time,
                              load_network, load_vehicles)
-from tollsim.network import Clock, Path
+from tollsim.network import Clock, InvalidPathError, Path
 
 from conftest import line_network, two_link_network
 
@@ -85,11 +85,32 @@ class TestBottleneckOracle:
 
 class TestGridlock:
     def test_unfinished_vehicles_raise_with_count(self):
+        # 120 departures in 120 s through a 0.54 veh/s server: 38 leave,
+        # 29 are still on AB and 53 never left the origin.
         net = line_network(length=1000.0, speed=20.0)
         clock = Clock(step_s=1, interval_s=60, horizon_s=120)
         with pytest.raises(GridlockError) as err:
             load_vehicles(net, stream(120, interval_s=60), clock)
-        assert err.value.stranded > 0
+        assert err.value.stranded == 82
+        assert err.value.stranded_by_link == {"AB": 29}
+        assert err.value.stranded_by_od == {("A", "B"): 82}
+        assert "links AB (29)" in str(err.value)
+        assert "OD pairs A->B (82)" in str(err.value)
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("departure", [float("nan"), float("inf")])
+    def test_non_finite_departure_rejected(self, clock_20min, departure):
+        with pytest.raises(ValueError, match="finite"):
+            load_vehicles(line_network(), [VehiclePlan(UE, AB, 0, departure)],
+                          clock_20min)
+
+    def test_invalid_path_rejected_even_when_shared(self, clock_20min):
+        bad = Path(("AB",), "B", "A")
+        plans = [VehiclePlan(UE, AB, 0, 0.0), VehiclePlan(UE, bad, 0, 1.0),
+                 VehiclePlan(UE, bad, 0, 2.0)]
+        with pytest.raises(InvalidPathError):
+            load_vehicles(line_network(), plans, clock_20min)
 
 
 class TestDiscretization:
