@@ -5,24 +5,19 @@ mixed fleets of selfish (UE) and centrally routed (SO) vehicles.
 __version__ = "0.1.0"
 
 from .network import (Clock, InvalidPathError, Link, Network, Node, Path,
-                      load_network_file, path_zone_distance, validate_network)
-from .demand import (SO, UE, ClassDemand, NoiseConfig, split_demand,
-                     split_demand_noisy, split_demand_uniform)
+                      load_network_file, validate_network)
+from .demand import SO, UE, ClassDemand, NoiseConfig, split_demand
 from .fd import (ClassReactionTimes, FDParams, blended_reaction_time,
                  fd_capacity, fd_flow)
 from .loading import (GridlockError, LoadingResult, PathAssignment,
-                      link_marginal_time, load_network, load_vehicles)
-from .routing import (CostSkims, PathSet, UnreachableError,
-                      td_least_marginal_path, td_shortest_path,
-                      update_path_set)
+                      load_network, load_vehicles)
+from .routing import CostSkims, PathSet, UnreachableError, td_shortest_path
 from .equilibrium import (EquilibriumResult, SolverConfig, StepSchedule,
-                          path_flows, relative_gap_so, relative_gap_ue,
-                          solve_mixed_equilibrium, step_size,
-                          update_proportions)
+                          path_flows, relative_gap, solve_mixed_equilibrium,
+                          step_size, update_proportions)
 from .pricing import (PIState, TollConfig, TollSchedule, bilevel_solve,
-                      congestion_weight, estimate_critical_density,
-                      generalized_cost, nfd_point, nfd_series, path_toll,
-                      pi_update)
-from .analysis import class_zone_summary, hysteresis_area, tstt
-from .nguyen import build_nguyen, count_simple_routes
+                      congestion_weight, estimate_critical_density, nfd_point,
+                      nfd_series, pi_update)
+from .analysis import class_zone_summary, hysteresis_area
+from .nguyen import build_nguyen
 from .scenario import Scenario, run_scenario, validate_scenario

@@ -1,5 +1,6 @@
-"""Derived run metrics: TSTT, NFD hysteresis-loop area, per-class pricing-zone
-travel time and benefit/cost summaries.
+"""Derived run metrics: NFD hysteresis-loop area, per-class pricing-zone travel
+time, toll accounting and benefit/cost summaries. TSTT is the loading's own
+`tstt_veh_h`.
 """
 from __future__ import annotations
 
@@ -8,11 +9,6 @@ from dataclasses import dataclass
 
 from .demand import SO, UE
 from .network import Network
-
-
-def tstt(result) -> float:
-    """Total system travel time in vehicle-hours."""
-    return result.tstt_veh_h
 
 
 def hysteresis_area(series) -> float:

@@ -23,8 +23,6 @@ from .scenario import Scenario, StageError, run_scenario, validate_scenario
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker hint; results are schedule-independent")
     p.add_argument("--step-seconds", type=int, default=None,
                    help="override the simulation step")
 

@@ -1,13 +1,16 @@
 """Time-dependent OD demand and its split into UE (class 1) and SO (class 2).
 
 Demand is indexed by (origin, destination, assignment interval) and may be
-fractional; the loader discretizes to whole vehicles. The noisy split is
-counter-based on (seed, origin, destination, interval) so results do not
-depend on iteration order.
+fractional; the loader discretizes to whole vehicles. `split_demand` is the
+one UE/SO split: a global SO ratio, optional per-entry overrides and
+optional noise, counter-based on (seed, origin, destination, interval) so
+results do not depend on iteration order. Demand records are checked when
+they are parsed: totals finite and non-negative, overrides in [0, 1].
 """
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -40,54 +43,6 @@ class ClassDemand:
     def q2(self, origin, destination, interval) -> float:
         return self.entries.get((origin, destination, interval), (0.0, 0.0))[1]
 
-    def total(self, origin, destination, interval) -> float:
-        q1, q2 = self.entries.get((origin, destination, interval), (0.0, 0.0))
-        return q1 + q2
-
-    def od_pairs(self) -> list[tuple[str, str]]:
-        return sorted({(o, d) for (o, d, _) in self.entries})
-
-    def intervals(self, origin, destination) -> list[int]:
-        return sorted(t for (o, d, t) in self.entries if (o, d) == (origin, destination))
-
-    def total_vehicles(self) -> float:
-        return sum(q1 + q2 for q1, q2 in self.entries.values())
-
-
-def _clamped_split(q: float, q2: float) -> tuple[float, float]:
-    q2 = min(max(q2, 0.0), q)
-    return q - q2, q2
-
-
-def split_demand_uniform(demand: dict[tuple[str, str, int], float],
-                         so_ratio: float) -> ClassDemand:
-    """Split every (OD, interval) total with the same SO share."""
-    if not 0.0 <= so_ratio <= 1.0:
-        raise ValueError("so_ratio must lie in [0, 1]")
-    return ClassDemand({key: _clamped_split(q, so_ratio * q)
-                        for key, q in demand.items()})
-
-
-def split_demand_noisy(demand: dict[tuple[str, str, int], float],
-                       so_ratio: float,
-                       noise: NoiseConfig) -> ClassDemand:
-    """Split with per-(OD, interval) uniform noise on the SO share.
-
-    For each entry, beta ~ U(0, beta_max) then eps ~ U(-beta*q, beta*q);
-    q2 = clamp(so_ratio*q + eps, 0, q). Bit-identical given the seed:
-    each entry draws from its own generator keyed on
-    (seed, origin, destination, interval).
-    """
-    if not 0.0 <= so_ratio <= 1.0:
-        raise ValueError("so_ratio must lie in [0, 1]")
-    entries = {}
-    for (o, d, tau), q in demand.items():
-        rng = random.Random(f"{noise.seed}|{o}|{d}|{tau}")
-        beta = rng.uniform(0.0, noise.beta_max)
-        eps = rng.uniform(-beta * q, beta * q)
-        entries[(o, d, tau)] = _clamped_split(q, so_ratio * q + eps)
-    return ClassDemand(entries)
-
 
 _DEMAND_FIELDS = {"origin", "destination", "interval_index", "total", "so_ratio"}
 
@@ -107,9 +62,14 @@ def demand_from_records(records) -> tuple[dict[tuple[str, str, int], float],
         total = float(rec["total"])
         if total < 0:
             raise ValueError(f"negative demand at {key}")
+        if not math.isfinite(total):
+            raise ValueError(f"non-finite demand at {key}: {total!r}")
         totals[key] = totals.get(key, 0.0) + total
-        if "so_ratio" in rec and rec["so_ratio"] is not None:
-            overrides[key] = float(rec["so_ratio"])
+        if rec.get("so_ratio") is not None:
+            ratio = float(rec["so_ratio"])
+            if not 0.0 <= ratio <= 1.0:
+                raise ValueError(f"so_ratio {ratio!r} at {key} outside [0, 1]")
+            overrides[key] = ratio
     return totals, overrides
 
 
@@ -133,19 +93,27 @@ def save_demand_file(totals, path, overrides=None) -> None:
 
 
 def split_demand(totals, so_ratio, noise=None, overrides=None) -> ClassDemand:
-    """Split with optional noise and per-record ratio overrides."""
+    """Split each (OD, interval) total into UE and SO vehicles.
+
+    An entry's SO share is its override if it has one, else `so_ratio`;
+    q2 = clamp(share * q, 0, q). With noise (beta_max > 0) each entry draws
+    beta ~ U(0, beta_max) then eps ~ U(-beta*q, beta*q) and
+    q2 = clamp(share * q + eps, 0, q), from its own generator keyed on
+    (seed, origin, destination, interval), so the split is bit-identical
+    given the seed and independent of dict order.
+    """
     overrides = overrides or {}
-    plain = {k: v for k, v in totals.items() if k not in overrides}
-    if noise is not None and noise.beta_max > 0:
-        result = split_demand_noisy(plain, so_ratio, noise)
-    else:
-        result = split_demand_uniform(plain, so_ratio)
-    entries = dict(result.entries)
-    for key, ratio in overrides.items():
-        if key in totals:
-            q = totals[key]
-            if noise is not None and noise.beta_max > 0:
-                entries[key] = split_demand_noisy({key: q}, ratio, noise).entries[key]
-            else:
-                entries[key] = _clamped_split(q, ratio * q)
+    for share in (so_ratio, *overrides.values()):
+        if not 0.0 <= share <= 1.0:
+            raise ValueError(f"SO share {share!r} outside [0, 1]")
+    noisy = noise is not None and noise.beta_max > 0
+    entries = {}
+    for (o, d, tau), q in totals.items():
+        q2 = overrides.get((o, d, tau), so_ratio) * q
+        if noisy:
+            rng = random.Random(f"{noise.seed}|{o}|{d}|{tau}")
+            beta = rng.uniform(0.0, noise.beta_max)
+            q2 += rng.uniform(-beta * q, beta * q)
+        q2 = min(max(q2, 0.0), q)
+        entries[(o, d, tau)] = (q - q2, q2)
     return ClassDemand(entries)

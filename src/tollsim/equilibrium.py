@@ -30,8 +30,8 @@ class StepSchedule:
     gamma: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.gap_tolerance <= 0:
-            raise ValueError("gap_tolerance must be positive")
+        if not 0.0 < self.gap_tolerance < math.inf:
+            raise ValueError("gap_tolerance must be finite and positive")
+        if not 0.0 < self.vot_per_hour < math.inf:
+            raise ValueError("vot_per_hour must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,18 @@ def path_flows(proportions, demand: float):
     return [p * demand for p in proportions]
 
 
-def _relative_gap(flow_cost_pairs, least, demands) -> float:
-    """Generic Eq-style gap: sum f*(c - least) / sum q*least over (d, tau)."""
+def relative_gap(flows, costs, least, demands) -> float:
+    """Relative gap sum f*(c - least) / sum q*least over (OD, interval) keys.
+
+    `flows`/`costs`: dict[key] -> sequence per path (UE: generalized travel
+    times, SO: marginal times); `least`/`demands`: dict[key] -> scalar.
+    """
     num = 0.0
     den = 0.0
     any_flow = False
-    for key, pairs in flow_cost_pairs.items():
+    for key, key_flows in flows.items():
         best = least[key]
-        for f, c in pairs:
+        for f, c in zip(key_flows, costs[key]):
             if f > 0:
                 any_flow = True
             num += f * (c - best)
@@ -113,22 +119,6 @@ def _relative_gap(flow_cost_pairs, least, demands) -> float:
             raise UndefinedGapError("zero gap denominator with positive flows")
         return 0.0
     return num / den
-
-
-def relative_gap_ue(flows, travel_times, least, demands) -> float:
-    """UE relative gap over experienced (generalized) path travel times.
-
-    `flows`/`travel_times`: dict[(d, tau)] -> sequence per path;
-    `least`/`demands`: dict[(d, tau)] -> scalar.
-    """
-    pairs = {key: list(zip(flows[key], travel_times[key])) for key in flows}
-    return _relative_gap(pairs, least, demands)
-
-
-def relative_gap_so(flows, marginal_times, least, demands) -> float:
-    """SO relative gap over path marginal travel times (mirror of the UE gap)."""
-    pairs = {key: list(zip(flows[key], marginal_times[key])) for key in flows}
-    return _relative_gap(pairs, least, demands)
 
 
 _COST_KIND = {UE: UE_COST, SO: SO_COST}
@@ -205,9 +195,8 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
             flows_d, costs_d, least_d = gap_inputs[cls]
             demands = {(o, d, tau): class_q[cls](o, d, tau)
                        for (o, d, tau) in flows_d}
-            gaps[cls] = (_relative_gap(
-                {k: list(zip(flows_d[k], costs_d[k])) for k in flows_d},
-                least_d, demands) if flows_d else 0.0)
+            gaps[cls] = (relative_gap(flows_d, costs_d, least_d, demands)
+                         if flows_d else 0.0)
         rgap = (gaps[UE] + gaps[SO]) / 2.0
         if not math.isfinite(rgap):
             raise ArithmeticError("non-finite relative gap")

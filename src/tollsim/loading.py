@@ -19,6 +19,11 @@ retries on the next step. While the network is empty the loader jumps to the
 next departure, and it stops once every vehicle has left. Per link it keeps
 one byte per step flagging a standing queue, written whenever the link's
 wake step is set; queue clearance delays are read from these flags.
+
+Two marginal-time estimators read those delays: `marginal_time`, the
+per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
+which advances its probe past each clearance and is the one compared with
++1-vehicle re-simulation; the solver does not route on it yet.
 """
 from __future__ import annotations
 
@@ -257,7 +262,6 @@ class LoadingResult:
         self.vehicles = vehicles            # list[VehicleRecord]
         self._queue_flags = queue_flags     # link_id -> bytearray, 1 per queued step
         self._entry_means = entry_time_means  # (link_id, tau) -> mean entry time
-        self._mt_cache: dict[tuple[str, int], float] = {}
 
     @property
     def vehicles_entered(self) -> int:
@@ -271,9 +275,6 @@ class LoadingResult:
     def tstt_veh_h(self) -> float:
         """Total system travel time in vehicle-hours."""
         return sum(v.travel_time for v in self.vehicles) / 3600.0
-
-    def travel_time(self, link_id: str, interval: int) -> float:
-        return self.states[link_id][interval].travel_time
 
     def queue_clearance_delay(self, link_id: str, t: float) -> float:
         """Seconds after time t until the link's standing queue dissipates."""
@@ -289,29 +290,15 @@ class LoadingResult:
         return max(0.0, clear * self.clock.step_s - t)
 
     def marginal_time(self, link_id: str, interval: int) -> float:
-        """Local link marginal travel time skim for an entry in `interval`."""
-        key = (link_id, interval)
-        cached = self._mt_cache.get(key)
-        if cached is not None:
-            return cached
+        """Link marginal travel time for an entry in `interval`: its travel
+        time plus the clearance of the queue standing when a vehicle that
+        entered at the interval's mean entry time exits. This is the SO cost
+        the routing skims carry."""
         st = self.states[link_id][interval]
-        entry = self._entry_means.get(key)
+        entry = self._entry_means.get((link_id, interval))
         if entry is None:
             entry = (interval + 0.5) * self.clock.interval_s
-        mt = st.travel_time + self.queue_clearance_delay(link_id, entry + st.travel_time)
-        self._mt_cache[key] = mt
-        return mt
-
-    def path_travel_time(self, path: Path, interval: int) -> float:
-        """Experienced travel time of the path for a departure in `interval`."""
-        t = interval * self.clock.interval_s
-        total = 0.0
-        for lid in path.link_ids:
-            tau = self.clock.interval_of(t)
-            tt = self.states[lid][tau].travel_time
-            total += tt
-            t += tt
-        return total
+        return st.travel_time + self.queue_clearance_delay(link_id, entry + st.travel_time)
 
     def path_marginal_time(self, path: Path, interval: int) -> float:
         """Local-approximation path marginal time for a departure in `interval`.
@@ -331,20 +318,6 @@ class LoadingResult:
             total += st.travel_time + clearance
             t = exit_t + clearance
         return total
-
-
-def link_marginal_time(result: LoadingResult, link_id: str, exit_time: float) -> float:
-    """Marginal time of one link for a probe exiting it at `exit_time`.
-
-    Travel time is read at the probe's (estimated) entry interval; the
-    externality is the time until the queue present at the exit dissipates.
-    """
-    clock = result.clock
-    tau_exit = clock.interval_of(exit_time)
-    tt_guess = result.states[link_id][tau_exit].travel_time
-    tau_entry = clock.interval_of(exit_time - tt_guess)
-    tt = result.states[link_id][tau_entry].travel_time
-    return tt + result.queue_clearance_delay(link_id, exit_time)
 
 
 def load_vehicles(network: Network, plans, clock: Clock,

@@ -136,22 +136,6 @@ class Path:
             raise InvalidPathError(
                 f"path destination {self.destination!r} does not match last link head {prev!r}")
 
-    def node_sequence(self, network: Network) -> tuple[str, ...]:
-        nodes = [self.origin]
-        for lid in self.link_ids:
-            nodes.append(network.links[lid].to_node)
-        return tuple(nodes)
-
-    def length(self, network: Network) -> float:
-        return sum(network.links[lid].length for lid in self.link_ids)
-
-
-def path_zone_distance(path: Path, network: Network) -> float:
-    """Total meters traveled on pricing-zone links along the path."""
-    path.validate(network)
-    return sum(network.links[lid].length for lid in path.link_ids
-               if network.links[lid].in_pricing_zone)
-
 
 @dataclass(frozen=True)
 class Clock:

@@ -73,19 +73,3 @@ def build_nguyen(pulse=DEFAULT_PULSE, with_zone: bool = False):
             if q > 0:
                 demand[(o, d, tau)] = float(q)
     return network, demand, clock
-
-
-def count_simple_routes(network: Network, od_pairs=None) -> int:
-    """Exhaustive simple-route enumeration across the OD pairs."""
-    od_pairs = od_pairs or OD_PAIRS
-
-    def count(node, dest, visited):
-        if node == dest:
-            return 1
-        total = 0
-        for link in network.out_links.get(node, ()):
-            if link.to_node not in visited:
-                total += count(link.to_node, dest, visited | {link.to_node})
-        return total
-
-    return sum(count(o, d, {o}) for (o, d) in od_pairs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from .demand import ClassDemand
 from .equilibrium import SolverConfig, solve_mixed_equilibrium
 from .fd import ClassReactionTimes
-from .network import Clock, Link, Network, Path
+from .network import Clock, Link, Network
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,15 @@ class TollConfig:
     improvement_tol: float = 0.01    # relative objective improvement
 
     def __post_init__(self):
-        if self.vot_per_hour <= 0:
-            raise ValueError("VOT must be positive")
-        if self.alpha_max <= 0:
-            raise ValueError("alpha_max must be positive")
-        if self.omega_max < 0:
-            raise ValueError("omega_max must be non-negative")
+        if not 0.0 < self.vot_per_hour < math.inf:
+            raise ValueError("vot_per_hour must be finite and positive")
+        if not 0.0 < self.alpha_max < math.inf:
+            raise ValueError("alpha_max must be finite and positive")
+        if not 0.0 <= self.omega_max < math.inf:
+            raise ValueError("omega_max must be finite and non-negative")
+        for name in ("p_gain", "i_gain", "improvement_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -45,18 +48,22 @@ class TollSchedule:
     alpha: dict = field(default_factory=dict)   # interval -> $/km
     omega: dict = field(default_factory=dict)   # (link_id, interval) -> weight
 
+    def __post_init__(self):
+        for name, rates in (("alpha", self.alpha), ("omega", self.omega)):
+            for key, value in rates.items():
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(f"toll {name} at {key!r} must be finite "
+                                     f"and non-negative, got {value!r}")
+
     def alpha_at(self, interval: int) -> float:
         return self.alpha.get(interval, 0.0)
-
-    def omega_at(self, link_id: str, interval: int) -> float:
-        return self.omega.get((link_id, interval), 0.0)
 
     def link_toll(self, link: Link, interval: int) -> float:
         """Dollars charged for traversing a zone link entered in `interval`."""
         if not link.in_pricing_zone:
             return 0.0
         return (self.alpha_at(interval)
-                * (1.0 + self.omega_at(link.id, interval))
+                * (1.0 + self.omega.get((link.id, interval), 0.0))
                 * link.length / 1000.0)
 
     def write_alpha_csv(self, path) -> None:
@@ -88,41 +95,6 @@ def congestion_weight(travel_time: float, free_flow_time: float,
     if free_flow_time <= 0:
         raise ValueError("free-flow time must be positive")
     return min(max((travel_time - free_flow_time) / free_flow_time, 0.0), omega_max)
-
-
-def path_toll(alpha: float, path: Path, omega, network: Network) -> float:
-    """Dollars charged along the path's zone links; omega maps link id -> weight."""
-    if alpha < 0:
-        raise ValueError("toll rate must be non-negative")
-    total = 0.0
-    for lid in path.link_ids:
-        link = network.links[lid]
-        if link.in_pricing_zone:
-            total += alpha * (1.0 + omega.get(lid, 0.0)) * link.length / 1000.0
-    return total
-
-
-def generalized_cost(path: Path, interval: int, vehicle_class: int, skims,
-                     toll_schedule: TollSchedule | None, network: Network,
-                     vot_per_hour: float = 15.0) -> float:
-    """Path cost in seconds: UE adds toll/VOT on zone links, SO uses marginal
-    times with no toll term. Arrival times propagate along travel-time skims."""
-    from .demand import SO
-    clock = skims.clock
-    t = interval * clock.interval_s
-    total = 0.0
-    for lid in path.link_ids:
-        tau = clock.interval_of(t)
-        tt = skims.travel_time(lid, tau)
-        if vehicle_class == SO:
-            total += skims.cost("so", lid, tau)
-        else:
-            total += tt
-            if toll_schedule is not None:
-                toll = toll_schedule.link_toll(network.links[lid], tau)
-                total += toll / vot_per_hour * 3600.0
-        t += tt
-    return total
 
 
 @dataclass(frozen=True)

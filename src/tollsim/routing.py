@@ -1,5 +1,10 @@
 """Time-dependent least-cost path search and bounded path-set management.
 
+`CostSkims` is the one source of path costs: per-(link, interval) travel
+times plus two cost kinds, UE_COST (travel time plus the toll converted to
+seconds at the value of time) and SO_COST (the loading's link marginal time,
+never tolled), summed alike by `path_cost` and the search below.
+
 Link costs are read at the interval of arrival at each link; arrival times
 propagate along travel-time skims. Ties are broken by the lexicographically
 smallest link-id sequence so searches are fully deterministic.
@@ -52,26 +57,22 @@ class CostSkims:
                 tt[(lid, tau)] = st.travel_time
                 toll_s = 0.0
                 if toll_schedule is not None and link.in_pricing_zone:
-                    toll = toll_schedule.link_toll(link, tau)
-                    toll_s = toll / vot_per_hour * 3600.0
+                    toll_s = toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
                 ue[(lid, tau)] = st.travel_time + toll_s
                 so[(lid, tau)] = result.marginal_time(lid, tau)
         return cls(clock, tt, ue, so)
 
-    def travel_time(self, link_id: str, interval: int) -> float:
-        return self._tt[(link_id, interval)]
-
-    def cost(self, kind: str, link_id: str, interval: int) -> float:
-        return self._costs[kind][(link_id, interval)]
-
     def path_cost(self, path: Path, departure_interval: int, kind: str) -> float:
         """Sum of per-link costs with arrival-interval lookups along the path."""
-        t = departure_interval * self.clock.interval_s
+        clock = self.clock
+        costs = self._costs[kind]
+        tt = self._tt
+        t = departure_interval * clock.interval_s
         total = 0.0
         for lid in path.link_ids:
-            tau = self.clock.interval_of(t)
-            total += self.cost(kind, lid, tau)
-            t += self.travel_time(lid, tau)
+            key = (lid, clock.interval_of(t))
+            total += costs[key]
+            t += tt[key]
         return total
 
 
@@ -113,12 +114,6 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
         raise UnreachableError(origin, destination)
     cost, lex = label
     return Path(lex, origin, destination), cost
-
-
-def td_least_marginal_path(network, skims, origin, destination,
-                           departure_interval) -> tuple[Path, float]:
-    return td_shortest_path(network, skims, origin, destination,
-                            departure_interval, SO_COST)
 
 
 def distance_shortest_path(network: Network, origin: str, destination: str) -> Path:
@@ -185,7 +180,7 @@ class PathSet:
             evict = min(range(len(self.paths)), key=lambda i: (means[i], i))
             del self.paths[evict]
             for tau, vec in self.proportions.items():
-                removed = vec.pop(evict)
+                vec.pop(evict)
                 rest = sum(vec)
                 if rest > 0:
                     self.proportions[tau] = [v / rest for v in vec]
@@ -196,16 +191,3 @@ class PathSet:
             if len(vec) < len(self.paths):
                 vec.append(0.0 if sum(vec) > 0 else 1.0)
         return len(self.paths) - 1
-
-    def check(self) -> None:
-        for tau, vec in self.proportions.items():
-            if vec and abs(sum(vec) - 1.0) > 1e-9:
-                raise AssertionError(f"proportions at interval {tau} sum to {sum(vec)}")
-
-
-def update_path_set(path_set: PathSet, path: Path, cap=None) -> PathSet:
-    """Functional wrapper over PathSet.insert (cap fixed at construction)."""
-    if cap is not None and cap != path_set.cap:
-        raise ValueError("cap is fixed at path-set construction")
-    path_set.insert(path)
-    return path_set

@@ -33,6 +33,19 @@ class StageError(RuntimeError):
 
 _SCENARIO_FIELDS = {"network", "demand", "clock", "solver", "toll",
                     "so_ratios", "noise_beta_max", "seed", "scenario_id"}
+_CLOCK_FIELDS = {"step_s", "interval_s", "horizon_s"}
+_SOLVER_FIELDS = {"max_iterations", "gap_tolerance", "gamma", "vot_per_hour"}
+_TOLL_FIELDS = {"vot_per_hour", "alpha_max", "p_gain", "i_gain", "omega_max",
+                "window", "outer_cap", "improvement_tol"}
+
+
+def _section(obj: dict, name: str, fields: set) -> dict:
+    """The nested object `name` of the scenario, with no unknown keys."""
+    section = obj.get(name) or {}
+    unknown = set(section) - fields
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -53,11 +66,11 @@ class Scenario:
         unknown = set(obj) - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        clock_cfg = obj.get("clock", {})
+        clock_cfg = _section(obj, "clock", _CLOCK_FIELDS)
         clock = Clock(step_s=int(clock_cfg.get("step_s", 1)),
                       interval_s=int(clock_cfg.get("interval_s", 300)),
                       horizon_s=int(clock_cfg.get("horizon_s", 3600)))
-        s = obj.get("solver", {})
+        s = _section(obj, "solver", _SOLVER_FIELDS)
         solver = SolverConfig(
             max_iterations=int(s.get("max_iterations", 100)),
             gap_tolerance=float(s.get("gap_tolerance", 0.01)),
@@ -65,7 +78,7 @@ class Scenario:
             vot_per_hour=float(s.get("vot_per_hour", 15.0)))
         toll = None
         if obj.get("toll") is not None:
-            t = obj["toll"]
+            t = _section(obj, "toll", _TOLL_FIELDS)
             toll = TollConfig(
                 vot_per_hour=float(t.get("vot_per_hour", solver.vot_per_hour)),
                 alpha_max=float(t.get("alpha_max", 5.0)),
@@ -79,12 +92,15 @@ class Scenario:
         for r in ratios:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"so_ratio {r} outside [0, 1]")
+        beta = float(obj.get("noise_beta_max", 0.0))
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"noise_beta_max must be finite and in [0, 1], got {beta}")
         return Scenario(
             scenario_id=str(obj.get("scenario_id", "scenario")),
             network_path=os.path.join(base_dir, obj["network"]),
             demand_path=os.path.join(base_dir, obj["demand"]),
             clock=clock, solver=solver, toll=toll, so_ratios=ratios,
-            noise_beta_max=float(obj.get("noise_beta_max", 0.0)),
+            noise_beta_max=beta,
             seed=int(obj.get("seed", 0)),
             raw=dict(obj))
 

@@ -8,24 +8,22 @@ import time
 
 import pytest
 
-from tollsim.demand import NoiseConfig, SO, UE, split_demand, split_demand_uniform
-from tollsim.equilibrium import (SolverConfig, StepSchedule, relative_gap_so,
-                                 relative_gap_ue, solve_mixed_equilibrium,
-                                 step_size)
+from tollsim.demand import NoiseConfig, SO, UE, split_demand
+from tollsim.equilibrium import (SolverConfig, StepSchedule, relative_gap,
+                                 solve_mixed_equilibrium, step_size)
 from tollsim.fd import FDParams, fd_capacity
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Path
 from tollsim.nguyen import (TOLL_I_GAIN, TOLL_OUTER_CAP, TOLL_P_GAIN,
                             TOLL_WINDOW, ZONE_LINKS, build_nguyen)
 from tollsim.pricing import (PIState, TollConfig, TollSchedule, bilevel_solve,
-                             estimate_critical_density, generalized_cost,
-                             nfd_series, path_toll, pi_update)
+                             estimate_critical_density, nfd_series, pi_update)
+from tollsim.routing import SO_COST, UE_COST, CostSkims, td_shortest_path
 from tollsim.analysis import hysteresis_area
 from tollsim.scenario import Scenario, run_scenario
 
 from conftest import line_network, two_link_network
 from test_equilibrium import bottleneck_pair_network
-from test_routing import const_skims
 from test_workbench import write_fixture_scenario
 
 V60 = 50.0 / 3.0
@@ -60,7 +58,7 @@ def nguyen_sweep():
     runs = {}
     t0 = time.perf_counter()
     for ratio in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        demand = split_demand_uniform(totals, ratio)
+        demand = split_demand(totals, ratio)
         runs[ratio] = solve_mixed_equilibrium(network, demand, clock,
                                               NGUYEN_SOLVER)
     return runs, time.perf_counter() - t0
@@ -158,15 +156,16 @@ def test_ac04_marginal_time_against_resimulation(clock_1h):
 
 
 def test_ac05_relative_gap_hand_fixtures():
-    ue = relative_gap_ue(flows={("D", 0): [6.0, 4.0]},
-                         travel_times={("D", 0): [10.0, 12.0]},
-                         least={("D", 0): 10.0}, demands={("D", 0): 10.0})
-    so = relative_gap_so(flows={("D", 0): [5.0, 5.0]},
-                         marginal_times={("D", 0): [20.0, 24.0]},
-                         least={("D", 0): 20.0}, demands={("D", 0): 10.0})
-    on_best = relative_gap_ue(flows={("D", 0): [10.0, 0.0]},
-                              travel_times={("D", 0): [10.0, 12.0]},
-                              least={("D", 0): 10.0}, demands={("D", 0): 10.0})
+    # The solver's gap: UE over generalized travel times, SO over marginal times.
+    ue = relative_gap(flows={("D", 0): [6.0, 4.0]},
+                      costs={("D", 0): [10.0, 12.0]},
+                      least={("D", 0): 10.0}, demands={("D", 0): 10.0})
+    so = relative_gap(flows={("D", 0): [5.0, 5.0]},
+                      costs={("D", 0): [20.0, 24.0]},
+                      least={("D", 0): 20.0}, demands={("D", 0): 10.0})
+    on_best = relative_gap(flows={("D", 0): [10.0, 0.0]},
+                           costs={("D", 0): [10.0, 12.0]},
+                           least={("D", 0): 10.0}, demands={("D", 0): 10.0})
     mean_ok = (ue + so) / 2.0 == pytest.approx(0.09, rel=1e-12)
     report(5, "gap hand fixtures 0.08 / 0.10 exact; zero on minimal paths; "
               "mean gap exact",
@@ -227,20 +226,29 @@ def test_ac07_tstt_non_increasing_in_so_ratio(nguyen_sweep):
 
 
 def test_ac08_so_costs_invariant_to_tolls(clock_1h, clock_20min):
-    # Cost level: identical skims, any toll schedule, bit-identical SO costs.
+    # Cost level: the solver's skims of one congested loading, built under
+    # any toll schedule, give bit-identical SO path costs and SO searches,
+    # while the same tolls do raise the UE cost.
+    from test_pricing import queued_loading, tolled_pair_network
     net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
-    skims = const_skims(net, clock_20min, {"AM": 50.0, "MB": 25.0},
-                        so={"AM": 80.0, "MB": 30.0})
     p = Path(("AM", "MB"), "A", "B")
-    free_cost = generalized_cost(p, 0, SO, skims, None, net)
-    cost_ok = all(
-        generalized_cost(p, 0, SO, skims, TollSchedule(alpha={0: a}), net)
-        == free_cost for a in (0.5, 2.0, 5.0))
+    res = queued_loading(net, clock_20min)
+    free = CostSkims.from_loading(res)
+    free_cost = free.path_cost(p, 0, SO_COST)
+    free_best = td_shortest_path(net, free, "A", "B", 0, SO_COST)
+    cost_ok = True
+    for a in (0.5, 2.0, 5.0):
+        tolled_skims = CostSkims.from_loading(res, TollSchedule(alpha={0: a}))
+        cost_ok = (cost_ok
+                   and tolled_skims.path_cost(p, 0, SO_COST) == free_cost
+                   and td_shortest_path(net, tolled_skims, "A", "B", 0,
+                                        SO_COST) == free_best
+                   and tolled_skims.path_cost(p, 0, UE_COST)
+                   > free.path_cost(p, 0, UE_COST))
 
     # System level: an all-SO equilibrium is bit-identical under a stiff toll.
-    from test_pricing import tolled_pair_network
     net2 = tolled_pair_network()
-    demand = split_demand_uniform({("O", "D", 0): 400.0}, 1.0)
+    demand = split_demand({("O", "D", 0): 400.0}, 1.0)
     cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005,
                        schedule=StepSchedule(2.0))
     free = solve_mixed_equilibrium(net2, demand, clock_1h, cfg)
@@ -258,9 +266,15 @@ def test_ac08_so_costs_invariant_to_tolls(clock_1h, clock_20min):
 def test_ac09_distance_toll_reduction_and_fixture():
     net = two_link_network(l1=400.0, l2=600.0, zone=("AM", "MB"))
     p = Path(("AM", "MB"), "A", "B")
-    flat = path_toll(0.5, p, {}, net)
+
+    def path_toll(schedule):
+        # The solver's per-link toll, summed over the path entered at t = 0.
+        return sum(schedule.link_toll(net.links[lid], 0) for lid in p.link_ids)
+
+    flat = path_toll(TollSchedule(alpha={0: 0.5}))
     flat_ok = abs(flat - 0.5 * 1.0) <= 1e-12
-    weighted = path_toll(0.5, p, {"AM": 0.5, "MB": 0.0}, net)
+    weighted = path_toll(TollSchedule(alpha={0: 0.5},
+                                      omega={("AM", 0): 0.5, ("MB", 0): 0.0}))
     fixture_ok = abs(weighted - 0.60) <= 1e-12 * 0.60
     report(9, "zero-weight toll reduces to rate x zone distance; weighted "
               "fixture equals $0.60",
@@ -297,7 +311,7 @@ def test_ac11_bilevel_reduces_zone_density_and_hysteresis(nguyen_sweep):
     runs, _ = nguyen_sweep
     t0 = time.perf_counter()
     network, totals, clock = build_nguyen(with_zone=True)
-    demand = split_demand_uniform(totals, 0.0)
+    demand = split_demand(totals, 0.0)
 
     base = runs[0.0]  # zone flags do not affect an untolled loading
     base_series = nfd_series(base.loading, network, ZONE_LINKS)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from tollsim.analysis import (class_zone_summary, hysteresis_area, tstt,
+from tollsim.analysis import (class_zone_summary, hysteresis_area,
                               vehicle_toll, vehicle_zone_time)
 from tollsim.demand import SO, UE
 from tollsim.loading import VehiclePlan, load_vehicles
@@ -19,13 +19,13 @@ class TestTstt:
     def test_single_free_flow_vehicle(self, clock_20min):
         net = line_network(length=1000.0, speed=20.0)
         res = load_vehicles(net, [VehiclePlan(UE, AB, 0, 0.0)], clock_20min)
-        assert tstt(res) == pytest.approx(50.0 / 3600.0, rel=1e-12)
+        assert res.tstt_veh_h == pytest.approx(50.0 / 3600.0, rel=1e-12)
 
     def test_linear_in_uncongested_vehicle_count(self, clock_20min):
         net = line_network(length=1000.0, speed=20.0)
         plans = [VehiclePlan(UE, AB, 0, 30.0 * i) for i in range(8)]
         res = load_vehicles(net, plans, clock_20min)
-        assert tstt(res) == pytest.approx(8 * 50.0 / 3600.0, rel=1e-9)
+        assert res.tstt_veh_h == pytest.approx(8 * 50.0 / 3600.0, rel=1e-9)
 
     def test_triangular_queue_delay_oracle(self, clock_20min):
         # D veh/s for T seconds into capacity q = D/rho adds a delay triangle
@@ -37,7 +37,7 @@ class TestTstt:
         plans = [VehiclePlan(UE, AB, 0, float(i)) for i in range(int(D * T))]
         res = load_vehicles(net, plans, clock_20min)
         expected = (D * T * 50.0 + D * T * T * (rho - 1.0) / 2.0) / 3600.0
-        assert tstt(res) == pytest.approx(expected, rel=0.05)
+        assert res.tstt_veh_h == pytest.approx(expected, rel=0.05)
 
 
 def pts(values):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tollsim import equilibrium
-from tollsim.demand import SO, UE, split_demand_uniform
+from tollsim.demand import SO, UE, split_demand
 from tollsim.equilibrium import (SolverConfig, StepSchedule, UndefinedGapError,
-                                 _relative_gap, path_flows, relative_gap_so,
-                                 relative_gap_ue, solve_mixed_equilibrium,
-                                 step_size, update_proportions)
+                                 path_flows, relative_gap,
+                                 solve_mixed_equilibrium, step_size,
+                                 update_proportions)
 from tollsim.network import Clock, Link, Network, Node
+from tollsim.routing import UE_COST, CostSkims
 
 
 def bottleneck_pair_network():
@@ -95,54 +96,54 @@ class TestProportionUpdate:
 class TestRelativeGaps:
     def test_ue_fixture_eight_percent(self):
         # 4 vehicles pay 2 s over the 10 s minimum on 10 vehicles of demand.
-        gap = relative_gap_ue(
+        gap = relative_gap(
             flows={("D", 0): [6.0, 4.0]},
-            travel_times={("D", 0): [10.0, 12.0]},
+            costs={("D", 0): [10.0, 12.0]},
             least={("D", 0): 10.0},
             demands={("D", 0): 10.0})
         assert gap == pytest.approx(0.08, rel=1e-12)
 
     def test_so_fixture_ten_percent(self):
-        gap = relative_gap_so(
+        gap = relative_gap(
             flows={("D", 0): [5.0, 5.0]},
-            marginal_times={("D", 0): [20.0, 24.0]},
+            costs={("D", 0): [20.0, 24.0]},
             least={("D", 0): 20.0},
             demands={("D", 0): 10.0})
         assert gap == pytest.approx(0.10, rel=1e-12)
 
     def test_gap_zero_iff_all_flow_on_least_cost_paths(self):
-        on_best = relative_gap_ue({("D", 0): [10.0, 0.0]},
-                                  {("D", 0): [10.0, 12.0]},
-                                  {("D", 0): 10.0}, {("D", 0): 10.0})
+        on_best = relative_gap({("D", 0): [10.0, 0.0]},
+                               {("D", 0): [10.0, 12.0]},
+                               {("D", 0): 10.0}, {("D", 0): 10.0})
         assert on_best == 0.0
-        off_best = relative_gap_ue({("D", 0): [9.0, 1.0]},
-                                   {("D", 0): [10.0, 12.0]},
-                                   {("D", 0): 10.0}, {("D", 0): 10.0})
+        off_best = relative_gap({("D", 0): [9.0, 1.0]},
+                                {("D", 0): [10.0, 12.0]},
+                                {("D", 0): 10.0}, {("D", 0): 10.0})
         assert off_best > 0.0
 
     def test_zero_denominator_with_flows_raises(self):
         with pytest.raises(UndefinedGapError):
-            _relative_gap({("D", 0): [(5.0, 1.0)]}, {("D", 0): 0.0},
-                          {("D", 0): 10.0})
+            relative_gap({("D", 0): [5.0]}, {("D", 0): [1.0]},
+                         {("D", 0): 0.0}, {("D", 0): 10.0})
 
     def test_empty_inputs_give_zero(self):
-        assert _relative_gap({}, {}, {}) == 0.0
+        assert relative_gap({}, {}, {}, {}) == 0.0
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_gap_invariant_under_demand_scaling(self, c):
-        kwargs = dict(travel_times={("D", 0): [10.0, 12.0]},
+        kwargs = dict(costs={("D", 0): [10.0, 12.0]},
                       least={("D", 0): 10.0})
-        base = relative_gap_ue(flows={("D", 0): [6.0, 4.0]},
-                               demands={("D", 0): 10.0}, **kwargs)
-        scaled = relative_gap_ue(flows={("D", 0): [6.0 * c, 4.0 * c]},
-                                 demands={("D", 0): 10.0 * c}, **kwargs)
+        base = relative_gap(flows={("D", 0): [6.0, 4.0]},
+                            demands={("D", 0): 10.0}, **kwargs)
+        scaled = relative_gap(flows={("D", 0): [6.0 * c, 4.0 * c]},
+                              demands={("D", 0): 10.0 * c}, **kwargs)
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_gap_grows_with_misassigned_flow(self):
         def gap(f):
-            return relative_gap_ue({("D", 0): [10.0 - f, f]},
-                                   {("D", 0): [10.0, 12.0]},
-                                   {("D", 0): 10.0}, {("D", 0): 10.0})
+            return relative_gap({("D", 0): [10.0 - f, f]},
+                                {("D", 0): [10.0, 12.0]},
+                                {("D", 0): 10.0}, {("D", 0): 10.0})
         gaps = [gap(f) for f in (0.0, 2.0, 5.0, 10.0)]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
@@ -156,7 +157,7 @@ class TestSolver:
 
     def test_zero_demand_converges_immediately(self, clock_1h):
         net = bottleneck_pair_network()
-        res = solve_mixed_equilibrium(net, split_demand_uniform({}, 0.0),
+        res = solve_mixed_equilibrium(net, split_demand({}, 0.0),
                                       clock_1h)
         assert res.converged
         assert res.loading.tstt_veh_h == 0.0
@@ -167,7 +168,7 @@ class TestSolver:
         # the mean queueing delay is 120 s, i.e. at 540 * 0.5208 = 281 vehicles
         # on the short route.
         net = bottleneck_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 400.0}, 0.0)
         cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005,
                            schedule=StepSchedule(2.0))
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
@@ -177,7 +178,8 @@ class TestSolver:
             400.0 * p for path, p in zip(ps.paths, ps.proportions[0])
             if path.link_ids != ("OD",))
         assert short_flow == pytest.approx(281.25, rel=0.10)
-        times = [res.loading.path_travel_time(path, 0) for path in ps.paths
+        skims = CostSkims.from_loading(res.loading)   # untolled: UE cost = time
+        times = [skims.path_cost(path, 0, UE_COST) for path in ps.paths
                  if ps.proportions[0][ps.index_of(path)] > 0.01]
         assert max(times) / min(times) < 1.05
 
@@ -187,14 +189,14 @@ class TestSolver:
         cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005,
                            schedule=StepSchedule(2.0))
         ue = solve_mixed_equilibrium(
-            net, split_demand_uniform(totals, 0.0), clock_1h, cfg)
+            net, split_demand(totals, 0.0), clock_1h, cfg)
         so = solve_mixed_equilibrium(
-            net, split_demand_uniform(totals, 1.0), clock_1h, cfg)
+            net, split_demand(totals, 1.0), clock_1h, cfg)
         assert so.loading.tstt_veh_h <= ue.loading.tstt_veh_h * 1.01
 
     def test_mixed_run_assigns_both_classes(self, clock_1h):
         net = bottleneck_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 0.4)
+        demand = split_demand({("O", "D", 0): 400.0}, 0.4)
         cfg = SolverConfig(max_iterations=40, gap_tolerance=0.01,
                            schedule=StepSchedule(2.0))
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
@@ -206,16 +208,16 @@ class TestSolver:
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_gap_raises(self, clock_1h, monkeypatch, bad):
-        monkeypatch.setattr(equilibrium, "_relative_gap", lambda *args: bad)
+        monkeypatch.setattr(equilibrium, "relative_gap", lambda *args: bad)
         net = bottleneck_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 40.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 40.0}, 0.0)
         with pytest.raises(ArithmeticError, match="non-finite"):
             solve_mixed_equilibrium(net, demand, clock_1h,
                                     SolverConfig(max_iterations=3))
 
     def test_iteration_log_is_complete_and_ordered(self, clock_1h):
         net = bottleneck_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 400.0}, 0.0)
         cfg = SolverConfig(max_iterations=10, gap_tolerance=1e-12,
                            schedule=StepSchedule(2.0))
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)

@@ -9,7 +9,7 @@ results.
 import hashlib
 from dataclasses import astuple
 
-from tollsim.demand import SO, UE, split_demand_uniform
+from tollsim.demand import SO, UE, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
@@ -72,7 +72,7 @@ def spillback_plans():
 
 def first_nguyen_loading():
     network, totals, clock = build_nguyen()
-    demand = split_demand_uniform(totals, 0.4)
+    demand = split_demand(totals, 0.4)
     eq = solve_mixed_equilibrium(network, demand, clock,
                                  SolverConfig(max_iterations=1))
     return network, eq.loading

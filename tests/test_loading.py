@@ -4,8 +4,8 @@ import pytest
 
 from tollsim.demand import SO, UE
 from tollsim.loading import (GridlockError, PathAssignment, VehiclePlan,
-                             discretize_assignments, link_marginal_time,
-                             load_network, load_vehicles)
+                             discretize_assignments, load_network,
+                             load_vehicles)
 from tollsim.network import Clock, InvalidPathError, Path
 
 from conftest import line_network, two_link_network
@@ -153,23 +153,26 @@ class TestMarginalTime:
         # With no queue, the only externality is at most one residual
         # server-headway step.
         assert res.marginal_time("AB", 0) == pytest.approx(
-            res.travel_time("AB", 0), abs=clock_20min.step_s)
+            res.states["AB"][0].travel_time, abs=clock_20min.step_s)
 
     def test_marginal_at_least_travel_time(self, clock_20min):
         net = line_network()
         res = load_vehicles(net, stream(120), clock_20min)
         for tau in range(clock_20min.n_intervals):
-            assert res.marginal_time("AB", tau) >= res.travel_time("AB", tau) - 1e-9
+            assert (res.marginal_time("AB", tau)
+                    >= res.states["AB"][tau].travel_time - 1e-9)
 
     def test_bottleneck_marginal_is_tt_plus_clearance(self, clock_20min):
         net = line_network(length=1000.0, speed=20.0)
         res = load_vehicles(net, stream(120), clock_20min)
         last_exit = max(v.exit_time for v in res.vehicles)
-        exit_time = 80.0
-        tau_entry = clock_20min.interval_of(
-            exit_time - res.travel_time("AB", 0))
-        expected = res.travel_time("AB", tau_entry) + (last_exit - exit_time)
-        got = link_marginal_time(res, "AB", exit_time)
+        # The skim probes the queue at the exit of a vehicle entering at the
+        # interval's mean entry time; the queue then stands until last_exit.
+        tt = res.states["AB"][0].travel_time
+        mean_entry = sum(v.link_entries[0] for v in res.vehicles) / len(res.vehicles)
+        exit_time = mean_entry + tt
+        expected = tt + (last_exit - exit_time)
+        got = res.marginal_time("AB", 0)
         assert abs(got - expected) <= 2.0 * clock_20min.step_s
 
     def test_path_marginal_matches_plus_one_vehicle_resimulation(self,

@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from tollsim.network import (Clock, InvalidPathError, Link, Network, Node,
                              Path, network_from_dict, network_to_dict,
-                             path_zone_distance, validate_network)
+                             validate_network)
+from tollsim.pricing import TollSchedule
 
 from conftest import line_network, two_link_network
 
@@ -86,19 +87,29 @@ class TestPathValidation:
             Path(("AB",), "A", "C").validate(net)
 
 
+def zone_km(path, net):
+    """Zone distance as the toll charges it: the path's toll at 1 $/km."""
+    schedule = TollSchedule(alpha={0: 1.0})
+    return sum(schedule.link_toll(net.links[lid], 0) for lid in path.link_ids)
+
+
+def length_km(path, net):
+    return sum(net.links[lid].length for lid in path.link_ids) / 1000.0
+
+
 class TestZoneDistance:
     def test_path_outside_zone_is_zero(self):
         net = two_link_network()
-        assert path_zone_distance(Path(("AM", "MB"), "A", "B"), net) == 0.0
+        assert zone_km(Path(("AM", "MB"), "A", "B"), net) == 0.0
 
     def test_hand_sum_400_plus_600(self):
         net = two_link_network(l1=400.0, l2=600.0, zone=("AM", "MB"))
-        assert path_zone_distance(Path(("AM", "MB"), "A", "B"), net) == 1000.0
+        assert zone_km(Path(("AM", "MB"), "A", "B"), net) == 1.0
 
     def test_whole_network_tolled_equals_path_length(self):
         net = two_link_network(l1=1300.0, l2=1000.0, zone=("AM", "MB"))
         p = Path(("AM", "MB"), "A", "B")
-        assert path_zone_distance(p, net) == p.length(net) == 2300.0
+        assert zone_km(p, net) == length_km(p, net) == 2.3
 
     @given(st.lists(st.booleans(), min_size=1, max_size=6),
            st.lists(st.floats(min_value=1.0, max_value=5000.0),
@@ -110,13 +121,13 @@ class TestZoneDistance:
                       in_pricing_zone=zone_flags[i]) for i in range(n)]
         net = Network(nodes, links)
         p = Path(tuple(f"l{i}" for i in range(n)), "n0", f"n{n}")
-        assert path_zone_distance(p, net) <= p.length(net) + 1e-9
+        assert zone_km(p, net) <= length_km(p, net) + 1e-12
 
     def test_additive_under_concatenation(self):
         net = two_link_network(l1=400.0, l2=600.0, zone=("AM", "MB"))
-        whole = path_zone_distance(Path(("AM", "MB"), "A", "B"), net)
-        first = path_zone_distance(Path(("AM",), "A", "M"), net)
-        second = path_zone_distance(Path(("MB",), "M", "B"), net)
+        whole = zone_km(Path(("AM", "MB"), "A", "B"), net)
+        first = zone_km(Path(("AM",), "A", "M"), net)
+        second = zone_km(Path(("MB",), "M", "B"), net)
         assert whole == first + second
 
 

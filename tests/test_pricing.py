@@ -3,19 +3,17 @@ controller and the bi-level outer loop."""
 import pytest
 from hypothesis import given, strategies as st
 
-from tollsim.demand import SO, UE, split_demand_uniform
+from tollsim.demand import UE, split_demand
 from tollsim.equilibrium import SolverConfig, StepSchedule, solve_mixed_equilibrium
-from tollsim.network import Clock, Link, Network, Node, Path
+from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.network import Link, Network, Node, Path
 from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, PIState,
                              TollConfig, TollSchedule, bilevel_solve,
                              congestion_weight, estimate_critical_density,
-                             generalized_cost, nfd_point, nfd_series, path_toll,
-                             pi_update)
-from tollsim.routing import CostSkims
+                             nfd_point, nfd_series, pi_update)
+from tollsim.routing import SO_COST, UE_COST, CostSkims
 
 from conftest import two_link_network
-
-from test_routing import const_skims
 
 
 class TestCongestionWeight:
@@ -39,6 +37,12 @@ class TestCongestionWeight:
         assert 0.0 <= congestion_weight(tt, t0) <= 1.0
 
 
+def path_toll(schedule, path, net, interval=0):
+    """The solver's per-link toll summed over a path entered in `interval`."""
+    return sum(schedule.link_toll(net.links[lid], interval)
+               for lid in path.link_ids)
+
+
 class TestPathToll:
     def zone_net(self):
         return two_link_network(l1=400.0, l2=600.0, zone=("AM", "MB"))
@@ -47,59 +51,85 @@ class TestPathToll:
         # 0.5 $/km * (1.5 * 0.4 km + 1.0 * 0.6 km) = 0.60 $
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
-        got = path_toll(0.5, p, {"AM": 0.5, "MB": 0.0}, net)
-        assert got == pytest.approx(0.60, rel=1e-12)
+        schedule = TollSchedule(alpha={0: 0.5},
+                                omega={("AM", 0): 0.5, ("MB", 0): 0.0})
+        assert path_toll(schedule, p, net) == pytest.approx(0.60, rel=1e-12)
 
     def test_zero_weights_reduce_to_flat_distance_toll(self):
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
-        assert path_toll(0.5, p, {}, net) == pytest.approx(0.5 * 1.0, rel=1e-12)
+        assert path_toll(TollSchedule(alpha={0: 0.5}), p, net) \
+            == pytest.approx(0.5 * 1.0, rel=1e-12)
 
     def test_non_zone_links_free(self):
         net = two_link_network(l1=400.0, l2=600.0, zone=("MB",))
         p = Path(("AM", "MB"), "A", "B")
-        assert path_toll(1.0, p, {}, net) == pytest.approx(0.6, rel=1e-12)
+        assert path_toll(TollSchedule(alpha={0: 1.0}), p, net) \
+            == pytest.approx(0.6, rel=1e-12)
 
     def test_monotone_in_rate_and_weights(self):
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
-        assert path_toll(0.5, p, {}, net) < path_toll(1.0, p, {}, net)
-        assert path_toll(0.5, p, {}, net) < path_toll(0.5, p, {"AM": 0.5}, net)
+        half = path_toll(TollSchedule(alpha={0: 0.5}), p, net)
+        assert half < path_toll(TollSchedule(alpha={0: 1.0}), p, net)
+        assert half < path_toll(TollSchedule(alpha={0: 0.5},
+                                             omega={("AM", 0): 0.5}), p, net)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            path_toll(-0.1, Path(("AM",), "A", "M"), {}, self.zone_net())
+        with pytest.raises(ValueError, match="alpha"):
+            TollSchedule(alpha={0: -0.1})
+
+    @pytest.mark.parametrize("field,rates", [
+        ("alpha", {0: float("nan")}), ("alpha", {0: float("inf")}),
+        ("omega", {("AM", 0): -0.5}), ("omega", {("AM", 0): float("nan")}),
+        ("omega", {("AM", 0): float("inf")})])
+    def test_non_finite_or_negative_rates_rejected(self, field, rates):
+        with pytest.raises(ValueError, match=field):
+            TollSchedule(**{field: rates})
+
+
+def one_vehicle_loading(net, clock):
+    """A free-flow loading of A->M->B: AM takes 50 s, MB 25 s in every interval."""
+    p = Path(("AM", "MB"), "A", "B")
+    return load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock)
+
+
+def queued_loading(net, clock):
+    """150 vehicles at 1 veh/s queue behind AM's ~0.54 veh/s capacity."""
+    p = Path(("AM", "MB"), "A", "B")
+    return load_vehicles(net, [VehiclePlan(UE, p, 0, float(i)) for i in range(150)],
+                         clock)
 
 
 class TestGeneralizedCost:
     def test_ue_cost_adds_toll_as_time(self, clock_20min):
         # $1.50 at 15 $/h VOT is 360 s of equivalent delay.
         net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
-        skims = const_skims(net, clock_20min, {"AM": 50.0, "MB": 25.0})
+        res = one_vehicle_loading(net, clock_20min)
         schedule = TollSchedule(alpha={0: 1.0})  # 1.0 $/km * 1.5 km = $1.50
         p = Path(("AM", "MB"), "A", "B")
-        base = generalized_cost(p, 0, UE, skims, None, net)
-        tolled = generalized_cost(p, 0, UE, skims, schedule, net)
+        base = CostSkims.from_loading(res).path_cost(p, 0, UE_COST)
+        tolled = CostSkims.from_loading(res, schedule).path_cost(p, 0, UE_COST)
         assert base == 75.0
         assert tolled - base == pytest.approx(360.0, rel=1e-12)
 
     def test_so_cost_is_bit_identical_under_any_toll(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
-        skims = const_skims(net, clock_20min, {"AM": 50.0, "MB": 25.0},
-                            so={"AM": 80.0, "MB": 30.0})
+        res = queued_loading(net, clock_20min)
         p = Path(("AM", "MB"), "A", "B")
-        free = generalized_cost(p, 0, SO, skims, None, net)
+        free = CostSkims.from_loading(res).path_cost(p, 0, SO_COST)
+        assert free > 75.0   # the queue shows in the marginal time
         for alpha in (0.5, 5.0, 50.0):
-            tolled = generalized_cost(p, 0, SO, skims,
-                                      TollSchedule(alpha={0: alpha}), net)
+            tolled = CostSkims.from_loading(
+                res, TollSchedule(alpha={0: alpha})).path_cost(p, 0, SO_COST)
             assert tolled == free  # exact, not approximate
 
     def test_schedule_window_only_prices_listed_intervals(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
-        skims = const_skims(net, clock_20min, {"AM": 50.0, "MB": 25.0})
-        schedule = TollSchedule(alpha={0: 1.0})
+        res = one_vehicle_loading(net, clock_20min)
+        skims = CostSkims.from_loading(res, TollSchedule(alpha={0: 1.0}))
         p = Path(("AM", "MB"), "A", "B")
-        assert generalized_cost(p, 1, UE, skims, schedule, net) == 75.0
+        assert skims.path_cost(p, 1, UE_COST) == 75.0
 
 
 class TestTollScheduleIO:
@@ -117,6 +147,12 @@ class TestTollScheduleIO:
         lines = f.read_text().splitlines()
         assert lines[0] == "link_id,interval_index,omega"
         assert lines[1].startswith("a,0,")
+
+    def test_read_alpha_csv_rejects_bad_rate(self, tmp_path):
+        f = tmp_path / "alpha.csv"
+        f.write_text("interval_index,alpha_per_km\n0,0.5\n1,-2\n")
+        with pytest.raises(ValueError, match="alpha"):
+            TollSchedule.read_alpha_csv(f)
 
 
 class TestNfd:
@@ -247,7 +283,7 @@ def tolled_pair_network():
 class TestTollingShiftsFlow:
     def test_fixed_toll_moves_ue_flow_off_the_zone(self, clock_1h):
         net = tolled_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 400.0}, 0.0)
         cfg = SolverConfig(max_iterations=60, gap_tolerance=0.005,
                            schedule=StepSchedule(2.0))
         free = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
@@ -263,7 +299,7 @@ class TestTollingShiftsFlow:
 
     def test_so_class_ignores_the_toll(self, clock_1h):
         net = tolled_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 1.0)
+        demand = split_demand({("O", "D", 0): 400.0}, 1.0)
         cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005,
                            schedule=StepSchedule(2.0))
         free = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
@@ -280,14 +316,14 @@ class TestBilevel:
     def test_empty_zone_rejected(self, clock_1h):
         from conftest import parallel_network
         net = parallel_network()
-        demand = split_demand_uniform({("O", "D", 0): 10.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 10.0}, 0.0)
         with pytest.raises(ValueError, match="zone"):
             bilevel_solve(net, demand, clock_1h, TollConfig(),
                           SolverConfig(), k_cr=15.0)
 
     def test_zero_demand_keeps_toll_at_zero(self, clock_1h):
         net = tolled_pair_network()
-        demand = split_demand_uniform({}, 0.0)
+        demand = split_demand({}, 0.0)
         cfg = TollConfig(window=(0, 1), outer_cap=8)
         res = bilevel_solve(net, demand, clock_1h, cfg, SolverConfig(),
                             k_cr=10.0)
@@ -296,7 +332,7 @@ class TestBilevel:
 
     def test_controller_tracks_down_zone_density(self, clock_1h):
         net = tolled_pair_network()
-        demand = split_demand_uniform({("O", "D", 0): 400.0}, 0.0)
+        demand = split_demand({("O", "D", 0): 400.0}, 0.0)
         solver = SolverConfig(max_iterations=60, gap_tolerance=0.005,
                               schedule=StepSchedule(2.0))
         base = solve_mixed_equilibrium(net, demand, clock_1h, solver)

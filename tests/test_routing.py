@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tollsim.network import Clock, Link, Network, Node, Path
-from tollsim.routing import (CAP_SO, CAP_UE, CostSkims, PathSet, SO_COST,
-                             UE_COST, UnreachableError, distance_shortest_path,
-                             td_least_marginal_path, td_shortest_path,
-                             update_path_set)
+from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
+                             UnreachableError, distance_shortest_path,
+                             td_shortest_path)
 
 from conftest import line_network, parallel_network, two_link_network
 
@@ -88,9 +87,9 @@ class TestShortestPath:
                             tt_by_link={"S": 300.0, "L": 420.0},
                             so={"S": 900.0, "L": 420.0})
         assert td_shortest_path(net, skims, "O", "D", 0)[0].link_ids == ("S",)
-        assert td_least_marginal_path(net, skims, "O", "D", 0)[0].link_ids \
+        assert td_shortest_path(net, skims, "O", "D", 0, SO_COST)[0].link_ids \
             == ("L",)
-        assert skims.cost(SO_COST, "S", 0) == 900.0
+        assert skims.path_cost(Path(("S",), "O", "D"), 0, SO_COST) == 900.0
 
 
 class TestStaticShortestPath:
@@ -166,16 +165,12 @@ class TestPathSet:
         with pytest.raises(ValueError):
             PathSet("O", "D", 0, (0,))
 
-    def test_update_path_set_rejects_cap_change(self):
-        ps = PathSet("O", "D", CAP_SO, (0,))
-        with pytest.raises(ValueError):
-            update_path_set(ps, path_named("a"), cap=CAP_SO + 1)
-
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1,
                     max_size=25))
     def test_proportions_always_sum_to_one(self, inserts):
         ps = PathSet("O", "D", 3, (0, 1))
         for i in inserts:
             ps.insert(path_named(f"p{i}"))
-            ps.check()
+            for vec in ps.proportions.values():
+                assert abs(sum(vec) - 1.0) <= 1e-9
             assert len(ps.paths) <= 3

@@ -8,12 +8,23 @@ from tollsim.cli import main
 from tollsim.network import (load_network_file, save_network_file,
                              validate_network)
 from tollsim.demand import save_demand_file
-from tollsim.nguyen import (DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen,
-                            count_simple_routes)
+from tollsim.nguyen import DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen
 from tollsim.scenario import (Scenario, StageError, run_scenario,
                               validate_scenario)
 
 from test_pricing import tolled_pair_network
+
+
+def count_simple_routes(network):
+    """Exhaustive simple-route enumeration across the bundled OD pairs."""
+    def count(node, dest, visited):
+        if node == dest:
+            return 1
+        return sum(count(link.to_node, dest, visited | {link.to_node})
+                   for link in network.out_links.get(node, ())
+                   if link.to_node not in visited)
+
+    return sum(count(o, d, {o}) for (o, d) in OD_PAIRS)
 
 
 class TestBundledNetwork:
@@ -88,6 +99,34 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="so_ratio"):
             Scenario.from_dict({"network": "n", "demand": "d",
                                 "so_ratios": [1.5]})
+
+    @pytest.mark.parametrize("section", ["solver", "clock", "toll"])
+    def test_unknown_nested_field_rejected(self, section):
+        # A misspelt key must not fall back to a default (plain MSA here).
+        doc = {"network": "n", "demand": "d", "solver": {}, "clock": {},
+               "toll": {}}
+        doc[section]["gama"] = 2
+        with pytest.raises(ValueError, match=f"unknown {section} fields"):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("solver", "gap_tolerance", float("nan")),   # would never converge
+        (None, "noise_beta_max", float("nan")),      # would turn noise off
+        ("toll", "vot_per_hour", float("inf")),      # would zero every toll
+        ("solver", "gamma", float("inf")),
+        ("solver", "vot_per_hour", float("inf")),
+        ("toll", "alpha_max", float("inf")),
+        ("toll", "omega_max", float("nan")),
+        ("toll", "p_gain", float("nan")),
+        ("toll", "i_gain", float("inf")),
+        ("toll", "improvement_tol", float("nan")),
+        (None, "noise_beta_max", 1.5),               # else fails at run time
+    ])
+    def test_non_finite_number_rejected(self, section, key, value):
+        doc = {"network": "n", "demand": "d", "toll": {}}
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            Scenario.from_dict(doc)
 
     def test_content_hash_is_stable(self, tmp_path):
         path = write_fixture_scenario(tmp_path)
