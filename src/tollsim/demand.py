@@ -5,7 +5,8 @@ fractional; the loader discretizes to whole vehicles. `split_demand` is the
 one UE/SO split: a global SO ratio, optional per-entry overrides and
 optional noise, counter-based on (seed, origin, destination, interval) so
 results do not depend on iteration order. Demand records are checked when
-they are parsed: totals finite and non-negative, overrides in [0, 1].
+they are parsed: integral intervals, totals finite and non-negative,
+overrides in [0, 1].
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
+
+from .network import parse_int
 
 UE = 1
 SO = 2
@@ -56,7 +59,8 @@ def demand_from_records(records) -> tuple[dict[tuple[str, str, int], float],
         unknown = set(rec) - _DEMAND_FIELDS
         if unknown:
             raise ValueError(f"unknown demand fields: {sorted(unknown)}")
-        key = (str(rec["origin"]), str(rec["destination"]), int(rec["interval_index"]))
+        key = (str(rec["origin"]), str(rec["destination"]),
+               parse_int(rec["interval_index"], "interval_index"))
         if key[0] == key[1]:
             raise ValueError(f"demand origin equals destination: {key[0]!r}")
         total = float(rec["total"])

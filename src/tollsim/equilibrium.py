@@ -151,7 +151,6 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         ps.insert(distance_shortest_path(network, o, d))
         path_sets[(o, d, cls)] = ps
 
-    result = None
     log: list[IterationRecord] = []
     converged = False
     hits = 0
@@ -207,11 +206,5 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         if hits >= 2:
             converged = True
             break
-
-    if result is None:  # zero demand: one empty loading for a consistent result
-        result = load_network(network, [], clock, reaction_times)
-        log.append(IterationRecord(1, 0.0, 0.0, 0.0, 0.0,
-                                   time.perf_counter() - t0))
-        converged = True
 
     return EquilibriumResult(path_sets, result, log, converged)

@@ -33,7 +33,7 @@ class FDParams:
     @property
     def q_max(self) -> float:
         """Capacity, veh/s/lane."""
-        return self.speed / (self.speed * self.reaction_time + self.veh_length)
+        return lane_capacity(self.speed, self.veh_length, self.reaction_time)
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,9 @@ def fd_flow(k: float, params: FDParams) -> float:
                (1.0 - params.veh_length * k) / params.reaction_time)
 
 
-def fd_capacity(params: FDParams) -> tuple[float, float]:
-    """(critical density veh/m/lane, capacity veh/s/lane)."""
-    return params.k_crit, params.q_max
+def lane_capacity(speed: float, veh_length: float, reaction_time: float) -> float:
+    """Capacity V / (V*R + L), veh/s/lane, where the FD's two branches meet."""
+    return speed / (speed * reaction_time + veh_length)
 
 
 def blended_reaction_time(cav_fraction: float, times: ClassReactionTimes) -> float:

@@ -10,15 +10,17 @@ a capacity server at its downstream end (point queue with finite storage):
 * each link's FD reaction time is re-blended every assignment interval from
   the CAV/HV mix that entered the link during the previous interval.
 
-The loader moves whole vehicles and is fully deterministic. It is driven by
-events: it visits only the steps at which a link's head vehicle may leave or
-an origin has a departure due, and in such a step only those links and
-origins, in id order. A link's wake step follows from its head vehicle's
-ready step and its server's next free time; a link blocked downstream
-retries on the next step. While the network is empty the loader jumps to the
-next departure, and it stops once every vehicle has left. Per link it keeps
-one byte per step flagging a standing queue, written whenever the link's
-wake step is set; queue clearance delays are read from these flags.
+The loader moves whole vehicles and is fully deterministic. Each origin is a
+source queue of its vehicles in departure order, and one transfer loop moves
+head vehicles off sources and links alike, onto their next link or out of
+the network. It visits only the steps at which some queue's head may leave,
+and then only those queues: links in id order, then sources in origin order.
+A queue's wake step follows from its head's ready step and a link's server;
+a queue blocked downstream retries on the next step. While the network is
+empty the loader jumps to the next departure, and it stops once every queue
+is empty. Per link it keeps one byte per step flagging a standing queue,
+written whenever the link's wake step is set; queue clearance delays are
+read from these flags.
 
 Two marginal-time estimators read those delays: `marginal_time`, the
 per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .demand import SO, UE
-from .fd import ClassReactionTimes, blended_reaction_time
+from .fd import ClassReactionTimes, blended_reaction_time, lane_capacity
 from .network import Clock, Network, Path
 
 _EPS = 1e-9
@@ -111,6 +113,7 @@ def discretize_assignments(assignments, clock: Clock) -> list[VehiclePlan]:
     Per (class, OD, interval) the vehicle count is the rounded class total,
     shared among paths by largest remainder; each path group's departures are
     spread uniformly over the interval. Deterministic for a given input set.
+    Raises ValueError for a departure interval outside the clock.
     """
     groups: dict[tuple, list[PathAssignment]] = {}
     for asg in assignments:
@@ -122,6 +125,8 @@ def discretize_assignments(assignments, clock: Clock) -> list[VehiclePlan]:
     plans: list[VehiclePlan] = []
     for key in sorted(groups):
         cls, _o, _d, tau = key
+        if tau not in range(clock.n_intervals):
+            raise ValueError(f"departure interval {tau} outside the clock's horizon")
         members = sorted(groups[key], key=lambda a: a.path.link_ids)
         total = sum(a.flow for a in members)
         n_total = int(math.floor(total + 0.5))
@@ -196,6 +201,17 @@ class _LinkRT:
         self.credit_step = step
 
 
+class _Source:
+    """An origin's vehicles in departure order; no server, no statistics."""
+
+    __slots__ = ("index", "queue")
+    next_free = -math.inf        # never busy: only the head's departure waits
+
+    def __init__(self, index, vehicle_ids):
+        self.index = index       # after the links, in origin order
+        self.queue = deque(vehicle_ids)
+
+
 def _roll_interval(link_order, tau: int, reaction_times: ClassReactionTimes) -> None:
     """Re-blend every link's FD from the mix that entered it last interval."""
     for rt in link_order:
@@ -209,8 +225,8 @@ def _roll_interval(link_order, tau: int, reaction_times: ClassReactionTimes) -> 
             frac = rt.stat_cav[tau - 1]
         base = blended_reaction_time(frac, reaction_times)
         rt.reaction = base * rt.link.reaction_time_factor
-        q_max = rt.link.speed_limit / (
-            rt.link.speed_limit * rt.reaction + rt.link.effective_vehicle_length)
+        q_max = lane_capacity(rt.link.speed_limit, rt.link.effective_vehicle_length,
+                              rt.reaction)
         rt.headway = 1.0 / (q_max * rt.link.lanes)
         rt.stat_cav[tau] = frac
         rt.stat_reaction[tau] = rt.reaction
@@ -218,21 +234,25 @@ def _roll_interval(link_order, tau: int, reaction_times: ClassReactionTimes) -> 
         rt.enter_cav = 0
 
 
-def _ready_step(at: float, dt: float, lo: int) -> int:
-    """First step s >= lo whose time s * dt has reached departure time `at`."""
-    if not math.isfinite(at):
-        raise ValueError(f"departure time must be finite, got {at}")
-    s = max(lo, int(at // dt) - 2)
-    while at > s * dt + _EPS:
-        s += 1
-    return s
+def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
+    """For ascending departure times, the first step s >= 0 whose time s * dt
+    has reached each; `n_steps` (past the horizon) if no step in it does."""
+    steps = []
+    s = 0
+    for at in departures:
+        if not math.isfinite(at):
+            raise ValueError(f"departure time must be finite, got {at}")
+        while s < n_steps and at > s * dt + _EPS:
+            s += 1
+        steps.append(s)
+    return steps
 
 
-def _schedule(rt: _LinkRT, ready_step: int, step: int, dt: float,
+def _schedule(rt, ready_step: int, step: int, dt: float,
               wakes: dict, events: list) -> None:
-    """Set the link's wake step: the first step from `step` on at which its
-    head vehicle (ready from `ready_step`) may exit. Also flag the steps
-    until then that end with a standing queue.
+    """Set the queue's wake step: the first step from `step` on at which its
+    head vehicle (ready from `ready_step`) may leave. On a link, also flag
+    the steps until then that end with a standing queue.
 
     Until the wake step neither the head nor the server's next free time
     changes. A step ends with a standing queue while the server is still
@@ -348,32 +368,32 @@ def load_vehicles(network: Network, plans, clock: Clock,
     routes = {key: tuple(rts[lid] for lid in path.link_ids)
               for key, path in paths.items()}
 
-    # Per-vehicle bookkeeping: route, position on it, entry time and first
-    # step it may exit the current link (entry step + free-flow steps).
+    # Per-vehicle bookkeeping: route, position on it (-1 at the origin),
+    # entry time and first step it may leave its queue (the departure step
+    # at the origin, entry step + free-flow steps on a link).
     veh_route = [routes[id(v.path)] for v in vehicles]
-    veh_pos = [0] * len(vehicles)
+    veh_pos = [-1] * len(vehicles)
     veh_entry = [0.0] * len(vehicles)
-    veh_ready = [0] * len(vehicles)
+    veh_ready = _ready_steps([v.departure_time for v in vehicles], dt, n_steps)
     veh_cav = [v.vehicle_class == SO for v in vehicles]
     veh_log = [v.link_entries for v in vehicles]
 
-    # Origin buffers: FIFO of vehicle ids per origin node, sorted by departure;
-    # `waiting` holds [step due, buffer, position] per origin, in origin order.
-    buffers: dict[str, list[int]] = {}
+    by_origin: dict[str, list[int]] = {}
     for v in vehicles:
-        buffers.setdefault(v.path.origin, []).append(v.vehicle_id)
-    waiting = [[_ready_step(vehicles[buffers[o][0]].departure_time, dt, 0),
-                buffers[o], 0] for o in sorted(buffers)]
+        by_origin.setdefault(v.path.origin, []).append(v.vehicle_id)
+    n_links = len(link_order)
+    queues = link_order + [_Source(n_links + k, by_origin[o])
+                           for k, o in enumerate(sorted(by_origin))]
 
-    # Heap of the steps at which a link or an origin is due (with repeats);
-    # no other step changes anything.
-    events = sorted(w[0] for w in waiting)
-    wakes: dict[int, list[int]] = {}   # step -> indices of links due to exit
-    blocked: list[int] = []            # links to retry next step
+    # Heap of the steps at which a queue is due (with repeats); no other
+    # step changes anything.
+    events: list[int] = []
+    wakes: dict[int, list[int]] = {}   # step -> indices of queues due
+    for src in queues[n_links:]:
+        _schedule(src, veh_ready[src.queue[0]], 0, dt, wakes, events)
+    blocked: list[int] = []            # queues to retry next step
     steps_per_interval = interval_s // clock.step_s
     next_roll = 0
-    exhausted = False
-    in_network = 0
     tau = -1
     while events:
         step = heapq.heappop(events)
@@ -386,39 +406,40 @@ def load_vehicles(network: Network, plans, clock: Clock,
             tau += 1
             next_roll += steps_per_interval
             _roll_interval(link_order, tau, reaction_times)
-        departed_by = t + _EPS
         free_by = t + dt - _EPS
 
-        # Link exits, in link-id order over the links due now.
+        # Head vehicles leave their queues, links in id order, then sources.
         due = wakes.pop(step, None)
         if blocked:
             due = due + blocked if due else blocked
             blocked = []
-        if due:
-            due.sort()
-            for i in due:
-                rt = link_order[i]
-                q = rt.queue
-                while True:
-                    vid = q[0]
-                    if veh_ready[vid] > step or rt.next_free > free_by:
-                        _schedule(rt, veh_ready[vid], step, dt, wakes, events)
-                        break
-                    route = veh_route[vid]
-                    li = veh_pos[vid] + 1
-                    if li < len(route):
-                        nrt = route[li]
-                        if nrt.credit_step != step:
-                            nrt.refresh_credit(step, dt)
-                        if not (nrt.recv_credit >= 1.0 - _EPS
-                                and len(nrt.queue) + 1 <= nrt.storage + _EPS):
-                            # Blocked downstream: the head waits, retry next step.
+        due.sort()
+        for i in due:
+            rt = queues[i]
+            q = rt.queue
+            while True:
+                vid = q[0]
+                if veh_ready[vid] > step or rt.next_free > free_by:
+                    _schedule(rt, veh_ready[vid], step, dt, wakes, events)
+                    break
+                route = veh_route[vid]
+                li = veh_pos[vid] + 1
+                if li < len(route):
+                    nrt = route[li]
+                    if nrt.credit_step != step:
+                        nrt.refresh_credit(step, dt)
+                    if not (nrt.recv_credit >= 1.0 - _EPS
+                            and len(nrt.queue) + 1 <= nrt.storage + _EPS):
+                        # Blocked downstream: the head waits, retry next step.
+                        if i < n_links:
                             rt.queue_flag[step] = 1
-                            blocked.append(i)
-                            break
-                    else:
-                        nrt = None
-                    q.popleft()
+                        blocked.append(i)
+                        break
+                else:
+                    nrt = None
+                q.popleft()
+                if i < n_links:
+                    # A link exit: its server's headway and exit statistics.
                     busy_until = rt.next_free
                     rt.next_free = (busy_until if busy_until >= t else t) + rt.headway
                     entry = veh_entry[vid]
@@ -433,81 +454,34 @@ def load_vehicles(network: Network, plans, clock: Clock,
                         rt.stat_count_integral[j] += boundary - entry
                         entry = boundary
                     rt.stat_count_integral[tau] += t - entry
-                    if nrt is None:
-                        vehicles[vid].exit_time = t
-                        in_network -= 1
-                    else:
-                        veh_pos[vid] = li
-                        nrt.recv_credit -= 1.0
-                        nq = nrt.queue
-                        nq.append(vid)
-                        veh_entry[vid] = t
-                        veh_ready[vid] = step + nrt.ff_steps
-                        veh_log[vid].append(t)
-                        if veh_cav[vid]:
-                            nrt.enter_cav += 1
-                        else:
-                            nrt.enter_hv += 1
-                        nrt.stat_entries[tau] += 1
-                        nrt.stat_entry_time_sum[tau] += t
-                        if len(nq) == 1:
-                            _schedule(nrt, step + nrt.ff_steps, step, dt, wakes, events)
-                    if not q:
-                        break
-
-        # Demand injection from origin buffers, in origin order.
-        for w in waiting:
-            if w[0] != step:
-                continue
-            buf, pos = w[1], w[2]
-            while pos < len(buf):
-                vid = buf[pos]
-                departure = vehicles[vid].departure_time
-                if departure > departed_by:
-                    w[0] = _ready_step(departure, dt, step + 1)
-                    break
-                rt = veh_route[vid][0]
-                if rt.credit_step != step:
-                    rt.refresh_credit(step, dt)
-                if not (rt.recv_credit >= 1.0 - _EPS
-                        and len(rt.queue) + 1 <= rt.storage + _EPS):
-                    w[0] = step + 1
-                    break
-                rt.recv_credit -= 1.0
-                q = rt.queue
-                q.append(vid)
-                veh_entry[vid] = t
-                veh_ready[vid] = step + rt.ff_steps
-                veh_log[vid].append(t)
-                if veh_cav[vid]:
-                    rt.enter_cav += 1
+                if nrt is None:
+                    vehicles[vid].exit_time = t
                 else:
-                    rt.enter_hv += 1
-                rt.stat_entries[tau] += 1
-                rt.stat_entry_time_sum[tau] += t
-                if len(q) == 1:
-                    _schedule(rt, step + rt.ff_steps, step, dt, wakes, events)
-                in_network += 1
-                pos += 1
-            w[2] = pos
-            if pos < len(buf):
-                heapq.heappush(events, w[0])
-            else:
-                exhausted = True
-        if exhausted:
-            waiting = [w for w in waiting if w[2] < len(w[1])]
-            exhausted = False
+                    veh_pos[vid] = li
+                    nrt.recv_credit -= 1.0
+                    nq = nrt.queue
+                    nq.append(vid)
+                    veh_entry[vid] = t
+                    veh_ready[vid] = step + nrt.ff_steps
+                    veh_log[vid].append(t)
+                    if veh_cav[vid]:
+                        nrt.enter_cav += 1
+                    else:
+                        nrt.enter_hv += 1
+                    nrt.stat_entries[tau] += 1
+                    nrt.stat_entry_time_sum[tau] += t
+                    if len(nq) == 1:
+                        _schedule(nrt, step + nrt.ff_steps, step, dt, wakes, events)
+                if not q:
+                    break
         if blocked:
             heapq.heappush(events, step + 1)
 
-    if in_network or waiting:
+    if any(rt.queue for rt in queues):
         by_link = {rt.link.id: len(rt.queue) for rt in link_order if rt.queue}
-        by_od: dict[tuple[str, str], int] = {}
-        for v in vehicles:
-            if math.isnan(v.exit_time):
-                od = (v.path.origin, v.path.destination)
-                by_od[od] = by_od.get(od, 0) + 1
-        raise GridlockError(by_link, by_od)
+        raise GridlockError(by_link, dict(Counter(
+            (v.path.origin, v.path.destination) for v in vehicles
+            if math.isnan(v.exit_time))))
     # Nothing enters after the last exit: later intervals keep the last blend.
     while tau < n_int - 1:
         tau += 1

@@ -7,6 +7,7 @@ share between concurrent readers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -183,6 +184,13 @@ def _check_fields(record: dict, required, optional, kind: str) -> None:
         raise ValueError(f"missing {kind} fields: {sorted(missing)}")
 
 
+def parse_int(value, what: str) -> int:
+    """`value` as an int; a non-integral number is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def network_from_dict(obj: dict) -> Network:
     """Build a Network from the JSON document structure."""
     unknown = set(obj) - {"nodes", "links", "pricing_zone"}
@@ -199,17 +207,22 @@ def network_from_dict(obj: dict) -> Network:
     links = []
     for rec in obj.get("links", []):
         _check_fields(rec, _LINK_REQUIRED, _LINK_OPTIONAL, "link")
-        links.append(Link(
+        link = Link(
             id=str(rec["id"]),
             from_node=str(rec["from_node"]),
             to_node=str(rec["to_node"]),
             length=float(rec["length"]),
-            lanes=int(rec["lanes"]),
+            lanes=parse_int(rec["lanes"], f"link {rec['id']!r} lanes"),
             speed_limit=float(rec["speed_limit"]),
             effective_vehicle_length=float(rec.get("effective_vehicle_length", 7.0)),
             reaction_time_factor=float(rec.get("reaction_time_factor", 1.0)),
             in_pricing_zone=str(rec["id"]) in zone,
-        ))
+        )
+        for key in ("length", "speed_limit") + _LINK_OPTIONAL:
+            if not math.isfinite(getattr(link, key)):
+                raise ValueError(f"link {link.id!r} {key} must be finite, "
+                                 f"got {getattr(link, key)!r}")
+        links.append(link)
     known = {a.id for a in links}
     stray = zone - known
     if stray:

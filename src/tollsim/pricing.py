@@ -39,6 +39,18 @@ class TollConfig:
         for name in ("p_gain", "i_gain", "improvement_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.outer_cap < 1:
+            raise ValueError("outer_cap must be at least 1")
+        if self.window is not None and not self.window:
+            raise ValueError("toll window is empty; omit it to toll every interval")
+
+    def tolled_intervals(self, clock: Clock) -> tuple:
+        """The window, or every interval; each must lie within the clock."""
+        intervals = range(clock.n_intervals)
+        if any(tau not in intervals for tau in self.window or ()):
+            raise ValueError(f"toll window {list(self.window)} reaches outside "
+                             f"the clock's {clock.n_intervals} intervals")
+        return tuple(intervals if self.window is None else self.window)
 
 
 @dataclass(frozen=True)
@@ -225,8 +237,7 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
     zone_ids = sorted(network.zone_link_ids)
     if not zone_ids:
         raise ValueError("pricing zone is empty")
-    window = (tuple(toll_config.window) if toll_config.window is not None
-              else tuple(range(clock.n_intervals)))
+    window = toll_config.tolled_intervals(clock)
     pi_states = {tau: PIState(k_cr, toll_config.p_gain, toll_config.i_gain,
                               toll_config.alpha_max) for tau in window}
     schedule = TollSchedule()
@@ -240,8 +251,7 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
         series = nfd_series(eq.loading, network, zone_ids)
         dens = {pt.interval: pt.density for pt in series}
         objective = sum(abs(dens[tau] - k_cr) for tau in window)
-        mean_alpha = (sum(schedule.alpha_at(tau) for tau in window)
-                      / len(window)) if window else 0.0
+        mean_alpha = sum(schedule.alpha_at(tau) for tau in window) / len(window)
         mean_dens = sum(dens[tau] for tau in window) / len(window)
         log.append(ControllerRecord(outer, objective, mean_alpha, mean_dens,
                                     eq.final_gap, eq.loading.tstt_veh_h))
@@ -255,8 +265,8 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
                 for i in range(3))
             if stalled:
                 break
-        if window and all(abs(schedule.alpha_at(tau) - toll_config.alpha_max)
-                          < 1e-12 for tau in window):
+        if all(abs(schedule.alpha_at(tau) - toll_config.alpha_max) < 1e-12
+               for tau in window):
             break
         new_alpha = {}
         for tau in window:

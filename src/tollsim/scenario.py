@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import class_zone_summary
 from .demand import NoiseConfig, load_demand_file, split_demand
 from .equilibrium import SolverConfig, StepSchedule, solve_mixed_equilibrium
-from .network import Clock, load_network_file, validate_network
+from .network import Clock, load_network_file, parse_int, validate_network
 from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
                       nfd_series)
 
@@ -67,12 +67,11 @@ class Scenario:
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         clock_cfg = _section(obj, "clock", _CLOCK_FIELDS)
-        clock = Clock(step_s=int(clock_cfg.get("step_s", 1)),
-                      interval_s=int(clock_cfg.get("interval_s", 300)),
-                      horizon_s=int(clock_cfg.get("horizon_s", 3600)))
+        clock = Clock(**{k: parse_int(clock_cfg.get(k, default), k) for k, default
+                         in (("step_s", 1), ("interval_s", 300), ("horizon_s", 3600))})
         s = _section(obj, "solver", _SOLVER_FIELDS)
         solver = SolverConfig(
-            max_iterations=int(s.get("max_iterations", 100)),
+            max_iterations=parse_int(s.get("max_iterations", 100), "max_iterations"),
             gap_tolerance=float(s.get("gap_tolerance", 0.01)),
             schedule=StepSchedule(gamma=float(s.get("gamma", 0.0))),
             vot_per_hour=float(s.get("vot_per_hour", 15.0)))
@@ -85,9 +84,11 @@ class Scenario:
                 p_gain=float(t.get("p_gain", 0.05)),
                 i_gain=float(t.get("i_gain", 0.025)),
                 omega_max=float(t.get("omega_max", 1.0)),
-                window=tuple(t["window"]) if t.get("window") is not None else None,
-                outer_cap=int(t.get("outer_cap", 25)),
+                window=(tuple(parse_int(tau, "toll window entry") for tau in t["window"])
+                        if t.get("window") is not None else None),
+                outer_cap=parse_int(t.get("outer_cap", 25), "outer_cap"),
                 improvement_tol=float(t.get("improvement_tol", 0.01)))
+            toll.tolled_intervals(clock)     # the window lies inside the clock
         ratios = tuple(float(r) for r in obj.get("so_ratios", [0.0]))
         for r in ratios:
             if not 0.0 <= r <= 1.0:
@@ -101,7 +102,7 @@ class Scenario:
             demand_path=os.path.join(base_dir, obj["demand"]),
             clock=clock, solver=solver, toll=toll, so_ratios=ratios,
             noise_beta_max=beta,
-            seed=int(obj.get("seed", 0)),
+            seed=parse_int(obj.get("seed", 0), "seed"),
             raw=dict(obj))
 
     @staticmethod
@@ -129,9 +130,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         problems.append(f"demand file missing: {scenario.demand_path}")
     else:
         try:
-            load_demand_file(scenario.demand_path)
+            totals, _overrides = load_demand_file(scenario.demand_path)
         except (ValueError, KeyError) as exc:
             problems.append(f"demand file invalid: {exc}")
+        else:
+            n = scenario.clock.n_intervals
+            problems.extend(f"demand {o}->{d} at interval {tau} outside the clock's "
+                            f"{n} intervals" for (o, d, tau) in sorted(totals)
+                            if tau not in range(n))
     return problems
 
 

@@ -121,6 +121,11 @@ class TestDemandRecords:
             demand_from_records([{"origin": "a", "destination": "a",
                                   "interval_index": 0, "total": 1}])
 
+    def test_fractional_interval_rejected(self):
+        with pytest.raises(ValueError, match="interval_index must be an integer"):
+            demand_from_records([{"origin": "a", "destination": "b",
+                                  "interval_index": 1.9, "total": 1}])
+
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError, match="negative demand"):
             demand_from_records([{"origin": "a", "destination": "b",

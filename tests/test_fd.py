@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tollsim.fd import (ClassReactionTimes, FDParams, blended_reaction_time,
-                        fd_capacity, fd_flow)
+                        fd_flow)
 
 V60 = 50.0 / 3.0  # 60 km/h in m/s
 
@@ -33,27 +33,26 @@ class TestFdFlow:
     @given(st.floats(min_value=0.0, max_value=1.0 / 7.0))
     def test_flow_never_exceeds_capacity(self, k):
         p = FDParams(V60, 7.0, 1.5)
-        k_crit, q_max = fd_capacity(p)
         q = fd_flow(k, p)
-        assert q <= q_max + 1e-12
-        if abs(k - k_crit) > 1e-9:
-            assert q < q_max
+        assert q <= p.q_max + 1e-12
+        if abs(k - p.k_crit) > 1e-9:
+            assert q < p.q_max
 
 
 class TestFdCapacity:
     def test_closed_form_hv(self):
-        k_crit, q_max = fd_capacity(FDParams(V60, 7.0, 1.5))
-        assert k_crit == pytest.approx(1.0 / (V60 * 1.5 + 7.0), rel=1e-12)
-        assert q_max * 3600.0 == pytest.approx(1875.0, rel=1e-12)
+        p = FDParams(V60, 7.0, 1.5)
+        assert p.k_crit == pytest.approx(1.0 / (V60 * 1.5 + 7.0), rel=1e-12)
+        assert p.q_max * 3600.0 == pytest.approx(1875.0, rel=1e-12)
 
     def test_closed_form_cav(self):
-        k_crit, q_max = fd_capacity(FDParams(V60, 7.0, 1.0))
+        q_max = FDParams(V60, 7.0, 1.0).q_max
         assert q_max == pytest.approx(V60 / (V60 + 7.0), rel=1e-12)
         # 50/71 veh/s = 2535.2 veh/h
         assert q_max * 3600.0 == pytest.approx(180000.0 / 71.0, rel=1e-12)
 
     def test_capacity_strictly_decreasing_in_reaction_time(self):
-        qs = [fd_capacity(FDParams(V60, 7.0, r))[1]
+        qs = [FDParams(V60, 7.0, r).q_max
               for r in (0.8, 1.0, 1.2, 1.5, 2.0)]
         assert all(a > b for a, b in zip(qs, qs[1:]))
 

@@ -3,8 +3,9 @@ bit for bit, the results the reference implementation produced.
 
 Each digest is the SHA-256 of a canonical `repr` dump. The digests were
 captured once from the straightforward step-by-step loader and one-to-one
-search and are never regenerated: a mismatch means an optimisation changed
-results.
+search (the shared-origin one from the event-driven loader that still served
+origins in a loop of their own) and are never regenerated: a mismatch means
+an optimisation or refactor changed results.
 """
 import hashlib
 from dataclasses import astuple
@@ -20,6 +21,7 @@ from tollsim.routing import (SO_COST, UE_COST, CostSkims, UnreachableError,
 SPILLBACK_DIGEST = "8607c7b73799ab719ce439fedf508453289e5e6dc61c452709036e4c92e0648b"
 NGUYEN_LOADING_DIGEST = "8e706bc842eabba0525f93813a072e18c4a949410bd253dd2d3f3bedd4be8d9f"
 NGUYEN_SEARCH_DIGEST = "576795e8c9ce9994cfa6d59061896321d69fde337ae7b6c5a3b718f0e3e6b6be"
+SHARED_ORIGIN_DIGEST = "4e6d28190fa8838e61bd47f07ad990a30a1531e1841bae7c425cb246efebcc70"
 
 
 def digest(obj) -> str:
@@ -70,6 +72,31 @@ def spillback_plans():
     return plans
 
 
+def shared_origin_network():
+    """Origin A feeds a free link A->E and a short link A->M that ends in the
+    M->B bottleneck. M->B's queue spills back over A->M to the origin, so
+    vehicles bound for A->E wait at A behind a head that cannot enter A->M.
+    """
+    v = 20.0
+    return Network(
+        [Node("A", True), Node("M"), Node("B", True), Node("E", True)],
+        [Link("AE", "A", "E", 500.0, 1, v),
+         Link("AM", "A", "M", 200.0, 1, v),
+         Link("MB", "M", "B", 140.0, 1, v, reaction_time_factor=2.0)])
+
+
+def shared_origin_plans():
+    via_m = Path(("AM", "MB"), "A", "B")
+    direct = Path(("AE",), "A", "E")
+    plans = []
+    for i in range(200):
+        plans.append(VehiclePlan(SO if i % 3 == 0 else UE, via_m, i // 300, float(i)))
+        if i % 2 == 0:
+            plans.append(VehiclePlan(UE if i % 4 else SO, direct, i // 300,
+                                     float(i) + 0.5))
+    return plans
+
+
 def first_nguyen_loading():
     network, totals, clock = build_nguyen()
     demand = split_demand(totals, 0.4)
@@ -84,6 +111,15 @@ def test_spillback_loading_digest():
     assert max(st.travel_time - st.free_flow_time
                for st in res.states["AM"]) > 60.0    # the queue spilled back
     assert digest(loading_dump(res)) == SPILLBACK_DIGEST
+
+
+def test_shared_origin_loading_digest():
+    clock = Clock(step_s=1, interval_s=300, horizon_s=1800)
+    res = load_vehicles(shared_origin_network(), shared_origin_plans(), clock)
+    waits = [v.link_entries[0] - v.departure_time for v in res.vehicles
+             if v.path.link_ids == ("AE",)]
+    assert max(waits) > 60.0        # free-link vehicles queued at the origin
+    assert digest(loading_dump(res)) == SHARED_ORIGIN_DIGEST
 
 
 def test_first_nguyen_loading_digest():

@@ -139,6 +139,14 @@ class TestDiscretization:
             discretize_assignments([PathAssignment(UE, AB, 0, -1.0)],
                                    clock_20min)
 
+    @pytest.mark.parametrize("interval", [-1, 4])
+    def test_interval_outside_clock_rejected(self, clock_20min, interval):
+        # At -1 the vehicles would depart before t = 0; at n_intervals they
+        # would depart at the horizon and be reported as a gridlock.
+        with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
+            discretize_assignments([PathAssignment(UE, AB, interval, 3.0)],
+                                   clock_20min)
+
     def test_load_network_runs_discretized_flows(self, clock_20min):
         net = line_network()
         res = load_network(net, [PathAssignment(UE, AB, 0, 25.0)], clock_20min)

@@ -192,3 +192,20 @@ class TestNetworkFile:
         doc["pricing_zone"] = ["nope"]
         with pytest.raises(ValueError, match="pricing_zone"):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["length", "speed_limit",
+                                     "effective_vehicle_length",
+                                     "reaction_time_factor"])
+    def test_non_finite_link_number_rejected(self, key):
+        # An infinite length used to pass validation and then overflow in the
+        # loader; an infinite speed loaded with a one-step travel time.
+        doc = self.doc()
+        doc["links"][0][key] = float("inf")
+        with pytest.raises(ValueError, match=f"link 'AB' {key} must be finite"):
+            network_from_dict(json.loads(json.dumps(doc)))
+
+    def test_fractional_lane_count_rejected(self):
+        doc = self.doc()
+        doc["links"][0]["lanes"] = 1.5
+        with pytest.raises(ValueError, match="lanes must be an integer"):
+            network_from_dict(doc)

@@ -312,7 +312,33 @@ class TestTollingShiftsFlow:
         assert free_exits == tolled_exits
 
 
+class TestTollConfig:
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_outer_cap_below_one_rejected(self, cap):
+        # Would end bilevel_solve with no best result to return.
+        with pytest.raises(ValueError, match="outer_cap"):
+            TollConfig(outer_cap=cap)
+
+    def test_empty_window_rejected(self):
+        # Would divide by zero when averaging the zone density.
+        with pytest.raises(ValueError, match="window is empty"):
+            TollConfig(window=())
+
+    def test_tolled_intervals_default_to_the_whole_clock(self, clock_1h):
+        assert TollConfig().tolled_intervals(clock_1h) == tuple(range(12))
+        assert TollConfig(window=(3, 1)).tolled_intervals(clock_1h) == (3, 1)
+
+
 class TestBilevel:
+    @pytest.mark.parametrize("window", [(0, 12), (-1,)])
+    def test_window_outside_clock_rejected(self, clock_1h, window):
+        # Checked before the first solve, not after the whole outer loop.
+        net = tolled_pair_network()
+        demand = split_demand({("O", "D", 0): 10.0}, 0.0)
+        with pytest.raises(ValueError, match="reaches outside"):
+            bilevel_solve(net, demand, clock_1h, TollConfig(window=window),
+                          SolverConfig(), k_cr=15.0)
+
     def test_empty_zone_rejected(self, clock_1h):
         from conftest import parallel_network
         net = parallel_network()

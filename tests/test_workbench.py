@@ -128,6 +128,39 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             Scenario.from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("clock", "step_s", 1.5),
+        ("clock", "interval_s", 300.9),
+        ("clock", "horizon_s", 3600.5),
+        ("solver", "max_iterations", 2.7),
+        ("toll", "outer_cap", 2.5),
+        (None, "seed", 1.5),
+    ])
+    def test_fractional_integer_field_rejected(self, section, key, value):
+        # int() used to truncate these silently.
+        doc = {"network": "n", "demand": "d", "toll": {}}
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer"):
+            Scenario.from_dict(doc)
+
+    @pytest.mark.parametrize("window,match", [
+        ([0, 99], "reaches outside"), ([-1], "reaches outside"),
+        ([], "window is empty"), ([0.5], "window entry must be an integer")])
+    def test_bad_toll_window_rejected(self, window, match):
+        # Used to fail only in the pricing stage, after the whole sweep.
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict({"network": "n", "demand": "d",
+                                "clock": {"horizon_s": 1800},
+                                "toll": {"window": window}})
+
+    def test_validate_reports_demand_outside_the_clock(self, tmp_path):
+        path = write_fixture_scenario(tmp_path)
+        save_demand_file({("O", "D", -1): 5.0, ("O", "D", 0): 5.0,
+                          ("O", "D", 6): 5.0}, os.path.join(tmp_path, "demand.json"))
+        assert validate_scenario(Scenario.load(path)) == [
+            "demand O->D at interval -1 outside the clock's 6 intervals",
+            "demand O->D at interval 6 outside the clock's 6 intervals"]
+
     def test_content_hash_is_stable(self, tmp_path):
         path = write_fixture_scenario(tmp_path)
         assert Scenario.load(path).content_hash() \
