@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 from .demand import SO, UE, ClassDemand
-from .fd import ClassReactionTimes
 from .loading import PathAssignment, load_network
 from .network import Clock, Network
 from .routing import (CAP_SO, CAP_UE, SO_COST, UE_COST, CostSkims, PathSet,
@@ -127,9 +126,7 @@ _CAPS = {UE: CAP_UE, SO: CAP_SO}
 
 def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
                             config: SolverConfig = SolverConfig(),
-                            toll_schedule=None,
-                            reaction_times: ClassReactionTimes = ClassReactionTimes()
-                            ) -> EquilibriumResult:
+                            toll_schedule=None) -> EquilibriumResult:
     """Run the iterative mixed-equilibrium assignment until the mean relative
     gap stays at or below the tolerance for two consecutive iterations, or the
     iteration cap is reached. Returns the full iteration log either way.
@@ -162,7 +159,7 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
                 for path, flow in zip(ps.paths, path_flows(ps.proportions[tau], q)):
                     if flow > 0:
                         assignments.append(PathAssignment(cls, path, tau, flow))
-        result = load_network(network, assignments, clock, reaction_times)
+        result = load_network(network, assignments, clock)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 
         theta = step_size(it, config.schedule)

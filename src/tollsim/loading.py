@@ -39,6 +39,7 @@ from .fd import ClassReactionTimes, blended_reaction_time, lane_capacity
 from .network import Clock, Network, Path
 
 _EPS = 1e-9
+_REACTION_TIMES = ClassReactionTimes()
 
 
 class GridlockError(RuntimeError):
@@ -212,7 +213,7 @@ class _Source:
         self.queue = deque(vehicle_ids)
 
 
-def _roll_interval(link_order, tau: int, reaction_times: ClassReactionTimes) -> None:
+def _roll_interval(link_order, tau: int) -> None:
     """Re-blend every link's FD from the mix that entered it last interval."""
     for rt in link_order:
         entered = rt.enter_hv + rt.enter_cav
@@ -223,7 +224,7 @@ def _roll_interval(link_order, tau: int, reaction_times: ClassReactionTimes) -> 
         else:
             # Nothing entered last interval: keep the previous blend.
             frac = rt.stat_cav[tau - 1]
-        base = blended_reaction_time(frac, reaction_times)
+        base = blended_reaction_time(frac, _REACTION_TIMES)
         rt.reaction = base * rt.link.reaction_time_factor
         q_max = lane_capacity(rt.link.speed_limit, rt.link.effective_vehicle_length,
                               rt.reaction)
@@ -340,9 +341,7 @@ class LoadingResult:
         return total
 
 
-def load_vehicles(network: Network, plans, clock: Clock,
-                  reaction_times: ClassReactionTimes = ClassReactionTimes()
-                  ) -> LoadingResult:
+def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     """Simulate an explicit list of vehicle plans. See `load_network`."""
     paths: dict[int, Path] = {}     # id -> path; each distinct object validated once
     for plan in plans:
@@ -405,7 +404,7 @@ def load_vehicles(network: Network, plans, clock: Clock,
         while step >= next_roll:
             tau += 1
             next_roll += steps_per_interval
-            _roll_interval(link_order, tau, reaction_times)
+            _roll_interval(link_order, tau)
         free_by = t + dt - _EPS
 
         # Head vehicles leave their queues, links in id order, then sources.
@@ -485,7 +484,7 @@ def load_vehicles(network: Network, plans, clock: Clock,
     # Nothing enters after the last exit: later intervals keep the last blend.
     while tau < n_int - 1:
         tau += 1
-        _roll_interval(link_order, tau, reaction_times)
+        _roll_interval(link_order, tau)
 
     states = {}
     entry_means = {}
@@ -510,12 +509,10 @@ def load_vehicles(network: Network, plans, clock: Clock,
                          {rt.link.id: rt.queue_flag for rt in link_order}, entry_means)
 
 
-def load_network(network: Network, assignments, clock: Clock,
-                 reaction_times: ClassReactionTimes = ClassReactionTimes()
-                 ) -> LoadingResult:
+def load_network(network: Network, assignments, clock: Clock) -> LoadingResult:
     """Load fractional per-path class flows onto the network.
 
     Raises GridlockError if the horizon ends before the network empties.
     """
     plans = discretize_assignments(assignments, clock)
-    return load_vehicles(network, plans, clock, reaction_times)
+    return load_vehicles(network, plans, clock)

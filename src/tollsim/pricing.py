@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .demand import ClassDemand
-from .equilibrium import SolverConfig, solve_mixed_equilibrium
-from .fd import ClassReactionTimes
+from .equilibrium import EquilibriumResult, SolverConfig, solve_mixed_equilibrium
 from .network import Clock, Link, Network
 
 
@@ -43,6 +42,8 @@ class TollConfig:
             raise ValueError("outer_cap must be at least 1")
         if self.window is not None and not self.window:
             raise ValueError("toll window is empty; omit it to toll every interval")
+        if self.window is not None and len(set(self.window)) < len(self.window):
+            raise ValueError(f"toll window {list(self.window)} repeats an interval")
 
     def tolled_intervals(self, clock: Clock) -> tuple:
         """The window, or every interval; each must lie within the clock."""
@@ -91,14 +92,6 @@ class TollSchedule:
             w.writerow(["link_id", "interval_index", "omega"])
             for (lid, tau) in sorted(self.omega):
                 w.writerow([lid, tau, f"{self.omega[(lid, tau)]:.10g}"])
-
-    @staticmethod
-    def read_alpha_csv(path) -> "TollSchedule":
-        alpha = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                alpha[int(row["interval_index"])] = float(row["alpha_per_km"])
-        return TollSchedule(alpha=alpha)
 
 
 def congestion_weight(travel_time: float, free_flow_time: float,
@@ -226,13 +219,15 @@ class BilevelResult:
 
 def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
                   toll_config: TollConfig, solver_config: SolverConfig,
-                  k_cr: float,
-                  reaction_times: ClassReactionTimes = ClassReactionTimes()
-                  ) -> BilevelResult:
+                  k_cr: float, untolled: EquilibriumResult) -> BilevelResult:
     """NFD-tracking outer loop: equilibrate under the current schedule, then
     PI-update the per-interval toll rates from the zone density, until the
     density-tracking objective stalls, all rates pin at the cap, or the outer
     iteration cap is reached. Returns the best schedule seen.
+
+    `untolled` is the no-toll equilibrium of `demand`. A schedule with no
+    positive rate charges nothing, whatever its weights, so the outer
+    iterations under one (the first among them) reuse it instead of solving.
     """
     zone_ids = sorted(network.zone_link_ids)
     if not zone_ids:
@@ -245,9 +240,9 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
     objectives = []
     log = []
     for outer in range(1, toll_config.outer_cap + 1):
-        eq = solve_mixed_equilibrium(network, demand, clock, solver_config,
-                                     toll_schedule=schedule,
-                                     reaction_times=reaction_times)
+        eq = (solve_mixed_equilibrium(network, demand, clock, solver_config,
+                                      toll_schedule=schedule)
+              if any(schedule.alpha.values()) else untolled)
         series = nfd_series(eq.loading, network, zone_ids)
         dens = {pt.interval: pt.density for pt in series}
         objective = sum(abs(dens[tau] - k_cr) for tau in window)

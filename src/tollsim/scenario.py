@@ -134,11 +134,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         except (ValueError, KeyError) as exc:
             problems.append(f"demand file invalid: {exc}")
         else:
-            n = scenario.clock.n_intervals
-            problems.extend(f"demand {o}->{d} at interval {tau} outside the clock's "
-                            f"{n} intervals" for (o, d, tau) in sorted(totals)
-                            if tau not in range(n))
+            problems.extend(_demand_outside_clock(totals, scenario.clock))
     return problems
+
+
+def _demand_outside_clock(totals, clock: Clock) -> list[str]:
+    """One line per demand key whose departure interval the clock lacks."""
+    n = clock.n_intervals
+    return [f"demand {o}->{d} at interval {tau} outside the clock's {n} intervals"
+            for (o, d, tau) in sorted(totals) if tau not in range(n)]
 
 
 def _fmt(x) -> str:
@@ -202,19 +206,27 @@ def run_scenario(scenario: Scenario, out_dir: str,
     if problems:
         raise StageError("network", ValueError("; ".join(problems)))
     totals, overrides = stage("demand", load_demand_file, scenario.demand_path)
+    problems = _demand_outside_clock(totals, scenario.clock)
+    if problems:
+        raise StageError("demand", ValueError("; ".join(problems)))
     noise = (NoiseConfig(seed=scenario.seed, beta_max=scenario.noise_beta_max)
              if scenario.noise_beta_max > 0 else None)
     zone = sorted(network.zone_link_ids)
     nfd_links = zone if zone else None
 
+    runs = {}   # ratio -> (split demand, its untolled equilibrium)
+
+    def untolled(ratio):
+        if ratio not in runs:
+            demand = stage("demand", split_demand, totals, ratio, noise, overrides)
+            runs[ratio] = demand, stage("equilibrium", solve_mixed_equilibrium, network,
+                                        demand, scenario.clock, scenario.solver)
+        return runs[ratio]
+
     metrics_rows = []
-    runs = {}
     for ratio in scenario.so_ratios:
         tag = _ratio_tag(ratio)
-        demand = stage("demand", split_demand, totals, ratio, noise, overrides)
-        eq = stage("equilibrium", solve_mixed_equilibrium,
-                   network, demand, scenario.clock, scenario.solver)
-        runs[ratio] = eq
+        _demand, eq = untolled(ratio)
         write_iteration_log(eq.log, os.path.join(out_dir, f"iters_r{tag}.csv"))
         outputs.append(f"iters_r{tag}.csv")
         series = nfd_series(eq.loading, network, nfd_links)
@@ -234,10 +246,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
     if scenario.toll is not None:
         if not zone:
             raise StageError("pricing", ValueError("pricing zone is empty"))
-        base_demand = stage("demand", split_demand, totals, 0.0, noise, overrides)
-        base_eq = runs.get(0.0) or stage(
-            "equilibrium", solve_mixed_equilibrium,
-            network, base_demand, scenario.clock, scenario.solver)
+        _demand, base_eq = untolled(0.0)
         base_series = nfd_series(base_eq.loading, network, zone)
         est = stage("pricing", estimate_critical_density, base_series)
         with open(os.path.join(out_dir, "kcr.json"), "w", encoding="utf-8") as fh:
@@ -247,9 +256,9 @@ def run_scenario(scenario: Scenario, out_dir: str,
         outputs.append("kcr.json")
         for ratio in scenario.so_ratios:
             tag = _ratio_tag(ratio)
-            demand = stage("demand", split_demand, totals, ratio, noise, overrides)
+            demand, base = untolled(ratio)
             bl = stage("pricing", bilevel_solve, network, demand, scenario.clock,
-                       scenario.toll, scenario.solver, est.k_cr)
+                       scenario.toll, scenario.solver, est.k_cr, base)
             bl.schedule.write_alpha_csv(os.path.join(out_dir, f"toll_r{tag}.csv"))
             bl.schedule.write_omega_csv(os.path.join(out_dir, f"omega_r{tag}.csv"))
             outputs += [f"toll_r{tag}.csv", f"omega_r{tag}.csv"]
@@ -267,7 +276,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
             m = class_zone_summary(bl.equilibrium.loading, network,
                                    toll_schedule=bl.schedule,
                                    vot_per_hour=scenario.toll.vot_per_hour,
-                                   baseline=runs[ratio].loading,
+                                   baseline=base.loading,
                                    nfd=tolled_series)
             metrics_rows.append((scenario.scenario_id, ratio, 1, m))
 

@@ -319,7 +319,7 @@ def test_ac11_bilevel_reduces_zone_density_and_hysteresis(nguyen_sweep):
     toll_cfg = TollConfig(p_gain=TOLL_P_GAIN, i_gain=TOLL_I_GAIN,
                           window=TOLL_WINDOW, outer_cap=TOLL_OUTER_CAP)
     res = bilevel_solve(network, demand, clock, toll_cfg, NGUYEN_SOLVER,
-                        est.k_cr)
+                        est.k_cr, base)
     tolled_series = nfd_series(res.equilibrium.loading, network, ZONE_LINKS)
 
     def window_mean(series):

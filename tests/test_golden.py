@@ -1,11 +1,13 @@
-"""Golden digests: the loader and the time-dependent search must reproduce,
-bit for bit, the results the reference implementation produced.
+"""Golden digests: the loader, the time-dependent search and the bi-level
+loop must reproduce, bit for bit, the results the reference implementation
+produced.
 
 Each digest is the SHA-256 of a canonical `repr` dump. The digests were
 captured once from the straightforward step-by-step loader and one-to-one
 search (the shared-origin one from the event-driven loader that still served
-origins in a loop of their own) and are never regenerated: a mismatch means
-an optimisation or refactor changed results.
+origins in a loop of their own, the bi-level one from the outer loop that
+solved every schedule, charging or not) and are never regenerated: a
+mismatch means an optimisation or refactor changed results.
 """
 import hashlib
 from dataclasses import astuple
@@ -15,13 +17,17 @@ from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.nguyen import build_nguyen
+from tollsim.pricing import bilevel_solve
 from tollsim.routing import (SO_COST, UE_COST, CostSkims, UnreachableError,
                              td_shortest_path)
+
+from test_pricing import charging_and_free_case
 
 SPILLBACK_DIGEST = "8607c7b73799ab719ce439fedf508453289e5e6dc61c452709036e4c92e0648b"
 NGUYEN_LOADING_DIGEST = "8e706bc842eabba0525f93813a072e18c4a949410bd253dd2d3f3bedd4be8d9f"
 NGUYEN_SEARCH_DIGEST = "576795e8c9ce9994cfa6d59061896321d69fde337ae7b6c5a3b718f0e3e6b6be"
 SHARED_ORIGIN_DIGEST = "4e6d28190fa8838e61bd47f07ad990a30a1531e1841bae7c425cb246efebcc70"
+BILEVEL_DIGEST = "98242dbc5bf40bf8afa461a6d636ac13746b5612479a23e813b188634c5ed4b6"
 
 
 def digest(obj) -> str:
@@ -144,3 +150,16 @@ def test_nguyen_search_digest():
                         out.append((o, d, tau, kind, path.link_ids, cost))
     assert any(r[-1] is None for r in out) and any(r[-1] is not None for r in out)
     assert digest(out) == NGUYEN_SEARCH_DIGEST
+
+
+def test_bilevel_digest(clock_1h):
+    network, demand, solver, toll, k_cr = charging_and_free_case()
+    untolled = solve_mixed_equilibrium(network, demand, clock_1h, solver)
+    res = bilevel_solve(network, demand, clock_1h, toll, solver, k_cr, untolled)
+    alphas = [r.mean_alpha for r in res.log]
+    assert 0.0 in alphas[1:] and max(alphas) > 0.0   # free and tolled outers
+    dump = (tuple(astuple(r) for r in res.log),
+            tuple(sorted(res.schedule.alpha.items())),
+            tuple(sorted(res.schedule.omega.items())),
+            loading_dump(res.equilibrium.loading))
+    assert digest(dump) == BILEVEL_DIGEST

@@ -1,5 +1,7 @@
 """Distance tolling, NFD aggregation, critical-density estimation, the PI
 controller and the bi-level outer loop."""
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from tollsim.demand import UE, split_demand
 from tollsim.equilibrium import SolverConfig, StepSchedule, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Link, Network, Node, Path
+from tollsim import pricing
 from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, PIState,
                              TollConfig, TollSchedule, bilevel_solve,
                              congestion_weight, estimate_critical_density,
@@ -137,8 +140,10 @@ class TestTollScheduleIO:
         sched = TollSchedule(alpha={0: 0.15, 1: 1.25, 4: 0.0})
         f = tmp_path / "alpha.csv"
         sched.write_alpha_csv(f)
-        again = TollSchedule.read_alpha_csv(f)
-        assert again.alpha == sched.alpha
+        with open(f, newline="", encoding="utf-8") as fh:
+            again = {int(row["interval_index"]): float(row["alpha_per_km"])
+                     for row in csv.DictReader(fh)}
+        assert again == sched.alpha
 
     def test_omega_csv_written_sorted(self, tmp_path):
         sched = TollSchedule(omega={("b", 1): 0.5, ("a", 0): 0.25})
@@ -147,12 +152,6 @@ class TestTollScheduleIO:
         lines = f.read_text().splitlines()
         assert lines[0] == "link_id,interval_index,omega"
         assert lines[1].startswith("a,0,")
-
-    def test_read_alpha_csv_rejects_bad_rate(self, tmp_path):
-        f = tmp_path / "alpha.csv"
-        f.write_text("interval_index,alpha_per_km\n0,0.5\n1,-2\n")
-        with pytest.raises(ValueError, match="alpha"):
-            TollSchedule.read_alpha_csv(f)
 
 
 class TestNfd:
@@ -280,6 +279,16 @@ def tolled_pair_network():
          Link("OD", "O", "D", 7000.0, 2, v)])
 
 
+def charging_and_free_case():
+    """A mixed-class bi-level run on the two-route fixture whose outer
+    iterations 2, 4 and 5 charge a toll and 1 and 3 charge nothing."""
+    demand = split_demand({("O", "D", 0): 400.0, ("O", "D", 1): 200.0}, 0.2)
+    solver = SolverConfig(max_iterations=8, gap_tolerance=0.005,
+                          schedule=StepSchedule(2.0))
+    return (tolled_pair_network(), demand, solver,
+            TollConfig(window=(0, 1, 2), outer_cap=5), 4.0)
+
+
 class TestTollingShiftsFlow:
     def test_fixed_toll_moves_ue_flow_off_the_zone(self, clock_1h):
         net = tolled_pair_network()
@@ -324,9 +333,26 @@ class TestTollConfig:
         with pytest.raises(ValueError, match="window is empty"):
             TollConfig(window=())
 
+    def test_repeated_window_interval_rejected(self):
+        # Would count interval 0 twice in the objective and PI-step it twice.
+        with pytest.raises(ValueError, match="repeats an interval"):
+            TollConfig(window=(0, 0, 1))
+
     def test_tolled_intervals_default_to_the_whole_clock(self, clock_1h):
         assert TollConfig().tolled_intervals(clock_1h) == tuple(range(12))
         assert TollConfig(window=(3, 1)).tolled_intervals(clock_1h) == (3, 1)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record the toll schedule of every solve `bilevel_solve` makes."""
+    schedules = []
+
+    def solve(*args, toll_schedule=None, **kwargs):
+        schedules.append(toll_schedule)
+        return solve_mixed_equilibrium(*args, toll_schedule=toll_schedule, **kwargs)
+
+    monkeypatch.setattr(pricing, "solve_mixed_equilibrium", solve)
+    return schedules
 
 
 class TestBilevel:
@@ -335,26 +361,41 @@ class TestBilevel:
         # Checked before the first solve, not after the whole outer loop.
         net = tolled_pair_network()
         demand = split_demand({("O", "D", 0): 10.0}, 0.0)
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h)
         with pytest.raises(ValueError, match="reaches outside"):
             bilevel_solve(net, demand, clock_1h, TollConfig(window=window),
-                          SolverConfig(), k_cr=15.0)
+                          SolverConfig(), 15.0, untolled)
 
     def test_empty_zone_rejected(self, clock_1h):
         from conftest import parallel_network
         net = parallel_network()
         demand = split_demand({("O", "D", 0): 10.0}, 0.0)
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h)
         with pytest.raises(ValueError, match="zone"):
             bilevel_solve(net, demand, clock_1h, TollConfig(),
-                          SolverConfig(), k_cr=15.0)
+                          SolverConfig(), 15.0, untolled)
 
-    def test_zero_demand_keeps_toll_at_zero(self, clock_1h):
+    def test_zero_demand_keeps_toll_at_zero(self, clock_1h, monkeypatch):
         net = tolled_pair_network()
         demand = split_demand({}, 0.0)
         cfg = TollConfig(window=(0, 1), outer_cap=8)
-        res = bilevel_solve(net, demand, clock_1h, cfg, SolverConfig(),
-                            k_cr=10.0)
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h)
+        solves = count_solves(monkeypatch)
+        res = bilevel_solve(net, demand, clock_1h, cfg, SolverConfig(), 10.0,
+                            untolled)
         assert res.objective == pytest.approx(20.0)  # |0 - 10| per interval
         assert all(res.schedule.alpha_at(tau) == 0.0 for tau in (0, 1))
+        assert solves == []          # no schedule charges, so nothing is re-solved
+
+    def test_solves_only_schedules_that_charge(self, clock_1h, monkeypatch):
+        net, demand, solver, cfg, k_cr = charging_and_free_case()
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h, solver)
+        solves = count_solves(monkeypatch)
+        res = bilevel_solve(net, demand, clock_1h, cfg, solver, k_cr, untolled)
+        charged = [r.outer_iteration for r in res.log if r.mean_alpha > 0]
+        assert charged == [2, 4, 5]
+        assert len(solves) == len(charged)
+        assert all(any(s.alpha.values()) for s in solves)
 
     def test_controller_tracks_down_zone_density(self, clock_1h):
         net = tolled_pair_network()
@@ -366,7 +407,7 @@ class TestBilevel:
         est = estimate_critical_density(series)
         cfg = TollConfig(p_gain=0.02, i_gain=0.01, window=(0, 1, 2),
                          outer_cap=10)
-        res = bilevel_solve(net, demand, clock_1h, cfg, solver, est.k_cr)
+        res = bilevel_solve(net, demand, clock_1h, cfg, solver, est.k_cr, base)
         base_obj = res.log[0].objective  # first outer pass runs untolled
         assert res.objective <= base_obj
         assert res.k_cr == est.k_cr

@@ -7,8 +7,10 @@ import pytest
 from tollsim.cli import main
 from tollsim.network import (load_network_file, save_network_file,
                              validate_network)
-from tollsim.demand import save_demand_file
+from tollsim.demand import save_demand_file, split_demand
+from tollsim.equilibrium import solve_mixed_equilibrium
 from tollsim.nguyen import DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen
+from tollsim import scenario
 from tollsim.scenario import (Scenario, StageError, run_scenario,
                               validate_scenario)
 
@@ -207,11 +209,36 @@ class TestRunScenario:
             kcr = json.load(fh)
         assert kcr["k_cr_veh_km"] > 0.0
 
-    def test_invalid_demand_file_fails_in_demand_stage(self, tmp_path):
+    def test_tolled_run_splits_and_solves_each_ratio_once(self, tmp_path,
+                                                          monkeypatch):
+        # 0.0 is not swept here but gives k_cr; 0.5 is swept and then priced.
+        splits, solves = [], []
+
+        def split(totals, ratio, *args):
+            splits.append(ratio)
+            return split_demand(totals, ratio, *args)
+
+        def solve(network, demand, *args):
+            solves.append(demand)
+            return solve_mixed_equilibrium(network, demand, *args)
+
+        monkeypatch.setattr(scenario, "split_demand", split)
+        monkeypatch.setattr(scenario, "solve_mixed_equilibrium", solve)
+        path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.5,),
+                                      demand_total=400.0, horizon=3600)
+        run_scenario(Scenario.load(path), str(tmp_path / "out"))
+        assert splits == [0.5, 0.0]
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("record", [
+        {"origin": "O", "destination": "O", "interval_index": 0, "total": 5},
+        # Used to fail in the equilibrium stage, after the path searches.
+        {"origin": "O", "destination": "D", "interval_index": 99, "total": 5},
+    ], ids=["origin-is-destination", "interval-outside-clock"])
+    def test_invalid_demand_file_fails_in_demand_stage(self, tmp_path, record):
         path = write_fixture_scenario(tmp_path)
         with open(tmp_path / "demand.json", "w", encoding="utf-8") as fh:
-            json.dump([{"origin": "O", "destination": "O",
-                        "interval_index": 0, "total": 5}], fh)
+            json.dump([record], fh)
         with pytest.raises(StageError) as err:
             run_scenario(Scenario.load(path), str(tmp_path / "out"))
         assert err.value.stage == "demand"
