@@ -56,10 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nfd", help="critical-density estimate from a run dir")
     p.add_argument("run_dir")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--zone", action="store_true", default=True)
-    group.add_argument("--network", dest="zone", action="store_false")
-    _add_common(p)
+    p.add_argument("--network", action="store_true",
+                   help="use the whole-network series, not the pricing zone's")
 
     p = sub.add_parser("price", help="full bi-level pricing run")
     p.add_argument("scenario")
@@ -77,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--tolled", action="store_true",
                    help="include the central pricing zone and toll config")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="scenario seed to write")
 
     return parser
 
@@ -107,14 +105,9 @@ def _cmd_equilibrate(args) -> int:
 
 
 def _cmd_nfd(args) -> int:
-    name = None
-    for candidate in sorted(os.listdir(args.run_dir)):
-        if args.zone and candidate.startswith("nfd_r"):
-            name = candidate
-            break
-        if not args.zone and candidate.startswith("nfd_network_r"):
-            name = candidate
-            break
+    prefix = "nfd_network_r" if args.network else "nfd_r"
+    name = next((c for c in sorted(os.listdir(args.run_dir))
+                 if c.startswith(prefix)), None)
     if name is None:
         print("no NFD series found in run dir", file=sys.stderr)
         return 1
@@ -162,7 +155,7 @@ def _cmd_nguyen(args) -> int:
                   "horizon_s": clock.horizon_s},
         "solver": {"max_iterations": 100, "gap_tolerance": 0.01, "gamma": 2.0},
         "so_ratios": [0.0, 1.0],
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": args.seed,
     }
     if args.tolled:
         scenario["toll"] = {"alpha_max": 5.0, "p_gain": TOLL_P_GAIN,

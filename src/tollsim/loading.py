@@ -15,8 +15,10 @@ source queue of its vehicles in departure order, and one transfer loop moves
 head vehicles off sources and links alike, onto their next link or out of
 the network. It visits only the steps at which some queue's head may leave,
 and then only those queues: links in id order, then sources in origin order.
-A queue's wake step follows from its head's ready step and a link's server;
-a queue blocked downstream retries on the next step. While the network is
+The event queue is a heap holding each such step once, beside a bucket per
+step of the queues due then. A queue's wake step follows from its head's
+ready step and a link's server; a queue whose head is blocked downstream
+goes into the next step's bucket and retries there. While the network is
 empty the loader jumps to the next departure, and it stops once every queue
 is empty. Per link it keeps one byte per step flagging a standing queue,
 written whenever the link's wake step is set; queue clearance delays are
@@ -29,10 +31,10 @@ which advances its probe past each clearance and is the one compared with
 """
 from __future__ import annotations
 
-import heapq
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .demand import SO, UE
 from .fd import ClassReactionTimes, blended_reaction_time, lane_capacity
@@ -179,28 +181,6 @@ class _LinkRT:
         self.stat_reaction = [0.0] * n_intervals
         self.queue_flag = bytearray(clock.n_steps)  # 1 = standing queue in step
 
-    def refresh_credit(self, step: int, dt: float) -> None:
-        """Receiving credit at `step`, regenerated from the current count.
-
-        Credit regenerates across idle steps but a single step never admits
-        more than one step's rate plus one stored vehicle.
-        """
-        link = self.link
-        k = len(self.queue) / (link.lanes * link.length)   # veh/m/lane
-        rate = (1.0 - link.effective_vehicle_length * k) / self.reaction
-        rate = (rate if rate > 0.0 else 0.0) * link.lanes
-        if self.credit_step >= 0:
-            # What the last refreshed step left, carried up to one vehicle.
-            carry = self.recv_credit if self.recv_credit <= 1.0 else 1.0
-            elapsed = step - self.credit_step
-        else:
-            carry = 1.0          # an empty link accepts a vehicle instantly
-            elapsed = 1
-        credit = carry + rate * dt * elapsed
-        cap = 1.0 + rate * dt
-        self.recv_credit = credit if credit <= cap else cap
-        self.credit_step = step
-
 
 class _Source:
     """An origin's vehicles in departure order; no server, no statistics."""
@@ -237,39 +217,20 @@ def _roll_interval(link_order, tau: int) -> None:
 
 def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
     """For ascending departure times, the first step s >= 0 whose time s * dt
-    has reached each; `n_steps` (past the horizon) if no step in it does."""
+    has reached each; `n_steps` (past the horizon) if no step in it does.
+    Raises ValueError for a departure outside [0, horizon)."""
+    horizon = n_steps * dt
     steps = []
     s = 0
     for at in departures:
         if not math.isfinite(at):
             raise ValueError(f"departure time must be finite, got {at}")
+        if not 0.0 <= at < horizon:
+            raise ValueError(f"departure time {at} s outside the horizon [0, {horizon:g}) s")
         while s < n_steps and at > s * dt + _EPS:
             s += 1
         steps.append(s)
     return steps
-
-
-def _schedule(rt, ready_step: int, step: int, dt: float,
-              wakes: dict, events: list) -> None:
-    """Set the queue's wake step: the first step from `step` on at which its
-    head vehicle (ready from `ready_step`) may leave. On a link, also flag
-    the steps until then that end with a standing queue.
-
-    Until the wake step neither the head nor the server's next free time
-    changes. A step ends with a standing queue while the server is still
-    busy or the head is ready, and the head is ready before the wake step
-    only if the server is still busy, so exactly the busy steps are flagged.
-    """
-    next_free = rt.next_free
-    free = step
-    while next_free > free * dt + dt - _EPS:
-        free += 1
-    if free > step:
-        end = free if free < len(rt.queue_flag) else len(rt.queue_flag)
-        rt.queue_flag[step:end] = b"\x01" * (end - step)
-    wake = free if free >= ready_step else ready_step
-    wakes.setdefault(wake, []).append(rt.index)
-    heapq.heappush(events, wake)
 
 
 class LoadingResult:
@@ -364,12 +325,13 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     link_order = [_LinkRT(network.links[lid], i, clock, n_int)
                   for i, lid in enumerate(sorted(network.links))]
     rts = {rt.link.id: rt for rt in link_order}
-    routes = {key: tuple(rts[lid] for lid in path.link_ids)
+    routes = {key: tuple(rts[lid] for lid in path.link_ids) + (None,)
               for key, path in paths.items()}
 
-    # Per-vehicle bookkeeping: route, position on it (-1 at the origin),
-    # entry time and first step it may leave its queue (the departure step
-    # at the origin, entry step + free-flow steps on a link).
+    # Per-vehicle bookkeeping: route (its links, then None for the exit),
+    # position on it (-1 at the origin), entry time and first step it may
+    # leave its queue (the departure step at the origin, entry step +
+    # free-flow steps on a link).
     veh_route = [routes[id(v.path)] for v in vehicles]
     veh_pos = [-1] * len(vehicles)
     veh_entry = [0.0] * len(vehicles)
@@ -384,20 +346,18 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     queues = link_order + [_Source(n_links + k, by_origin[o])
                            for k, o in enumerate(sorted(by_origin))]
 
-    # Heap of the steps at which a queue is due (with repeats); no other
-    # step changes anything.
-    events: list[int] = []
-    wakes: dict[int, list[int]] = {}   # step -> indices of queues due
+    # Heap of the steps at which some queue is due, one entry per bucket in
+    # `wakes`, pushed when the bucket is created; no other step changes
+    # anything. Sources are due at their first departure.
+    wakes: defaultdict[int, list[int]] = defaultdict(list)   # step -> queues due
     for src in queues[n_links:]:
-        _schedule(src, veh_ready[src.queue[0]], 0, dt, wakes, events)
-    blocked: list[int] = []            # queues to retry next step
+        wakes[veh_ready[src.queue[0]]].append(src.index)
+    events = sorted(wakes)               # a sorted list is a heap
     steps_per_interval = interval_s // clock.step_s
     next_roll = 0
     tau = -1
     while events:
-        step = heapq.heappop(events)
-        while events and events[0] == step:
-            heapq.heappop(events)
+        step = heappop(events)
         if step >= n_steps:
             break
         t = step * dt
@@ -408,34 +368,70 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
         free_by = t + dt - _EPS
 
         # Head vehicles leave their queues, links in id order, then sources.
-        due = wakes.pop(step, None)
-        if blocked:
-            due = due + blocked if due else blocked
-            blocked = []
+        due = wakes.pop(step)
         due.sort()
         for i in due:
             rt = queues[i]
             q = rt.queue
             while True:
                 vid = q[0]
-                if veh_ready[vid] > step or rt.next_free > free_by:
-                    _schedule(rt, veh_ready[vid], step, dt, wakes, events)
+                ready = veh_ready[vid]
+                if ready > step or rt.next_free > free_by:
+                    # Wake the queue at the first step its head may leave.
+                    # Until then neither the head nor the server's next free
+                    # time changes. A step ends with a standing queue while
+                    # the server is still busy or the head is ready, and the
+                    # head is ready before the wake step only if the server
+                    # is still busy, so exactly the busy steps are flagged.
+                    next_free = rt.next_free
+                    free = step
+                    while next_free > free * dt + dt - _EPS:
+                        free += 1
+                    if free > step:
+                        end = free if free < n_steps else n_steps
+                        rt.queue_flag[step:end] = b"\x01" * (end - step)
+                    wake = free if free >= ready else ready
+                    bucket = wakes[wake]
+                    if not bucket:
+                        heappush(events, wake)
+                    bucket.append(i)
                     break
-                route = veh_route[vid]
                 li = veh_pos[vid] + 1
-                if li < len(route):
-                    nrt = route[li]
+                nrt = veh_route[vid][li]
+                if nrt is not None:
+                    nq = nrt.queue
+                    n_down = len(nq)
                     if nrt.credit_step != step:
-                        nrt.refresh_credit(step, dt)
+                        # Receiving credit, regenerated from the current
+                        # count. It regenerates across idle steps, but a
+                        # single step never admits more than one step's rate
+                        # plus one stored vehicle.
+                        link = nrt.link
+                        k = n_down / (link.lanes * link.length)   # veh/m/lane
+                        rate = (1.0 - link.effective_vehicle_length * k) / nrt.reaction
+                        rate = (rate if rate > 0.0 else 0.0) * link.lanes
+                        if nrt.credit_step >= 0:
+                            # What the last refreshed step left, carried up
+                            # to one vehicle.
+                            carry = nrt.recv_credit if nrt.recv_credit <= 1.0 else 1.0
+                            elapsed = step - nrt.credit_step
+                        else:
+                            carry = 1.0  # an empty link accepts a vehicle instantly
+                            elapsed = 1
+                        credit = carry + rate * dt * elapsed
+                        cap = 1.0 + rate * dt
+                        nrt.recv_credit = credit if credit <= cap else cap
+                        nrt.credit_step = step
                     if not (nrt.recv_credit >= 1.0 - _EPS
-                            and len(nrt.queue) + 1 <= nrt.storage + _EPS):
-                        # Blocked downstream: the head waits, retry next step.
+                            and n_down + 1 <= nrt.storage + _EPS):
+                        # Blocked downstream: the head retries next step.
                         if i < n_links:
                             rt.queue_flag[step] = 1
-                        blocked.append(i)
+                        bucket = wakes[step + 1]
+                        if not bucket:
+                            heappush(events, step + 1)
+                        bucket.append(i)
                         break
-                else:
-                    nrt = None
                 q.popleft()
                 if i < n_links:
                     # A link exit: its server's headway and exit statistics.
@@ -458,7 +454,6 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
                 else:
                     veh_pos[vid] = li
                     nrt.recv_credit -= 1.0
-                    nq = nrt.queue
                     nq.append(vid)
                     veh_entry[vid] = t
                     veh_ready[vid] = step + nrt.ff_steps
@@ -469,12 +464,13 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
                         nrt.enter_hv += 1
                     nrt.stat_entries[tau] += 1
                     nrt.stat_entry_time_sum[tau] += t
-                    if len(nq) == 1:
-                        _schedule(nrt, step + nrt.ff_steps, step, dt, wakes, events)
+                    if not n_down:
+                        # Entered while empty: its head is at least a free-flow
+                        # step from ready, so a visit later in this step only
+                        # sets its wake step and busy flags.
+                        due.append(nrt.index)
                 if not q:
                     break
-        if blocked:
-            heapq.heappush(events, step + 1)
 
     if any(rt.queue for rt in queues):
         by_link = {rt.link.id: len(rt.queue) for rt in link_order if rt.queue}

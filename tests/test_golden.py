@@ -5,11 +5,13 @@ produced.
 Each digest is the SHA-256 of a canonical `repr` dump. The digests were
 captured once from the straightforward step-by-step loader and one-to-one
 search (the shared-origin one from the event-driven loader that still served
-origins in a loop of their own, the bi-level one from the outer loop that
-solved every schedule, charging or not) and are never regenerated: a
-mismatch means an optimisation or refactor changed results.
+origins in a loop of their own, the two-second-step one from the loader that
+kept blocked heads in a retry list of their own, the bi-level one from the
+outer loop that solved every schedule, charging or not) and are never
+regenerated: a mismatch means an optimisation or refactor changed results.
 """
 import hashlib
+from collections import Counter
 from dataclasses import astuple
 
 from tollsim.demand import SO, UE, split_demand
@@ -28,6 +30,7 @@ NGUYEN_LOADING_DIGEST = "8e706bc842eabba0525f93813a072e18c4a949410bd253dd2d3f3be
 NGUYEN_SEARCH_DIGEST = "576795e8c9ce9994cfa6d59061896321d69fde337ae7b6c5a3b718f0e3e6b6be"
 SHARED_ORIGIN_DIGEST = "4e6d28190fa8838e61bd47f07ad990a30a1531e1841bae7c425cb246efebcc70"
 BILEVEL_DIGEST = "98242dbc5bf40bf8afa461a6d636ac13746b5612479a23e813b188634c5ed4b6"
+TWO_SECOND_STEP_DIGEST = "2e21954f04046f1a9330a8465e2ee306dd6cee91fe087df5e4cd0e573cfb381c"
 
 
 def digest(obj) -> str:
@@ -103,6 +106,56 @@ def shared_origin_plans():
     return plans
 
 
+def two_lane_merge_network():
+    """A two-lane feeder A->M and a one-lane feeder C->M merge into the M->B
+    bottleneck, whose queue spills back over both feeders."""
+    v = 20.0
+    return Network(
+        [Node("A", True), Node("C", True), Node("M"), Node("B", True)],
+        [Link("AM", "A", "M", 600.0, 2, v),
+         Link("CM", "C", "M", 400.0, 1, v),
+         Link("MB", "M", "B", 140.0, 1, v, reaction_time_factor=2.0)])
+
+
+def two_lane_merge_plans():
+    """Human-driven pairs departing A every 1.5 s and an automated vehicle
+    from C half a second after every third A departure, off the 2 s step
+    grid. A->M's lower id serves it first at the merge, so the mix entering
+    M->B, and with it M->B's blended reaction time, shifts between intervals
+    while both feeders queue."""
+    via_a = Path(("AM", "MB"), "A", "B")
+    via_c = Path(("CM", "MB"), "C", "B")
+    plans = []
+    for i in range(150):
+        t = 1.5 * (i // 2)
+        plans.append(VehiclePlan(UE, via_a, 0, t))
+        if i % 3 == 0:
+            plans.append(VehiclePlan(SO, via_c, 0, t + 0.5))
+    return plans
+
+
+def heads_blocked_across_boundaries(res, feeder: str, downstream: str) -> list:
+    """Interval boundaries b at which `downstream`'s reaction time changes
+    while `feeder`'s head is held by it: the head was ready a step before b,
+    the feeder's server was free then (its last exit came earlier and its
+    headway is below a step), and the head left at b or later."""
+    clock = res.clock
+    ff = res.states[feeder][0].free_flow_time
+    trips = sorted((v.link_entries[1], v.link_entries[0] + ff)
+                   for v in res.vehicles if v.path.link_ids[0] == feeder)
+    rows = res.states[downstream]
+    out = []
+    for k in range(1, clock.n_intervals):
+        b = k * clock.interval_s
+        before = [t_out for t_out, _ready in trips if t_out < b]
+        after = [(t_out, ready) for t_out, ready in trips if t_out >= b]
+        if (rows[k - 1].reaction_time != rows[k].reaction_time and before
+                and after and after[0][1] <= b - clock.step_s
+                and before[-1] < b - clock.step_s):
+            out.append(b)
+    return out
+
+
 def first_nguyen_loading():
     network, totals, clock = build_nguyen()
     demand = split_demand(totals, 0.4)
@@ -126,6 +179,16 @@ def test_shared_origin_loading_digest():
              if v.path.link_ids == ("AE",)]
     assert max(waits) > 60.0        # free-link vehicles queued at the origin
     assert digest(loading_dump(res)) == SHARED_ORIGIN_DIGEST
+
+
+def test_two_second_step_loading_digest():
+    clock = Clock(step_s=2, interval_s=120, horizon_s=1800)
+    res = load_vehicles(two_lane_merge_network(), two_lane_merge_plans(), clock)
+    entries = Counter(v.link_entries[0] for v in res.vehicles
+                      if v.path.link_ids[0] == "AM")
+    assert max(entries.values()) >= 2    # the two-lane link admits a pair a step
+    assert heads_blocked_across_boundaries(res, "AM", "MB")
+    assert digest(loading_dump(res)) == TWO_SECOND_STEP_DIGEST
 
 
 def test_first_nguyen_loading_digest():

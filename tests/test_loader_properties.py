@@ -1,6 +1,8 @@
 """Property tests of loader invariants on random plans over a small network
 with a merge, a diverge and a spillback bottleneck: vehicle conservation,
-FIFO order per link, storage bounds and independence from plan order."""
+FIFO order per link, storage bounds and independence from plan order, each
+on a 1 s and a 2 s simulation step."""
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import SO, UE
@@ -9,7 +11,9 @@ from tollsim.network import Clock, Link, Network, Node, Path
 
 from test_golden import loading_dump
 
-CLOCK = Clock(step_s=1, interval_s=60, horizon_s=1800)
+on_both_steps = pytest.mark.parametrize(
+    "clock", [Clock(step_s=s, interval_s=60, horizon_s=1800) for s in (1, 2)],
+    ids=lambda c: f"step{c.step_s}")
 
 
 def merge_diverge_network():
@@ -57,28 +61,31 @@ def link_traversals(res):
     return out
 
 
+@on_both_steps
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
-def test_vehicles_are_conserved(plans):
-    res = load_vehicles(NET, plans, CLOCK)
+def test_vehicles_are_conserved(clock, plans):
+    res = load_vehicles(NET, plans, clock)
     assert res.vehicles_entered == res.vehicles_exited == len(plans)
     for v in res.vehicles:
         assert len(v.link_entries) == len(v.path.link_ids)
 
 
+@on_both_steps
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
-def test_links_are_fifo(plans):
-    res = load_vehicles(NET, plans, CLOCK)
+def test_links_are_fifo(clock, plans):
+    res = load_vehicles(NET, plans, clock)
     for lid, trips in link_traversals(res).items():
         exits = [t_out for _t_in, t_out in sorted(trips)]
         assert exits == sorted(exits), lid
 
 
+@on_both_steps
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
-def test_on_link_count_never_exceeds_storage(plans):
-    res = load_vehicles(NET, plans, CLOCK)
+def test_on_link_count_never_exceeds_storage(clock, plans):
+    res = load_vehicles(NET, plans, clock)
     for lid, trips in link_traversals(res).items():
         delta: dict[float, int] = {}
         for t_in, t_out in trips:
@@ -90,10 +97,11 @@ def test_on_link_count_never_exceeds_storage(plans):
             assert count <= NET.links[lid].storage + 1e-9, (lid, t)
 
 
+@on_both_steps
 @settings(max_examples=40, deadline=None)
 @given(plan_lists, st.randoms(use_true_random=False))
-def test_result_independent_of_plan_order(plans, rng):
+def test_result_independent_of_plan_order(clock, plans, rng):
     shuffled = list(plans)
     rng.shuffle(shuffled)
-    assert loading_dump(load_vehicles(NET, shuffled, CLOCK)) \
-        == loading_dump(load_vehicles(NET, plans, CLOCK))
+    assert loading_dump(load_vehicles(NET, shuffled, clock)) \
+        == loading_dump(load_vehicles(NET, plans, clock))

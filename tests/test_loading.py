@@ -105,6 +105,12 @@ class TestPlanValidation:
             load_vehicles(line_network(), [VehiclePlan(UE, AB, 0, departure)],
                           clock_20min)
 
+    @pytest.mark.parametrize("departure", [-50.0, 1200.0, 1500.0])
+    def test_departure_outside_horizon_rejected(self, clock_20min, departure):
+        with pytest.raises(ValueError, match=f"departure time {departure} s"):
+            load_vehicles(line_network(length=500.0, speed=15.0),
+                          [VehiclePlan(UE, AB, 0, departure)], clock_20min)
+
     def test_invalid_path_rejected_even_when_shared(self, clock_20min):
         bad = Path(("AB",), "B", "A")
         plans = [VehiclePlan(UE, AB, 0, 0.0), VehiclePlan(UE, bad, 0, 1.0),

@@ -291,8 +291,24 @@ class TestCli:
         path = write_fixture_scenario(tmp_path / "in")
         out = tmp_path / "out"
         assert main(["sweep", path, "--ratios", "0,1", "--out", str(out)]) == 0
+        capsys.readouterr()
         assert main(["nfd", str(out)]) == 0
-        assert "k_cr=" in capsys.readouterr().out
+        report = capsys.readouterr().out
+        assert report.startswith("source=nfd_r") and "k_cr=" in report
+        assert main(["nfd", str(out), "--network"]) == 0
+        assert capsys.readouterr().out.startswith("source=nfd_network_r")
+
+    @pytest.mark.parametrize("command, option", [
+        ("nfd", ["--zone"]),
+        ("nfd", ["--seed", "1"]),
+        ("nfd", ["--step-seconds", "2"]),
+        ("nguyen", ["--step-seconds", "2"]),
+    ])
+    def test_options_that_did_nothing_are_gone(self, tmp_path, command, option):
+        target = ["--out", str(tmp_path)] if command == "nguyen" else [str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, *option])
+        assert exc.value.code == 2
 
     def test_seed_override_changes_noisy_outputs(self, tmp_path):
         path = write_fixture_scenario(tmp_path / "in", beta=0.2,
