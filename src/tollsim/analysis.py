@@ -70,15 +70,16 @@ class ScenarioMetrics:
     hysteresis_area: float
 
 
-def class_zone_summary(result, network: Network, toll_schedule=None,
-                       vot_per_hour: float = 15.0, baseline=None,
-                       nfd=None) -> ScenarioMetrics:
+def class_zone_summary(result, network: Network, nfd, toll_schedule=None,
+                       vot_per_hour: float = 15.0,
+                       baseline=None) -> ScenarioMetrics:
     """Table-style summary of one run.
 
-    `baseline` is the matching no-toll LoadingResult; the benefit/cost ratio
-    is the UE in-zone travel-time reduction against it, divided by the mean
-    toll converted to minutes at the given VOT. Defined only when a toll was
-    actually paid.
+    `nfd` is the run's pricing-zone NFD series (the whole network's when
+    there is no zone). `baseline` is the matching no-toll LoadingResult; the
+    benefit/cost ratio is the UE in-zone travel-time reduction against it,
+    divided by the mean toll converted to minutes at the given VOT. Defined
+    only when a toll was actually paid.
     """
     zone = network.zone_link_ids
     clock = result.clock
@@ -110,9 +111,6 @@ def class_zone_summary(result, network: Network, toll_schedule=None,
             toll_min = mean_toll * 60.0 / vot_per_hour
             bc = (base_tt - ue_tt) / toll_min
 
-    if nfd is None:
-        from .pricing import nfd_series
-        nfd = nfd_series(result, network, zone if zone else None)
     zone_k = sum(p.density for p in nfd) / len(nfd)
     try:
         hyst = hysteresis_area(nfd)

@@ -21,19 +21,14 @@ from .pricing import NFDPoint, estimate_critical_density
 from .scenario import Scenario, StageError, run_scenario, validate_scenario
 
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p.add_argument("--step-seconds", type=int, default=None,
-                   help="override the simulation step")
 
 
 def _load_scenario(args) -> Scenario:
     scenario = Scenario.load(args.scenario)
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    if args.step_seconds is not None:
-        clock = dataclasses.replace(scenario.clock, step_s=args.step_seconds)
-        scenario = dataclasses.replace(scenario, clock=clock)
     return scenario
 
 
@@ -45,14 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="schema and network checks")
     p.add_argument("scenario")
-    _add_common(p)
 
     p = sub.add_parser("equilibrate", help="no-toll equilibrium run")
     p.add_argument("scenario")
     p.add_argument("--so-ratio", type=float, default=None)
     p.add_argument("--out", default="out")
     p.add_argument("--trajectories", action="store_true")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("nfd", help="critical-density estimate from a run dir")
     p.add_argument("run_dir")
@@ -62,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("price", help="full bi-level pricing run")
     p.add_argument("scenario")
     p.add_argument("--out", default="out")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("sweep", help="SO-ratio sweep report")
     p.add_argument("scenario")
     p.add_argument("--ratios", required=True,
                    help="comma-separated SO ratios, e.g. 0,0.2,0.4")
     p.add_argument("--out", default="out")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("nguyen", help="emit the bundled Nguyen scenario files")
     p.add_argument("--out", required=True)
@@ -82,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     try:
-        scenario = _load_scenario(args)
+        scenario = Scenario.load(args.scenario)
     except (OSError, ValueError, KeyError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return 1

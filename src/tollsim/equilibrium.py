@@ -4,7 +4,8 @@ and dual relative gaps.
 Each iteration loads the current class path flows, searches time-dependent
 best paths per class (shortest generalized cost for UE, least marginal time
 for SO), blends the all-or-nothing proportions with a successive-averages
-step and evaluates the two relative gaps plus their mean.
+step and evaluates the two relative gaps plus their mean. The step follows
+the MSWA exponent `SolverConfig.gamma` (0 is plain MSA).
 """
 from __future__ import annotations
 
@@ -24,27 +25,19 @@ class UndefinedGapError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    """MSWA step-size schedule; gamma = 0 is plain MSA."""
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and non-negative")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = 100
     gap_tolerance: float = 0.01
-    schedule: StepSchedule = StepSchedule()
-    vot_per_hour: float = 15.0
+    gamma: float = 0.0           # MSWA step-size exponent; 0 is plain MSA
+    vot_per_hour: float = 15.0   # $/h; converts tolls to time
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not 0.0 < self.gap_tolerance < math.inf:
             raise ValueError("gap_tolerance must be finite and positive")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and non-negative")
         if not 0.0 < self.vot_per_hour < math.inf:
             raise ValueError("vot_per_hour must be finite and positive")
 
@@ -71,7 +64,7 @@ class EquilibriumResult:
         return self.log[-1].rgap if self.log else 0.0
 
 
-def step_size(n: int, schedule: StepSchedule) -> float:
+def step_size(n: int, gamma: float) -> float:
     """MSWA step theta_n = n^gamma / sum_{j=1..n} j^gamma.
 
     gamma = 1 uses the fixed closed form 2/(n+2); the other schedules use the
@@ -79,10 +72,9 @@ def step_size(n: int, schedule: StepSchedule) -> float:
     """
     if n < 1:
         raise ValueError("iteration index must be >= 1")
-    g = schedule.gamma
-    if g == 1.0:
+    if gamma == 1.0:
         return 2.0 / (n + 2)
-    return n ** g / sum(j ** g for j in range(1, n + 1))
+    return n ** gamma / sum(j ** gamma for j in range(1, n + 1))
 
 
 def update_proportions(current, auxiliary, theta: float):
@@ -162,7 +154,7 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         result = load_network(network, assignments, clock)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 
-        theta = step_size(it, config.schedule)
+        theta = step_size(it, config.gamma)
         gap_inputs = {UE: ({}, {}, {}), SO: ({}, {}, {})}
         aon: dict[tuple, object] = {}
         # Pass 1: costs, gaps and AON searches over the untouched path sets.

@@ -4,10 +4,16 @@ The flow-density relation is q(k) = min(V*k, (1 - L*k)/R) per lane, with
 free-flow speed V (m/s), effective vehicle length L (m) and reaction time
 R (s). Flow is zero at k = 0 and at jam density 1/L, and maximal at the
 intersection of the two branches.
+
+Reaction times are fixed per class: 1.5 s for HVs and 1.0 s for CAVs. A
+link's R blends them by the CAV fraction of its entering traffic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+R_HV = 1.5    # s, human-driven vehicle reaction time
+R_CAV = 1.0   # s, connected automated vehicle reaction time
 
 
 @dataclass(frozen=True)
@@ -36,18 +42,6 @@ class FDParams:
         return lane_capacity(self.speed, self.veh_length, self.reaction_time)
 
 
-@dataclass(frozen=True)
-class ClassReactionTimes:
-    r_hv: float = 1.5   # s
-    r_cav: float = 1.0  # s
-
-    def __post_init__(self):
-        if self.r_hv <= 0 or self.r_cav <= 0:
-            raise ValueError("reaction times must be positive")
-        if self.r_cav > self.r_hv:
-            raise ValueError("CAV reaction time must not exceed the HV one")
-
-
 def fd_flow(k: float, params: FDParams) -> float:
     """Flow (veh/s/lane) at per-lane density k (veh/m/lane)."""
     if k < 0 or k > params.k_jam:
@@ -61,8 +55,8 @@ def lane_capacity(speed: float, veh_length: float, reaction_time: float) -> floa
     return speed / (speed * reaction_time + veh_length)
 
 
-def blended_reaction_time(cav_fraction: float, times: ClassReactionTimes) -> float:
+def blended_reaction_time(cav_fraction: float) -> float:
     """Average reaction time for a link given the entering CAV fraction."""
     if not 0.0 <= cav_fraction <= 1.0:
         raise ValueError("cav_fraction must lie in [0, 1]")
-    return cav_fraction * times.r_cav + (1.0 - cav_fraction) * times.r_hv
+    return cav_fraction * R_CAV + (1.0 - cav_fraction) * R_HV

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .demand import SO, UE
-from .fd import ClassReactionTimes, blended_reaction_time, lane_capacity
+from .fd import blended_reaction_time, lane_capacity
 from .network import Clock, Network, Path
 
 _EPS = 1e-9
-_REACTION_TIMES = ClassReactionTimes()
 
 
 class GridlockError(RuntimeError):
@@ -204,7 +203,7 @@ def _roll_interval(link_order, tau: int) -> None:
         else:
             # Nothing entered last interval: keep the previous blend.
             frac = rt.stat_cav[tau - 1]
-        base = blended_reaction_time(frac, _REACTION_TIMES)
+        base = blended_reaction_time(frac)
         rt.reaction = base * rt.link.reaction_time_factor
         q_max = lane_capacity(rt.link.speed_limit, rt.link.effective_vehicle_length,
                               rt.reaction)
@@ -217,17 +216,18 @@ def _roll_interval(link_order, tau: int) -> None:
 
 def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
     """For ascending departure times, the first step s >= 0 whose time s * dt
-    has reached each; `n_steps` (past the horizon) if no step in it does.
-    Raises ValueError for a departure outside [0, horizon)."""
-    horizon = n_steps * dt
+    has reached each. Raises ValueError for a departure before 0 or after the
+    last step's start, which no step would ever load."""
+    last = (n_steps - 1) * dt
     steps = []
     s = 0
     for at in departures:
         if not math.isfinite(at):
             raise ValueError(f"departure time must be finite, got {at}")
-        if not 0.0 <= at < horizon:
-            raise ValueError(f"departure time {at} s outside the horizon [0, {horizon:g}) s")
-        while s < n_steps and at > s * dt + _EPS:
+        if not 0.0 <= at <= last + _EPS:
+            raise ValueError(f"departure time {at} s outside [0, {last:g}] s, "
+                             "the start times of the clock's steps")
+        while at > s * dt + _EPS:
             s += 1
         steps.append(s)
     return steps

@@ -19,7 +19,6 @@ from .network import Clock, Link, Network
 
 @dataclass(frozen=True)
 class TollConfig:
-    vot_per_hour: float = 15.0       # $/h
     alpha_max: float = 5.0           # $/km
     p_gain: float = 0.05             # $/km per veh/km
     i_gain: float = 0.025            # $/km per veh/km
@@ -29,8 +28,6 @@ class TollConfig:
     improvement_tol: float = 0.01    # relative objective improvement
 
     def __post_init__(self):
-        if not 0.0 < self.vot_per_hour < math.inf:
-            raise ValueError("vot_per_hour must be finite and positive")
         if not 0.0 < self.alpha_max < math.inf:
             raise ValueError("alpha_max must be finite and positive")
         if not 0.0 <= self.omega_max < math.inf:

@@ -11,12 +11,12 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .analysis import class_zone_summary
 from .demand import NoiseConfig, load_demand_file, split_demand
-from .equilibrium import SolverConfig, StepSchedule, solve_mixed_equilibrium
+from .equilibrium import SolverConfig, solve_mixed_equilibrium
 from .network import Clock, load_network_file, parse_int, validate_network
 from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
                       nfd_series)
@@ -33,19 +33,28 @@ class StageError(RuntimeError):
 
 _SCENARIO_FIELDS = {"network", "demand", "clock", "solver", "toll",
                     "so_ratios", "noise_beta_max", "seed", "scenario_id"}
-_CLOCK_FIELDS = {"step_s", "interval_s", "horizon_s"}
-_SOLVER_FIELDS = {"max_iterations", "gap_tolerance", "gamma", "vot_per_hour"}
-_TOLL_FIELDS = {"vot_per_hour", "alpha_max", "p_gain", "i_gain", "omega_max",
-                "window", "outer_cap", "improvement_tol"}
 
 
-def _section(obj: dict, name: str, fields: set) -> dict:
-    """The nested object `name` of the scenario, with no unknown keys."""
+def _config(obj: dict, name: str, cls):
+    """The nested object `name` of the scenario as a `cls`, keyed by its
+    fields. An absent key keeps the field's default; a value is parsed as an
+    int where that default is one and as a float otherwise, except the toll
+    window: a list of interval indices, or null for every interval."""
     section = obj.get(name) or {}
-    unknown = set(section) - fields
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(section) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
-    return section
+    kwargs = {}
+    for key, value in section.items():
+        if key == "window":
+            kwargs[key] = (None if value is None else
+                           tuple(parse_int(tau, "toll window entry") for tau in value))
+        elif isinstance(defaults[key], int):
+            kwargs[key] = parse_int(value, key)
+        else:
+            kwargs[key] = float(value)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -66,28 +75,11 @@ class Scenario:
         unknown = set(obj) - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        clock_cfg = _section(obj, "clock", _CLOCK_FIELDS)
-        clock = Clock(**{k: parse_int(clock_cfg.get(k, default), k) for k, default
-                         in (("step_s", 1), ("interval_s", 300), ("horizon_s", 3600))})
-        s = _section(obj, "solver", _SOLVER_FIELDS)
-        solver = SolverConfig(
-            max_iterations=parse_int(s.get("max_iterations", 100), "max_iterations"),
-            gap_tolerance=float(s.get("gap_tolerance", 0.01)),
-            schedule=StepSchedule(gamma=float(s.get("gamma", 0.0))),
-            vot_per_hour=float(s.get("vot_per_hour", 15.0)))
+        clock = _config(obj, "clock", Clock)
+        solver = _config(obj, "solver", SolverConfig)
         toll = None
         if obj.get("toll") is not None:
-            t = _section(obj, "toll", _TOLL_FIELDS)
-            toll = TollConfig(
-                vot_per_hour=float(t.get("vot_per_hour", solver.vot_per_hour)),
-                alpha_max=float(t.get("alpha_max", 5.0)),
-                p_gain=float(t.get("p_gain", 0.05)),
-                i_gain=float(t.get("i_gain", 0.025)),
-                omega_max=float(t.get("omega_max", 1.0)),
-                window=(tuple(parse_int(tau, "toll window entry") for tau in t["window"])
-                        if t.get("window") is not None else None),
-                outer_cap=parse_int(t.get("outer_cap", 25), "outer_cap"),
-                improvement_tol=float(t.get("improvement_tol", 0.01)))
+            toll = _config(obj, "toll", TollConfig)
             toll.tolled_intervals(clock)     # the window lies inside the clock
         ratios = tuple(float(r) for r in obj.get("so_ratios", [0.0]))
         for r in ratios:
@@ -239,8 +231,8 @@ def run_scenario(scenario: Scenario, out_dir: str,
             write_trajectories_csv(eq.loading,
                                    os.path.join(out_dir, f"trajectories_r{tag}.csv"))
             outputs.append(f"trajectories_r{tag}.csv")
-        m = class_zone_summary(eq.loading, network,
-                               vot_per_hour=scenario.solver.vot_per_hour, nfd=series)
+        m = class_zone_summary(eq.loading, network, series,
+                               vot_per_hour=scenario.solver.vot_per_hour)
         metrics_rows.append((scenario.scenario_id, ratio, 0, m))
 
     if scenario.toll is not None:
@@ -273,11 +265,10 @@ def run_scenario(scenario: Scenario, out_dir: str,
             write_nfd_csv(tolled_series,
                           os.path.join(out_dir, f"nfd_tolled_r{tag}.csv"))
             outputs.append(f"nfd_tolled_r{tag}.csv")
-            m = class_zone_summary(bl.equilibrium.loading, network,
+            m = class_zone_summary(bl.equilibrium.loading, network, tolled_series,
                                    toll_schedule=bl.schedule,
-                                   vot_per_hour=scenario.toll.vot_per_hour,
-                                   baseline=base.loading,
-                                   nfd=tolled_series)
+                                   vot_per_hour=scenario.solver.vot_per_hour,
+                                   baseline=base.loading)
             metrics_rows.append((scenario.scenario_id, ratio, 1, m))
 
     _write_csv(os.path.join(out_dir, "metrics.csv"),

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from tollsim.demand import NoiseConfig, SO, UE, split_demand
-from tollsim.equilibrium import (SolverConfig, StepSchedule, relative_gap,
+from tollsim.equilibrium import (SolverConfig, relative_gap,
                                  solve_mixed_equilibrium, step_size)
 from tollsim.fd import FDParams
 from tollsim.loading import VehiclePlan, load_vehicles
@@ -28,8 +28,7 @@ from test_workbench import write_fixture_scenario
 
 V60 = 50.0 / 3.0
 
-NGUYEN_SOLVER = SolverConfig(max_iterations=100, gap_tolerance=0.01,
-                             schedule=StepSchedule(2.0))
+NGUYEN_SOLVER = SolverConfig(max_iterations=100, gap_tolerance=0.01, gamma=2.0)
 
 
 _CAPTURE = None
@@ -70,7 +69,7 @@ def test_ac01_step_size_closed_forms():
     for n in range(1, 101):
         for gamma, want in ((0.0, 1.0 / n), (1.0, 2.0 / (n + 2)),
                             (2.0, 6.0 * n / ((n + 1) * (2 * n + 1)))):
-            got = step_size(n, StepSchedule(gamma))
+            got = step_size(n, gamma)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
     report(1, "step sizes match the three closed forms for n=1..100",
@@ -184,10 +183,8 @@ def test_ac06_nguyen_convergence_and_schedule_trend(nguyen_sweep):
     # Trend: force 100 iterations on three noisy demand draws and compare the
     # late-phase (iterations 41-100) mean gap of the two schedules.
     network, totals, clock = build_nguyen()
-    forced = SolverConfig(max_iterations=100, gap_tolerance=1e-12,
-                          schedule=StepSchedule(2.0))
-    forced_msa = SolverConfig(max_iterations=100, gap_tolerance=1e-12,
-                              schedule=StepSchedule(0.0))
+    forced = SolverConfig(max_iterations=100, gap_tolerance=1e-12, gamma=2.0)
+    forced_msa = SolverConfig(max_iterations=100, gap_tolerance=1e-12, gamma=0.0)
     trend_ok = True
     tails = []
     for seed in (1, 2, 3):
@@ -249,8 +246,7 @@ def test_ac08_so_costs_invariant_to_tolls(clock_1h, clock_20min):
     # System level: an all-SO equilibrium is bit-identical under a stiff toll.
     net2 = tolled_pair_network()
     demand = split_demand({("O", "D", 0): 400.0}, 1.0)
-    cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005,
-                       schedule=StepSchedule(2.0))
+    cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005, gamma=2.0)
     free = solve_mixed_equilibrium(net2, demand, clock_1h, cfg)
     tolled = solve_mixed_equilibrium(
         net2, demand, clock_1h, cfg,

@@ -8,7 +8,7 @@ from tollsim.analysis import (class_zone_summary, hysteresis_area,
 from tollsim.demand import SO, UE
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Path
-from tollsim.pricing import NFDPoint, TollSchedule
+from tollsim.pricing import NFDPoint, TollSchedule, nfd_series
 
 from conftest import line_network, two_link_network
 
@@ -122,7 +122,8 @@ class TestClassZoneSummary:
             + [VehiclePlan(SO, p, 0, 5.0 + 10.0 * i) for i in range(5)]
         res = load_vehicles(net, plans, clock_20min)
         sched = TollSchedule(alpha={tau: 1.0 for tau in range(4)})
-        m = class_zone_summary(res, net, toll_schedule=sched)
+        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids),
+                               toll_schedule=sched)
         assert m.tstt_veh_h == pytest.approx(res.tstt_veh_h)
         assert m.ue_zone_tt_min == pytest.approx(25.0 / 60.0, rel=0.10)
         assert m.so_zone_tt_min == pytest.approx(25.0 / 60.0, rel=0.10)
@@ -135,6 +136,6 @@ class TestClassZoneSummary:
         net = two_link_network(l1=1000.0, l2=500.0, zone=("MB",))
         p = Path(("AM", "MB"), "A", "B")
         res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock_20min)
-        m = class_zone_summary(res, net)
+        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids))
         assert m.mean_toll_usd == 0.0
         assert m.so_zone_tt_min is None  # no SO vehicles in the run

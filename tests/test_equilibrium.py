@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from tollsim import equilibrium
 from tollsim.demand import SO, UE, split_demand
-from tollsim.equilibrium import (SolverConfig, StepSchedule, UndefinedGapError,
+from tollsim.equilibrium import (SolverConfig, UndefinedGapError,
                                  path_flows, relative_gap,
                                  solve_mixed_equilibrium, step_size,
                                  update_proportions)
@@ -31,34 +31,31 @@ def bottleneck_pair_network():
 class TestStepSize:
     def test_gamma_zero_is_msa(self):
         for n in range(1, 101):
-            assert step_size(n, StepSchedule(0.0)) \
-                == pytest.approx(1.0 / n, rel=1e-12)
+            assert step_size(n, 0.0) == pytest.approx(1.0 / n, rel=1e-12)
 
     def test_gamma_one_closed_form(self):
         for n in range(1, 101):
-            assert step_size(n, StepSchedule(1.0)) \
-                == pytest.approx(2.0 / (n + 2), rel=1e-12)
-        assert step_size(3, StepSchedule(1.0)) == pytest.approx(0.4, rel=1e-12)
+            assert step_size(n, 1.0) == pytest.approx(2.0 / (n + 2), rel=1e-12)
+        assert step_size(3, 1.0) == pytest.approx(0.4, rel=1e-12)
 
     def test_gamma_two_closed_form(self):
         for n in range(1, 101):
-            assert step_size(n, StepSchedule(2.0)) \
+            assert step_size(n, 2.0) \
                 == pytest.approx(6.0 * n / ((n + 1) * (2 * n + 1)), rel=1e-12)
 
     def test_first_step_is_one_for_generic_schedules(self):
         for g in (0.0, 0.5, 2.0):
-            assert step_size(1, StepSchedule(g)) == 1.0
+            assert step_size(1, g) == 1.0
 
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
-            step_size(0, StepSchedule())
+            step_size(0, 0.0)
         with pytest.raises(ValueError):
-            StepSchedule(-1.0)
+            SolverConfig(gamma=-1.0)
 
     def test_higher_gamma_weights_recent_iterations_more(self):
         for n in (5, 20, 80):
-            assert step_size(n, StepSchedule(2.0)) \
-                > step_size(n, StepSchedule(0.0))
+            assert step_size(n, 2.0) > step_size(n, 0.0)
 
 
 class TestProportionUpdate:
@@ -84,7 +81,7 @@ class TestProportionUpdate:
         for n, pick in enumerate(picks, start=1):
             y = [1.0 if i == pick else 0.0 for i in range(3)]
             props = y if props is None else update_proportions(
-                props, y, step_size(n, StepSchedule(0.0)))
+                props, y, step_size(n, 0.0))
         for i in range(3):
             want = sum(1 for p in picks if p == i) / len(picks)
             assert props[i] == pytest.approx(want, abs=1e-9)
@@ -169,8 +166,7 @@ class TestSolver:
         # on the short route.
         net = bottleneck_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 0.0)
-        cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0)
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         assert res.converged
         ps = res.path_sets[("O", "D", UE)]
@@ -186,8 +182,7 @@ class TestSolver:
     def test_all_so_assignment_beats_all_ue_on_total_time(self, clock_1h):
         net = bottleneck_pair_network()
         totals = {("O", "D", 0): 400.0}
-        cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0)
         ue = solve_mixed_equilibrium(
             net, split_demand(totals, 0.0), clock_1h, cfg)
         so = solve_mixed_equilibrium(
@@ -197,8 +192,7 @@ class TestSolver:
     def test_mixed_run_assigns_both_classes(self, clock_1h):
         net = bottleneck_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 0.4)
-        cfg = SolverConfig(max_iterations=40, gap_tolerance=0.01,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=40, gap_tolerance=0.01, gamma=2.0)
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         assert ("O", "D", UE) in res.path_sets
         assert ("O", "D", SO) in res.path_sets
@@ -218,8 +212,7 @@ class TestSolver:
     def test_iteration_log_is_complete_and_ordered(self, clock_1h):
         net = bottleneck_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 0.0)
-        cfg = SolverConfig(max_iterations=10, gap_tolerance=1e-12,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=10, gap_tolerance=1e-12, gamma=2.0)
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         assert not res.converged
         assert [r.iteration for r in res.log] == list(range(1, 11))

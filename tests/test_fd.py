@@ -2,8 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tollsim.fd import (ClassReactionTimes, FDParams, blended_reaction_time,
-                        fd_flow)
+from tollsim.fd import R_CAV, R_HV, FDParams, blended_reaction_time, fd_flow
 
 V60 = 50.0 / 3.0  # 60 km/h in m/s
 
@@ -71,20 +70,19 @@ class TestFdCapacity:
 
 class TestBlendedReaction:
     def test_all_hv(self):
-        assert blended_reaction_time(0.0, ClassReactionTimes()) == 1.5
+        assert blended_reaction_time(0.0) == 1.5
 
     def test_all_cav(self):
-        assert blended_reaction_time(1.0, ClassReactionTimes()) == 1.0
+        assert blended_reaction_time(1.0) == 1.0
 
     def test_even_mix(self):
-        assert blended_reaction_time(0.5, ClassReactionTimes()) == 1.25
+        assert blended_reaction_time(0.5) == 1.25
 
     def test_out_of_range_fraction_rejected(self):
         with pytest.raises(ValueError):
-            blended_reaction_time(-0.1, ClassReactionTimes())
+            blended_reaction_time(-0.1)
         with pytest.raises(ValueError):
-            blended_reaction_time(1.1, ClassReactionTimes())
+            blended_reaction_time(1.1)
 
-    def test_cav_slower_than_hv_rejected(self):
-        with pytest.raises(ValueError):
-            ClassReactionTimes(r_hv=1.0, r_cav=1.2)
+    def test_cav_reacts_no_slower_than_hv(self):
+        assert 0 < R_CAV <= R_HV

@@ -111,6 +111,16 @@ class TestPlanValidation:
             load_vehicles(line_network(length=500.0, speed=15.0),
                           [VehiclePlan(UE, AB, 0, departure)], clock_20min)
 
+    def test_departure_after_last_step_start_rejected(self):
+        # On a 2 s clock the last step starts at 1798 s; a 1799 s departure
+        # would reach no step and strand its vehicle.
+        clock = Clock(step_s=2, interval_s=300, horizon_s=1800)
+        net = line_network(length=20.0)
+        res = load_vehicles(net, [VehiclePlan(UE, AB, 5, 1796.0)], clock)
+        assert res.vehicles[0].exit_time == 1798.0
+        with pytest.raises(ValueError, match="departure time 1799.0 s"):
+            load_vehicles(net, [VehiclePlan(UE, AB, 5, 1799.0)], clock)
+
     def test_invalid_path_rejected_even_when_shared(self, clock_20min):
         bad = Path(("AB",), "B", "A")
         plans = [VehiclePlan(UE, AB, 0, 0.0), VehiclePlan(UE, bad, 0, 1.0),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tollsim.demand import UE, split_demand
-from tollsim.equilibrium import SolverConfig, StepSchedule, solve_mixed_equilibrium
+from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Link, Network, Node, Path
 from tollsim import pricing
@@ -283,8 +283,7 @@ def charging_and_free_case():
     """A mixed-class bi-level run on the two-route fixture whose outer
     iterations 2, 4 and 5 charge a toll and 1 and 3 charge nothing."""
     demand = split_demand({("O", "D", 0): 400.0, ("O", "D", 1): 200.0}, 0.2)
-    solver = SolverConfig(max_iterations=8, gap_tolerance=0.005,
-                          schedule=StepSchedule(2.0))
+    solver = SolverConfig(max_iterations=8, gap_tolerance=0.005, gamma=2.0)
     return (tolled_pair_network(), demand, solver,
             TollConfig(window=(0, 1, 2), outer_cap=5), 4.0)
 
@@ -293,8 +292,7 @@ class TestTollingShiftsFlow:
     def test_fixed_toll_moves_ue_flow_off_the_zone(self, clock_1h):
         net = tolled_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 0.0)
-        cfg = SolverConfig(max_iterations=60, gap_tolerance=0.005,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=60, gap_tolerance=0.005, gamma=2.0)
         free = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         schedule = TollSchedule(alpha={tau: 2.0 for tau in range(12)})
         tolled = solve_mixed_equilibrium(net, demand, clock_1h, cfg,
@@ -309,8 +307,7 @@ class TestTollingShiftsFlow:
     def test_so_class_ignores_the_toll(self, clock_1h):
         net = tolled_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 1.0)
-        cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005,
-                           schedule=StepSchedule(2.0))
+        cfg = SolverConfig(max_iterations=40, gap_tolerance=0.005, gamma=2.0)
         free = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         schedule = TollSchedule(alpha={tau: 5.0 for tau in range(12)})
         tolled = solve_mixed_equilibrium(net, demand, clock_1h, cfg,
@@ -400,8 +397,7 @@ class TestBilevel:
     def test_controller_tracks_down_zone_density(self, clock_1h):
         net = tolled_pair_network()
         demand = split_demand({("O", "D", 0): 400.0}, 0.0)
-        solver = SolverConfig(max_iterations=60, gap_tolerance=0.005,
-                              schedule=StepSchedule(2.0))
+        solver = SolverConfig(max_iterations=60, gap_tolerance=0.005, gamma=2.0)
         base = solve_mixed_equilibrium(net, demand, clock_1h, solver)
         series = nfd_series(base.loading, net, ["MD"])
         est = estimate_critical_density(series)

@@ -1,15 +1,17 @@
 """Bundled benchmark network, scenario orchestration and the CLI."""
+import dataclasses
 import json
 import os
 
 import pytest
 
 from tollsim.cli import main
-from tollsim.network import (load_network_file, save_network_file,
+from tollsim.network import (Clock, load_network_file, save_network_file,
                              validate_network)
 from tollsim.demand import save_demand_file, split_demand
-from tollsim.equilibrium import solve_mixed_equilibrium
+from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.nguyen import DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen
+from tollsim.pricing import TollConfig
 from tollsim import scenario
 from tollsim.scenario import (Scenario, StageError, run_scenario,
                               validate_scenario)
@@ -88,7 +90,7 @@ class TestScenarioParsing:
         sc = Scenario.load(path)
         assert sc.scenario_id == "fixture"
         assert sc.clock.horizon_s == 1800
-        assert sc.solver.schedule.gamma == 2.0
+        assert sc.solver.gamma == 2.0
         assert sc.toll is None
         assert sc.so_ratios == (0.0,)
         assert validate_scenario(sc) == []
@@ -111,12 +113,29 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match=f"unknown {section} fields"):
             Scenario.from_dict(doc)
 
+    def test_sections_are_their_dataclasses(self):
+        # Empty sections give the defaults; every field is a key.
+        classes = {"clock": Clock, "solver": SolverConfig, "toll": TollConfig}
+        empty = Scenario.from_dict({"network": "n", "demand": "d",
+                                    **{name: {} for name in classes}})
+        full = Scenario.from_dict({"network": "n", "demand": "d", **{
+            name: {f.name: f.default for f in dataclasses.fields(cls)}
+            for name, cls in classes.items()}})
+        for sc in (empty, full):
+            assert (sc.clock, sc.solver, sc.toll) \
+                == (Clock(), SolverConfig(), TollConfig())
+
+    def test_toll_value_of_time_rejected(self):
+        # Tolls are priced at the solver's value of time only.
+        with pytest.raises(ValueError, match="unknown toll fields"):
+            Scenario.from_dict({"network": "n", "demand": "d",
+                                "toll": {"vot_per_hour": 15.0}})
+
     @pytest.mark.parametrize("section,key,value", [
         ("solver", "gap_tolerance", float("nan")),   # would never converge
         (None, "noise_beta_max", float("nan")),      # would turn noise off
-        ("toll", "vot_per_hour", float("inf")),      # would zero every toll
         ("solver", "gamma", float("inf")),
-        ("solver", "vot_per_hour", float("inf")),
+        ("solver", "vot_per_hour", float("inf")),    # would zero every toll
         ("toll", "alpha_max", float("inf")),
         ("toll", "omega_max", float("nan")),
         ("toll", "p_gain", float("nan")),
@@ -303,8 +322,13 @@ class TestCli:
         ("nfd", ["--seed", "1"]),
         ("nfd", ["--step-seconds", "2"]),
         ("nguyen", ["--step-seconds", "2"]),
+        ("validate", ["--seed", "1"]),
+        ("validate", ["--step-seconds", "2"]),
+        ("equilibrate", ["--step-seconds", "2"]),
+        ("price", ["--step-seconds", "2"]),
+        ("sweep", ["--ratios", "0", "--step-seconds", "2"]),
     ])
-    def test_options_that_did_nothing_are_gone(self, tmp_path, command, option):
+    def test_removed_options_are_gone(self, tmp_path, command, option):
         target = ["--out", str(tmp_path)] if command == "nguyen" else [str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
             main([command, *target, *option])
