@@ -11,9 +11,8 @@ from .fd import FDParams, blended_reaction_time, fd_flow
 from .loading import (GridlockError, LoadingResult, PathAssignment,
                       load_network, load_vehicles)
 from .routing import CostSkims, PathSet, UnreachableError, td_shortest_path
-from .equilibrium import (EquilibriumResult, SolverConfig, path_flows,
-                          relative_gap, solve_mixed_equilibrium, step_size,
-                          update_proportions)
+from .equilibrium import (EquilibriumResult, SolverConfig, relative_gap,
+                          solve_mixed_equilibrium, step_size, update_proportions)
 from .pricing import (PIState, TollConfig, TollSchedule, bilevel_solve,
                       congestion_weight, estimate_critical_density, nfd_point,
                       nfd_series, pi_update)

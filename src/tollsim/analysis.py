@@ -70,9 +70,8 @@ class ScenarioMetrics:
     hysteresis_area: float
 
 
-def class_zone_summary(result, network: Network, nfd, toll_schedule=None,
-                       vot_per_hour: float = 15.0,
-                       baseline=None) -> ScenarioMetrics:
+def class_zone_summary(result, network: Network, nfd, *, vot_per_hour: float,
+                       toll_schedule=None, baseline=None) -> ScenarioMetrics:
     """Table-style summary of one run.
 
     `nfd` is the run's pricing-zone NFD series (the whole network's when

@@ -32,19 +32,13 @@ class NoiseConfig:
 
 
 class ClassDemand:
-    """Per (OD, interval) vehicle counts for the UE and SO classes."""
+    """Per (OD, interval) vehicle counts: `entries[(o, d, tau)]` is (UE, SO)."""
 
     def __init__(self, entries: dict[tuple[str, str, int], tuple[float, float]]):
         for key, (q1, q2) in entries.items():
             if q1 < 0 or q2 < 0:
                 raise ValueError(f"negative class demand at {key}")
         self.entries = dict(entries)
-
-    def q1(self, origin, destination, interval) -> float:
-        return self.entries.get((origin, destination, interval), (0.0, 0.0))[0]
-
-    def q2(self, origin, destination, interval) -> float:
-        return self.entries.get((origin, destination, interval), (0.0, 0.0))[1]
 
 
 _DEMAND_FIELDS = {"origin", "destination", "interval_index", "total", "so_ratio"}

@@ -1,11 +1,13 @@
 """Mixed UE/SO equilibrium solver: AON direction finding, MSA/MSWA averaging
 and dual relative gaps.
 
-Each iteration loads the current class path flows, searches time-dependent
-best paths per class (shortest generalized cost for UE, least marginal time
-for SO), blends the all-or-nothing proportions with a successive-averages
-step and evaluates the two relative gaps plus their mean. The step follows
-the MSWA exponent `SolverConfig.gamma` (0 is plain MSA).
+The solver builds one list of demand rows, (path set, class, interval,
+demand) per positive class demand, and each iteration walks it: it loads the
+rows' path flows, searches time-dependent best paths (shortest generalized
+cost for UE, least marginal time for SO), prices every row's paths for the
+two relative gaps and their mean, then blends the all-or-nothing proportions
+with a successive-averages step (MSWA exponent `SolverConfig.gamma`, 0 is
+plain MSA).
 """
 from __future__ import annotations
 
@@ -84,27 +86,22 @@ def update_proportions(current, auxiliary, theta: float):
     return [p + theta * (y - p) for p, y in zip(current, auxiliary)]
 
 
-def path_flows(proportions, demand: float):
-    """Per-path flows for one (OD, interval, class)."""
-    return [p * demand for p in proportions]
+def relative_gap(rows) -> float:
+    """Relative gap sum f*(c - least) / sum q*least over demand rows.
 
-
-def relative_gap(flows, costs, least, demands) -> float:
-    """Relative gap sum f*(c - least) / sum q*least over (OD, interval) keys.
-
-    `flows`/`costs`: dict[key] -> sequence per path (UE: generalized travel
-    times, SO: marginal times); `least`/`demands`: dict[key] -> scalar.
+    Each row is (flows, costs, least, demand) for one (OD, interval): per-path
+    flows and costs (UE: generalized travel times, SO: marginal times), the
+    least cost and the demand.
     """
     num = 0.0
     den = 0.0
     any_flow = False
-    for key, key_flows in flows.items():
-        best = least[key]
-        for f, c in zip(key_flows, costs[key]):
+    for flows, costs, best, q in rows:
+        for f, c in zip(flows, costs):
             if f > 0:
                 any_flow = True
             num += f * (c - best)
-        den += demands[key] * best
+        den += q * best
     if den == 0.0:
         if any_flow:
             raise UndefinedGapError("zero gap denominator with positive flows")
@@ -124,72 +121,55 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     iteration cap is reached. Returns the full iteration log either way.
     """
     t0 = time.perf_counter()
-    class_q = {UE: demand.q1, SO: demand.q2}
-
-    # (od, class) -> intervals with positive demand for that class.
-    demand_keys: dict[tuple[str, str, int], list[int]] = {}
-    for (o, d, tau), (q1, q2) in sorted(demand.entries.items()):
-        if q1 > 0:
-            demand_keys.setdefault((o, d, UE), []).append(tau)
-        if q2 > 0:
-            demand_keys.setdefault((o, d, SO), []).append(tau)
+    # (od, class) -> {interval: demand} over the positive class demands.
+    od_demand: dict[tuple[str, str, int], dict[int, float]] = {}
+    for (o, d, tau), qs in sorted(demand.entries.items()):
+        for cls, q in zip((UE, SO), qs):
+            if q > 0:
+                od_demand.setdefault((o, d, cls), {})[tau] = q
 
     path_sets: dict[tuple[str, str, int], PathSet] = {}
-    for (o, d, cls), taus in demand_keys.items():
-        ps = PathSet(o, d, _CAPS[cls], tuple(taus))
+    rows = []           # (path set, class, interval, demand), path-set order
+    for (o, d, cls), by_tau in od_demand.items():
+        ps = PathSet(o, d, _CAPS[cls], tuple(by_tau))
         ps.insert(distance_shortest_path(network, o, d))
         path_sets[(o, d, cls)] = ps
+        rows += [(ps, cls, tau, q) for tau, q in by_tau.items()]
 
     log: list[IterationRecord] = []
     converged = False
     hits = 0
     for it in range(1, config.max_iterations + 1):
-        assignments = []
-        for (o, d, cls), ps in path_sets.items():
-            for tau in ps.intervals:
-                q = class_q[cls](o, d, tau)
-                for path, flow in zip(ps.paths, path_flows(ps.proportions[tau], q)):
-                    if flow > 0:
-                        assignments.append(PathAssignment(cls, path, tau, flow))
+        flows = [[p * q for p in ps.proportions[tau]] for ps, _, tau, q in rows]
+        assignments = [PathAssignment(cls, path, tau, f)
+                       for (ps, cls, tau, _), fs in zip(rows, flows)
+                       for path, f in zip(ps.paths, fs) if f > 0]
         result = load_network(network, assignments, clock)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 
-        theta = step_size(it, config.gamma)
-        gap_inputs = {UE: ({}, {}, {}), SO: ({}, {}, {})}
-        aon: dict[tuple, object] = {}
-        # Pass 1: costs, gaps and AON searches over the untouched path sets.
-        for (o, d, cls), ps in path_sets.items():
+        # AON searches and path costs over the untouched path sets.
+        gap_rows = {UE: [], SO: []}
+        aon = []
+        for (ps, cls, tau, q), fs in zip(rows, flows):
             kind = _COST_KIND[cls]
-            flows_d, costs_d, least_d = gap_inputs[cls]
-            for tau in ps.intervals:
-                q = class_q[cls](o, d, tau)
-                best_path, best_cost = td_shortest_path(
-                    network, skims, o, d, tau, kind)
-                costs = [skims.path_cost(p, tau, kind) for p in ps.paths]
-                flows_d[(o, d, tau)] = path_flows(ps.proportions[tau], q)
-                costs_d[(o, d, tau)] = costs
-                least_d[(o, d, tau)] = min(min(costs), best_cost)
-                aon[(o, d, cls, tau)] = best_path
-        # Pass 2: path-set updates and MSWA proportion blending.
-        for (o, d, cls), ps in path_sets.items():
-            for tau in ps.intervals:
-                best_idx = ps.insert(aon[(o, d, cls, tau)])
-                y = [1.0 if i == best_idx else 0.0 for i in range(len(ps.paths))]
-                ps.proportions[tau] = update_proportions(
-                    ps.proportions[tau], y, theta)
+            best_path, best_cost = td_shortest_path(
+                network, skims, ps.origin, ps.destination, tau, kind)
+            costs = [skims.path_cost(p, tau, kind) for p in ps.paths]
+            gap_rows[cls].append((fs, costs, min(min(costs), best_cost), q))
+            aon.append(best_path)
+        r1gap, r2gap = relative_gap(gap_rows[UE]), relative_gap(gap_rows[SO])
+        # Path-set updates and MSWA proportion blending.
+        theta = step_size(it, config.gamma)
+        for (ps, _, tau, _), best_path in zip(rows, aon):
+            best_idx = ps.insert(best_path)
+            y = [1.0 if i == best_idx else 0.0 for i in range(len(ps.paths))]
+            ps.proportions[tau] = update_proportions(
+                ps.proportions[tau], y, theta)
 
-        gaps = {}
-        for cls in (UE, SO):
-            flows_d, costs_d, least_d = gap_inputs[cls]
-            demands = {(o, d, tau): class_q[cls](o, d, tau)
-                       for (o, d, tau) in flows_d}
-            gaps[cls] = (relative_gap(flows_d, costs_d, least_d, demands)
-                         if flows_d else 0.0)
-        rgap = (gaps[UE] + gaps[SO]) / 2.0
+        rgap = (r1gap + r2gap) / 2.0
         if not math.isfinite(rgap):
             raise ArithmeticError("non-finite relative gap")
-        log.append(IterationRecord(it, gaps[UE], gaps[SO], rgap,
-                                   result.tstt_veh_h,
+        log.append(IterationRecord(it, r1gap, r2gap, rgap, result.tstt_veh_h,
                                    time.perf_counter() - t0))
         hits = hits + 1 if rgap <= config.gap_tolerance else 0
         if hits >= 2:

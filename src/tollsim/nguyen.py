@@ -56,7 +56,7 @@ TOLL_I_GAIN = 0.005
 TOLL_OUTER_CAP = 12
 
 
-def build_nguyen(pulse=DEFAULT_PULSE, with_zone: bool = False):
+def build_nguyen(with_zone: bool = False):
     """Return (network, demand totals, clock) for the bundled scenario."""
     centroids = {"1", "2", "3", "4"}
     nodes = [Node(str(i), is_centroid=str(i) in centroids) for i in range(1, 14)]
@@ -67,9 +67,6 @@ def build_nguyen(pulse=DEFAULT_PULSE, with_zone: bool = False):
              for (u, v, length, lanes) in _LINKS]
     network = Network(nodes, links)
     clock = Clock(step_s=1, interval_s=300, horizon_s=3600)
-    demand = {}
-    for (o, d) in OD_PAIRS:
-        for tau, q in enumerate(pulse):
-            if q > 0:
-                demand[(o, d, tau)] = float(q)
+    demand = {(o, d, tau): q for (o, d) in OD_PAIRS
+              for tau, q in enumerate(DEFAULT_PULSE)}
     return network, demand, clock

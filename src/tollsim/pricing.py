@@ -92,7 +92,7 @@ class TollSchedule:
 
 
 def congestion_weight(travel_time: float, free_flow_time: float,
-                      omega_max: float = 1.0) -> float:
+                      omega_max: float) -> float:
     """Relative delay (tt - t0)/t0 clamped to [0, omega_max]."""
     if free_flow_time <= 0:
         raise ValueError("free-flow time must be positive")

@@ -40,7 +40,9 @@ def _config(obj: dict, name: str, cls):
     fields. An absent key keeps the field's default; a value is parsed as an
     int where that default is one and as a float otherwise, except the toll
     window: a list of interval indices, or null for every interval."""
-    section = obj.get(name) or {}
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"scenario {name} must be an object, got {section!r}")
     defaults = {f.name: f.default for f in fields(cls)}
     unknown = set(section) - set(defaults)
     if unknown:
@@ -70,6 +72,18 @@ class Scenario:
     seed: int
     raw: dict = field(compare=False, default_factory=dict)
 
+    def __post_init__(self):
+        # Each ratio names its output files by its whole-percent tag.
+        tags = {}
+        for r in self.so_ratios:
+            if not 0.0 <= r <= 1.0:
+                raise ValueError(f"so_ratio {r} outside [0, 1]")
+            tag = _ratio_tag(r)
+            if tag in tags:
+                raise ValueError(f"so_ratios {tags[tag]} and {r} share the "
+                                 f"output tag r{tag}")
+            tags[tag] = r
+
     @staticmethod
     def from_dict(obj: dict, base_dir: str = ".") -> "Scenario":
         unknown = set(obj) - _SCENARIO_FIELDS
@@ -81,10 +95,9 @@ class Scenario:
         if obj.get("toll") is not None:
             toll = _config(obj, "toll", TollConfig)
             toll.tolled_intervals(clock)     # the window lies inside the clock
-        ratios = tuple(float(r) for r in obj.get("so_ratios", [0.0]))
-        for r in ratios:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"so_ratio {r} outside [0, 1]")
+        ratios = obj.get("so_ratios", [0.0])
+        if not isinstance(ratios, list):
+            raise ValueError(f"scenario so_ratios must be a list, got {ratios!r}")
         beta = float(obj.get("noise_beta_max", 0.0))
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"noise_beta_max must be finite and in [0, 1], got {beta}")
@@ -92,7 +105,8 @@ class Scenario:
             scenario_id=str(obj.get("scenario_id", "scenario")),
             network_path=os.path.join(base_dir, obj["network"]),
             demand_path=os.path.join(base_dir, obj["demand"]),
-            clock=clock, solver=solver, toll=toll, so_ratios=ratios,
+            clock=clock, solver=solver, toll=toll,
+            so_ratios=tuple(float(r) for r in ratios),
             noise_beta_max=beta,
             seed=parse_int(obj.get("seed", 0), "seed"),
             raw=dict(obj))

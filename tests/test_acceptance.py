@@ -156,15 +156,10 @@ def test_ac04_marginal_time_against_resimulation(clock_1h):
 
 def test_ac05_relative_gap_hand_fixtures():
     # The solver's gap: UE over generalized travel times, SO over marginal times.
-    ue = relative_gap(flows={("D", 0): [6.0, 4.0]},
-                      costs={("D", 0): [10.0, 12.0]},
-                      least={("D", 0): 10.0}, demands={("D", 0): 10.0})
-    so = relative_gap(flows={("D", 0): [5.0, 5.0]},
-                      costs={("D", 0): [20.0, 24.0]},
-                      least={("D", 0): 20.0}, demands={("D", 0): 10.0})
-    on_best = relative_gap(flows={("D", 0): [10.0, 0.0]},
-                           costs={("D", 0): [10.0, 12.0]},
-                           least={("D", 0): 10.0}, demands={("D", 0): 10.0})
+    # A row is (flows, costs, least, demand) for one (OD, interval).
+    ue = relative_gap([([6.0, 4.0], [10.0, 12.0], 10.0, 10.0)])
+    so = relative_gap([([5.0, 5.0], [20.0, 24.0], 20.0, 10.0)])
+    on_best = relative_gap([([10.0, 0.0], [10.0, 12.0], 10.0, 10.0)])
     mean_ok = (ue + so) / 2.0 == pytest.approx(0.09, rel=1e-12)
     report(5, "gap hand fixtures 0.08 / 0.10 exact; zero on minimal paths; "
               "mean gap exact",

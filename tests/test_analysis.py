@@ -123,7 +123,7 @@ class TestClassZoneSummary:
         res = load_vehicles(net, plans, clock_20min)
         sched = TollSchedule(alpha={tau: 1.0 for tau in range(4)})
         m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids),
-                               toll_schedule=sched)
+                               vot_per_hour=15.0, toll_schedule=sched)
         assert m.tstt_veh_h == pytest.approx(res.tstt_veh_h)
         assert m.ue_zone_tt_min == pytest.approx(25.0 / 60.0, rel=0.10)
         assert m.so_zone_tt_min == pytest.approx(25.0 / 60.0, rel=0.10)
@@ -136,6 +136,7 @@ class TestClassZoneSummary:
         net = two_link_network(l1=1000.0, l2=500.0, zone=("MB",))
         p = Path(("AM", "MB"), "A", "B")
         res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock_20min)
-        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids))
+        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids),
+                               vot_per_hour=15.0)
         assert m.mean_toll_usd == 0.0
         assert m.so_zone_tt_min is None  # no SO vehicles in the run

@@ -17,16 +17,17 @@ KEY = ("o", "d", 0)
 class TestUniformSplit:
     def test_ratio_zero_is_all_ue(self):
         d = split_demand({KEY: 100.0}, 0.0)
-        assert d.q1(*KEY) == 100.0 and d.q2(*KEY) == 0.0
+        assert d.entries[KEY] == (100.0, 0.0)
 
     def test_ratio_one_is_all_so(self):
         d = split_demand({KEY: 100.0}, 1.0)
-        assert d.q1(*KEY) == 0.0 and d.q2(*KEY) == 100.0
+        assert d.entries[KEY] == (0.0, 100.0)
 
     def test_forty_percent(self):
         d = split_demand({KEY: 100.0}, 0.4)
-        assert d.q1(*KEY) == pytest.approx(60.0)
-        assert d.q2(*KEY) == pytest.approx(40.0)
+        q1, q2 = d.entries[KEY]
+        assert q1 == pytest.approx(60.0)
+        assert q2 == pytest.approx(40.0)
 
     def test_out_of_range_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -35,9 +36,9 @@ class TestUniformSplit:
     @given(st.floats(min_value=0.0, max_value=1e6),
            st.floats(min_value=0.0, max_value=1.0))
     def test_split_conserves_total(self, q, r):
-        d = split_demand({KEY: q}, r)
-        assert d.q1(*KEY) + d.q2(*KEY) == pytest.approx(q, rel=1e-12, abs=1e-12)
-        assert d.q1(*KEY) >= 0.0 and d.q2(*KEY) >= 0.0
+        q1, q2 = split_demand({KEY: q}, r).entries[KEY]
+        assert q1 + q2 == pytest.approx(q, rel=1e-12, abs=1e-12)
+        assert q1 >= 0.0 and q2 >= 0.0
 
 
 class TestNoisySplit:
@@ -51,22 +52,23 @@ class TestNoisySplit:
     def test_noise_bounded_by_beta_support(self, seed):
         d = split_demand({KEY: 100.0}, 0.5,
                          NoiseConfig(seed=seed, beta_max=0.2))
-        assert abs(d.q2(*KEY) - 50.0) <= 20.0 + 1e-9
+        assert abs(d.entries[KEY][1] - 50.0) <= 20.0 + 1e-9
 
     def test_ratio_one_clamps_to_total(self):
         for seed in range(20):
             d = split_demand({KEY: 100.0}, 1.0,
                              NoiseConfig(seed=seed, beta_max=0.2))
-            assert d.q2(*KEY) <= 100.0
-            assert d.q1(*KEY) + d.q2(*KEY) == 100.0
+            q1, q2 = d.entries[KEY]
+            assert q2 <= 100.0
+            assert q1 + q2 == 100.0
 
     @given(st.integers(min_value=0, max_value=1000),
            st.floats(min_value=0.0, max_value=1000.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_conservation_and_bounds(self, seed, q, r):
-        d = split_demand({KEY: q}, r, NoiseConfig(seed=seed))
-        assert d.q1(*KEY) + d.q2(*KEY) == pytest.approx(q, rel=1e-12, abs=1e-12)
-        assert 0.0 <= d.q2(*KEY) <= q
+        q1, q2 = split_demand({KEY: q}, r, NoiseConfig(seed=seed)).entries[KEY]
+        assert q1 + q2 == pytest.approx(q, rel=1e-12, abs=1e-12)
+        assert 0.0 <= q2 <= q
 
     def test_same_seed_is_bit_identical(self):
         totals = {("a", "b", t): 10.0 * (t + 1) for t in range(5)}
@@ -142,8 +144,8 @@ class TestDemandRecords:
     def test_split_demand_honors_overrides(self):
         totals = {("a", "b", 0): 100.0, ("a", "b", 1): 100.0}
         d = split_demand(totals, 0.2, overrides={("a", "b", 1): 0.9})
-        assert d.q2("a", "b", 0) == pytest.approx(20.0)
-        assert d.q2("a", "b", 1) == pytest.approx(90.0)
+        assert d.entries[("a", "b", 0)][1] == pytest.approx(20.0)
+        assert d.entries[("a", "b", 1)][1] == pytest.approx(90.0)
 
     @pytest.mark.parametrize("total", [float("nan"), float("inf")])
     def test_non_finite_total_rejected(self, total):

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from tollsim import equilibrium
 from tollsim.demand import SO, UE, split_demand
 from tollsim.equilibrium import (SolverConfig, UndefinedGapError,
-                                 path_flows, relative_gap,
-                                 solve_mixed_equilibrium, step_size,
-                                 update_proportions)
+                                 relative_gap, solve_mixed_equilibrium,
+                                 step_size, update_proportions)
 from tollsim.network import Clock, Link, Network, Node
 from tollsim.routing import UE_COST, CostSkims
 
@@ -86,61 +85,39 @@ class TestProportionUpdate:
             want = sum(1 for p in picks if p == i) / len(picks)
             assert props[i] == pytest.approx(want, abs=1e-9)
 
-    def test_path_flows(self):
-        assert path_flows([0.25, 0.75], 40.0) == [10.0, 30.0]
-
 
 class TestRelativeGaps:
     def test_ue_fixture_eight_percent(self):
         # 4 vehicles pay 2 s over the 10 s minimum on 10 vehicles of demand.
-        gap = relative_gap(
-            flows={("D", 0): [6.0, 4.0]},
-            costs={("D", 0): [10.0, 12.0]},
-            least={("D", 0): 10.0},
-            demands={("D", 0): 10.0})
+        gap = relative_gap([([6.0, 4.0], [10.0, 12.0], 10.0, 10.0)])
         assert gap == pytest.approx(0.08, rel=1e-12)
 
     def test_so_fixture_ten_percent(self):
-        gap = relative_gap(
-            flows={("D", 0): [5.0, 5.0]},
-            costs={("D", 0): [20.0, 24.0]},
-            least={("D", 0): 20.0},
-            demands={("D", 0): 10.0})
+        gap = relative_gap([([5.0, 5.0], [20.0, 24.0], 20.0, 10.0)])
         assert gap == pytest.approx(0.10, rel=1e-12)
 
     def test_gap_zero_iff_all_flow_on_least_cost_paths(self):
-        on_best = relative_gap({("D", 0): [10.0, 0.0]},
-                               {("D", 0): [10.0, 12.0]},
-                               {("D", 0): 10.0}, {("D", 0): 10.0})
+        on_best = relative_gap([([10.0, 0.0], [10.0, 12.0], 10.0, 10.0)])
         assert on_best == 0.0
-        off_best = relative_gap({("D", 0): [9.0, 1.0]},
-                                {("D", 0): [10.0, 12.0]},
-                                {("D", 0): 10.0}, {("D", 0): 10.0})
+        off_best = relative_gap([([9.0, 1.0], [10.0, 12.0], 10.0, 10.0)])
         assert off_best > 0.0
 
     def test_zero_denominator_with_flows_raises(self):
         with pytest.raises(UndefinedGapError):
-            relative_gap({("D", 0): [5.0]}, {("D", 0): [1.0]},
-                         {("D", 0): 0.0}, {("D", 0): 10.0})
+            relative_gap([([5.0], [1.0], 0.0, 10.0)])
 
     def test_empty_inputs_give_zero(self):
-        assert relative_gap({}, {}, {}, {}) == 0.0
+        assert relative_gap([]) == 0.0
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_gap_invariant_under_demand_scaling(self, c):
-        kwargs = dict(costs={("D", 0): [10.0, 12.0]},
-                      least={("D", 0): 10.0})
-        base = relative_gap(flows={("D", 0): [6.0, 4.0]},
-                            demands={("D", 0): 10.0}, **kwargs)
-        scaled = relative_gap(flows={("D", 0): [6.0 * c, 4.0 * c]},
-                              demands={("D", 0): 10.0 * c}, **kwargs)
+        base = relative_gap([([6.0, 4.0], [10.0, 12.0], 10.0, 10.0)])
+        scaled = relative_gap([([6.0 * c, 4.0 * c], [10.0, 12.0], 10.0, 10.0 * c)])
         assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_gap_grows_with_misassigned_flow(self):
         def gap(f):
-            return relative_gap({("D", 0): [10.0 - f, f]},
-                                {("D", 0): [10.0, 12.0]},
-                                {("D", 0): 10.0}, {("D", 0): 10.0})
+            return relative_gap([([10.0 - f, f], [10.0, 12.0], 10.0, 10.0)])
         gaps = [gap(f) for f in (0.0, 2.0, 5.0, 10.0)]
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 

@@ -7,14 +7,16 @@ captured once from the straightforward step-by-step loader and one-to-one
 search (the shared-origin one from the event-driven loader that still served
 origins in a loop of their own, the two-second-step one from the loader that
 kept blocked heads in a retry list of their own, the bi-level one from the
-outer loop that solved every schedule, charging or not) and are never
-regenerated: a mismatch means an optimisation or refactor changed results.
+outer loop that solved every schedule, charging or not, the mixed-solve one
+from the solver that rebuilt per-class (OD, interval) dicts of flows, costs,
+least costs and demands every iteration) and are never regenerated: a
+mismatch means an optimisation or refactor changed results.
 """
 import hashlib
 from collections import Counter
 from dataclasses import astuple
 
-from tollsim.demand import SO, UE, split_demand
+from tollsim.demand import SO, UE, NoiseConfig, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
@@ -31,6 +33,7 @@ NGUYEN_SEARCH_DIGEST = "576795e8c9ce9994cfa6d59061896321d69fde337ae7b6c5a3b718f0
 SHARED_ORIGIN_DIGEST = "4e6d28190fa8838e61bd47f07ad990a30a1531e1841bae7c425cb246efebcc70"
 BILEVEL_DIGEST = "98242dbc5bf40bf8afa461a6d636ac13746b5612479a23e813b188634c5ed4b6"
 TWO_SECOND_STEP_DIGEST = "2e21954f04046f1a9330a8465e2ee306dd6cee91fe087df5e4cd0e573cfb381c"
+MIXED_SOLVE_DIGEST = "aeb2844b82a528e2a2317d7d5eb4adc6d39a4d4bb6d691be0fbf0ed7d5b30173"
 
 
 def digest(obj) -> str:
@@ -226,3 +229,19 @@ def test_bilevel_digest(clock_1h):
             tuple(sorted(res.schedule.omega.items())),
             loading_dump(res.equilibrium.loading))
     assert digest(dump) == BILEVEL_DIGEST
+
+
+def test_mixed_solve_digest():
+    network, totals, clock = build_nguyen()
+    demand = split_demand(totals, 0.4, NoiseConfig(seed=1, beta_max=0.2))
+    eq = solve_mixed_equilibrium(
+        network, demand, clock,
+        SolverConfig(max_iterations=6, gap_tolerance=1e-12, gamma=2.0))
+    assert len(eq.log) == 6 and not eq.converged
+    assert any(len(ps.paths) > 1 for ps in eq.path_sets.values())
+    dump = (tuple(astuple(r)[:-1] for r in eq.log),     # all but wall_time_s
+            tuple((key, tuple(p.link_ids for p in ps.paths),
+                   tuple(sorted(ps.proportions.items())))
+                  for key, ps in sorted(eq.path_sets.items())),
+            loading_dump(eq.loading))
+    assert digest(dump) == MIXED_SOLVE_DIGEST

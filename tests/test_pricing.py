@@ -21,10 +21,10 @@ from conftest import two_link_network
 
 class TestCongestionWeight:
     def test_relative_delay(self):
-        assert congestion_weight(60.0, 50.0) == pytest.approx(0.2)
+        assert congestion_weight(60.0, 50.0, omega_max=1.0) == pytest.approx(0.2)
 
     def test_free_flow_clamps_to_zero(self):
-        assert congestion_weight(40.0, 50.0) == 0.0
+        assert congestion_weight(40.0, 50.0, omega_max=1.0) == 0.0
 
     def test_upper_clamp(self):
         assert congestion_weight(200.0, 50.0, omega_max=1.0) == 1.0
@@ -32,12 +32,12 @@ class TestCongestionWeight:
 
     def test_bad_free_flow_time_rejected(self):
         with pytest.raises(ValueError):
-            congestion_weight(60.0, 0.0)
+            congestion_weight(60.0, 0.0, omega_max=1.0)
 
     @given(st.floats(min_value=0.0, max_value=1e4),
            st.floats(min_value=1.0, max_value=1e4))
     def test_always_within_bounds(self, tt, t0):
-        assert 0.0 <= congestion_weight(tt, t0) <= 1.0
+        assert 0.0 <= congestion_weight(tt, t0, omega_max=1.0) <= 1.0
 
 
 def path_toll(schedule, path, net, interval=0):

@@ -104,6 +104,27 @@ class TestScenarioParsing:
             Scenario.from_dict({"network": "n", "demand": "d",
                                 "so_ratios": [1.5]})
 
+    @pytest.mark.parametrize("ratios", [[0.0, 0.004], [0.5, 0.5]])
+    def test_ratios_sharing_an_output_tag_rejected(self, ratios):
+        # Both would write iters_r000.csv (iters_r050.csv): one overwrites.
+        with pytest.raises(ValueError, match=f"so_ratios {ratios[0]} and {ratios[1]}"):
+            Scenario.from_dict({"network": "n", "demand": "d",
+                                "so_ratios": ratios})
+
+    @pytest.mark.parametrize("ratios", [0.5, "0.5", {"r": 0.5}])
+    def test_so_ratios_must_be_a_list(self, ratios):
+        with pytest.raises(ValueError, match="so_ratios must be a list"):
+            Scenario.from_dict({"network": "n", "demand": "d",
+                                "so_ratios": ratios})
+
+    @pytest.mark.parametrize("section,value", [
+        ("toll", False), ("toll", 0), ("toll", []),   # used to price at defaults
+        ("clock", []), ("clock", None), ("clock", 5),
+        ("solver", False), ("solver", "fast")])
+    def test_section_must_be_an_object(self, section, value):
+        with pytest.raises(ValueError, match=f"scenario {section} must be an object"):
+            Scenario.from_dict({"network": "n", "demand": "d", section: value})
+
     @pytest.mark.parametrize("section", ["solver", "clock", "toll"])
     def test_unknown_nested_field_rejected(self, section):
         # A misspelt key must not fall back to a default (plain MSA here).
@@ -305,6 +326,15 @@ class TestCli:
     def test_price_without_toll_config_fails(self, tmp_path):
         path = write_fixture_scenario(tmp_path)
         assert main(["price", path, "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("ratios", ["0,0.004", "0,1.5"])
+    def test_sweep_rejects_bad_ratios_before_writing(self, tmp_path, capsys, ratios):
+        # 0.004 shares ratio 0's file tag; 1.5 used to fail after solving 0.
+        path = write_fixture_scenario(tmp_path / "in")
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--ratios", ratios, "--out", str(out)]) == 1
+        assert "so_ratio" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_and_nfd_report(self, tmp_path, capsys):
         path = write_fixture_scenario(tmp_path / "in")
