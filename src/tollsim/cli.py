@@ -75,12 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        scenario = Scenario.load(args.scenario)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return 1
-    problems = validate_scenario(scenario)
+    problems = validate_scenario(Scenario.load(args.scenario))
     for p in problems:
         print(p, file=sys.stderr)
     if not problems:

@@ -184,9 +184,19 @@ def _check_fields(record: dict, required, optional, kind: str) -> None:
         raise ValueError(f"missing {kind} fields: {sorted(missing)}")
 
 
+def parse_number(value, what: str) -> float:
+    """`value` as a float; anything but a JSON number (null, a boolean, a
+    string, a list or an object) is rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def parse_int(value, what: str) -> int:
     """`value` as an int; a non-integral number is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    if type(value) is int:
+        return value
+    if not parse_number(value, what).is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

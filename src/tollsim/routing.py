@@ -1,18 +1,22 @@
 """Time-dependent least-cost path search and bounded path-set management.
 
-`CostSkims` is the one source of path costs: per-(link, interval) travel
-times plus two cost kinds, UE_COST (travel time plus the toll converted to
-seconds at the value of time) and SO_COST (the loading's link marginal time,
-never tolled), summed alike by `path_cost` and the search below.
+`CostSkims` is the one source of path costs: per-link rows, one value per
+interval, of travel times plus two cost kinds, UE_COST (travel time plus the
+toll converted to seconds at the value of time) and SO_COST (the loading's
+link marginal time, never tolled), summed alike by `path_cost` and the
+search below.
 
-Link costs are read at the interval of arrival at each link; arrival times
-propagate along travel-time skims. Ties are broken by the lexicographically
-smallest link-id sequence so searches are fully deterministic.
+Link costs are read at the interval of arrival at each link, clamped to the
+last interval past the horizon; arrival times propagate along travel-time
+skims. Ties are broken by the lexicographically smallest link-id sequence so
+searches are fully deterministic.
 
 A label-setting search from one origin settles nodes in the same order
 whatever the destination, so each (origin, departure interval, cost kind)
 is searched once, to every node, and the tree is kept on the skims it was
-built from; a path query is a lookup into that tree.
+built from; a path query is a lookup into that tree. The search pushes a
+relaxation only if it beats every entry already pushed for its node, which
+leaves each settled label, tie-breaks included, as a full search finds it.
 """
 from __future__ import annotations
 
@@ -35,7 +39,12 @@ class UnreachableError(ValueError):
 
 
 class CostSkims:
-    """Per-(link, interval) travel times plus UE and SO generalized costs."""
+    """Per-link rows of travel times and UE and SO generalized costs.
+
+    Each of the three skims maps a link id to a list with one value per
+    assignment interval, so a lookup is `row[tau]`. Times past the horizon
+    read the last interval, as `Clock.interval_of` clamps them.
+    """
 
     def __init__(self, clock: Clock, travel_time, ue_cost, so_cost):
         self.clock = clock
@@ -47,56 +56,77 @@ class CostSkims:
     @classmethod
     def from_loading(cls, result, toll_schedule=None, vot_per_hour: float = 15.0):
         """Build skims from a loading; tolls enter the UE cost in seconds."""
-        clock = result.clock
         tt = {}
         ue = {}
         so = {}
         for lid, rows in result.states.items():
             link = result.network.links[lid]
-            for tau, st in enumerate(rows):
-                tt[(lid, tau)] = st.travel_time
-                toll_s = 0.0
-                if toll_schedule is not None and link.in_pricing_zone:
-                    toll_s = toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
-                ue[(lid, tau)] = st.travel_time + toll_s
-                so[(lid, tau)] = result.marginal_time(lid, tau)
-        return cls(clock, tt, ue, so)
+            tt[lid] = [st.travel_time for st in rows]
+            so[lid] = [result.marginal_time(lid, tau) for tau in range(len(rows))]
+            if toll_schedule is not None and link.in_pricing_zone:
+                ue[lid] = [st.travel_time
+                           + toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
+                           for tau, st in enumerate(rows)]
+            else:
+                ue[lid] = tt[lid]
+        return cls(result.clock, tt, ue, so)
 
     def path_cost(self, path: Path, departure_interval: int, kind: str) -> float:
         """Sum of per-link costs with arrival-interval lookups along the path."""
-        clock = self.clock
         costs = self._costs[kind]
         tt = self._tt
-        t = departure_interval * clock.interval_s
+        interval_s = self.clock.interval_s
+        last = self.clock.n_intervals - 1
+        t = departure_interval * interval_s
         total = 0.0
         for lid in path.link_ids:
-            key = (lid, clock.interval_of(t))
-            total += costs[key]
-            t += tt[key]
+            tau = int(t // interval_s)
+            if tau > last:
+                tau = last
+            total += costs[lid][tau]
+            t += tt[lid][tau]
         return total
 
 
 def _search_tree(network: Network, skims: CostSkims, origin: str,
                  departure_interval: int, cost_kind: str) -> dict:
     """Least-cost labels {node: (cost, link ids)} of every node reachable
-    from `origin` for a departure at the start of the interval."""
-    clock = skims.clock
+    from `origin` for a departure at the start of the interval.
+
+    A relaxation is pushed only if its (cost, link ids) beats the least pair
+    pushed for that node so far. Link ids name one path, so no two entries
+    for a node tie on both, and a dominated entry would only have popped
+    after that node was settled: every label is the one an unpruned search
+    settles.
+    """
     costs = skims._costs[cost_kind]
     tt = skims._tt
-    heap = [(0.0, (), origin, float(departure_interval * clock.interval_s))]
+    interval_s = skims.clock.interval_s
+    last = skims.clock.n_intervals - 1
+    out_links = network.out_links
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [(0.0, (), origin, float(departure_interval * interval_s))]
+    pushed: dict[str, tuple] = {}
     tree: dict[str, tuple] = {}
     while heap:
-        cost, lex, node, t = heapq.heappop(heap)
+        cost, lex, node, t = heappop(heap)
         if node in tree:
             continue
         tree[node] = (cost, lex)
-        tau = clock.interval_of(t)
-        for link in network.out_links.get(node, ()):
-            if link.to_node in tree:
+        tau = int(t // interval_s)
+        if tau > last:
+            tau = last
+        for link in out_links.get(node, ()):
+            head = link.to_node
+            if head in tree:
                 continue
-            key = (link.id, tau)
-            heapq.heappush(heap, (cost + costs[key], lex + (link.id,), link.to_node,
-                                  t + tt[key]))
+            lid = link.id
+            entry = (cost + costs[lid][tau], lex + (lid,), head, t + tt[lid][tau])
+            best = pushed.get(head)
+            if best is not None and best <= entry:
+                continue
+            pushed[head] = entry
+            heappush(heap, entry)
     return tree
 
 

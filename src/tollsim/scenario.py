@@ -17,7 +17,8 @@ from . import __version__
 from .analysis import class_zone_summary
 from .demand import NoiseConfig, load_demand_file, split_demand
 from .equilibrium import SolverConfig, solve_mixed_equilibrium
-from .network import Clock, load_network_file, parse_int, validate_network
+from .network import (Clock, load_network_file, parse_int, parse_number,
+                      validate_network)
 from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
                       nfd_series)
 
@@ -37,9 +38,10 @@ _SCENARIO_FIELDS = {"network", "demand", "clock", "solver", "toll",
 
 def _config(obj: dict, name: str, cls):
     """The nested object `name` of the scenario as a `cls`, keyed by its
-    fields. An absent key keeps the field's default; a value is parsed as an
-    int where that default is one and as a float otherwise, except the toll
-    window: a list of interval indices, or null for every interval."""
+    fields. An absent key keeps the field's default; a value must be a JSON
+    number, parsed as an int where that default is one and as a float
+    otherwise, except the toll window: a list of interval indices, or null
+    for every interval."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"scenario {name} must be an object, got {section!r}")
@@ -49,13 +51,16 @@ def _config(obj: dict, name: str, cls):
         raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
     kwargs = {}
     for key, value in section.items():
+        what = f"{name} {key}"
         if key == "window":
+            if value is not None and not isinstance(value, list):
+                raise ValueError(f"{what} must be a list or null, got {value!r}")
             kwargs[key] = (None if value is None else
                            tuple(parse_int(tau, "toll window entry") for tau in value))
         elif isinstance(defaults[key], int):
-            kwargs[key] = parse_int(value, key)
+            kwargs[key] = parse_int(value, what)
         else:
-            kwargs[key] = float(value)
+            kwargs[key] = parse_number(value, what)
     return cls(**kwargs)
 
 
@@ -89,6 +94,10 @@ class Scenario:
         unknown = set(obj) - _SCENARIO_FIELDS
         if unknown:
             raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        for key in ("network", "demand"):
+            if not isinstance(obj.get(key), str):
+                raise ValueError(f"scenario {key} must be a file name, "
+                                 f"got {obj.get(key)!r}")
         clock = _config(obj, "clock", Clock)
         solver = _config(obj, "solver", SolverConfig)
         toll = None
@@ -98,7 +107,7 @@ class Scenario:
         ratios = obj.get("so_ratios", [0.0])
         if not isinstance(ratios, list):
             raise ValueError(f"scenario so_ratios must be a list, got {ratios!r}")
-        beta = float(obj.get("noise_beta_max", 0.0))
+        beta = parse_number(obj.get("noise_beta_max", 0.0), "noise_beta_max")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"noise_beta_max must be finite and in [0, 1], got {beta}")
         return Scenario(
@@ -106,7 +115,7 @@ class Scenario:
             network_path=os.path.join(base_dir, obj["network"]),
             demand_path=os.path.join(base_dir, obj["demand"]),
             clock=clock, solver=solver, toll=toll,
-            so_ratios=tuple(float(r) for r in ratios),
+            so_ratios=tuple(parse_number(r, "so_ratios entry") for r in ratios),
             noise_beta_max=beta,
             seed=parse_int(obj.get("seed", 0), "seed"),
             raw=dict(obj))

@@ -4,7 +4,9 @@ produced.
 
 Each digest is the SHA-256 of a canonical `repr` dump. The digests were
 captured once from the straightforward step-by-step loader and one-to-one
-search (the shared-origin one from the event-driven loader that still served
+search (the tie-heavy grid one from the memoised one-to-all search that
+pushed every relaxation and looked each interval up through the clock; the
+shared-origin one from the event-driven loader that still served
 origins in a loop of their own, the two-second-step one from the loader that
 kept blocked heads in a retry list of their own, the bi-level one from the
 outer loop that solved every schedule, charging or not, the mixed-solve one
@@ -34,6 +36,7 @@ SHARED_ORIGIN_DIGEST = "4e6d28190fa8838e61bd47f07ad990a30a1531e1841bae7c425cb246
 BILEVEL_DIGEST = "98242dbc5bf40bf8afa461a6d636ac13746b5612479a23e813b188634c5ed4b6"
 TWO_SECOND_STEP_DIGEST = "2e21954f04046f1a9330a8465e2ee306dd6cee91fe087df5e4cd0e573cfb381c"
 MIXED_SOLVE_DIGEST = "aeb2844b82a528e2a2317d7d5eb4adc6d39a4d4bb6d691be0fbf0ed7d5b30173"
+GRID_SEARCH_DIGEST = "6ed33c5ce2183ba531496572903a48ccaaffe3098a0b9bd7af66c4d6f53fa0d9"
 
 
 def digest(obj) -> str:
@@ -159,6 +162,58 @@ def heads_blocked_across_boundaries(res, feeder: str, downstream: str) -> list:
     return out
 
 
+def uniform_grid(n=4, length=400.0, speed=20.0):
+    """An n x n grid of centroids joined by equal two-way links (20 s free
+    flow each), so every OD pair off a row or column has several least-cost
+    paths wherever the links run free."""
+    def name(r, c):
+        return f"n{r}{c}"
+    nodes = [Node(name(r, c), True) for r in range(n) for c in range(n)]
+    links = []
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < n and c + dc < n:
+                    a, b = name(r, c), name(r + dr, c + dc)
+                    links.append(Link(a + b, a, b, length, 1, speed))
+                    links.append(Link(b + a, b, a, length, 1, speed))
+    return Network(nodes, links)
+
+
+def grid_merge_plans():
+    """Two streams merge into n11->n12 and queue back over both feeders;
+    a third crosses the n01->n11 feeder an interval later."""
+    into_east = Path(("n01n11", "n11n12", "n12n13"), "n01", "n13")
+    into_south = Path(("n10n11", "n11n12", "n12n22"), "n10", "n22")
+    crossing = Path(("n00n01", "n01n11", "n11n21"), "n00", "n21")
+    plans = []
+    for i in range(300):
+        plans.append(VehiclePlan(SO if i % 3 == 0 else UE, into_east, i // 240, i * 0.8))
+        plans.append(VehiclePlan(UE if i % 2 else SO, into_south, i // 240,
+                                 i * 0.8 + 0.4))
+        if i % 2 == 0:
+            plans.append(VehiclePlan(UE, crossing, 1 + i // 240, 120.0 + i * 0.8))
+    return plans
+
+
+def search_dump(network, skims, n_intervals) -> list:
+    """Every (origin, destination, interval, kind) search: the path's link ids
+    and cost, or None where the destination is unreachable."""
+    nodes = sorted(network.nodes)
+    out = []
+    for o in nodes:
+        for d in nodes:
+            for tau in range(n_intervals):
+                for kind in (UE_COST, SO_COST):
+                    try:
+                        path, cost = td_shortest_path(network, skims, o, d, tau, kind)
+                    except UnreachableError:
+                        out.append((o, d, tau, kind, None))
+                    else:
+                        out.append((o, d, tau, kind, path.link_ids, cost))
+    return out
+
+
 def first_nguyen_loading():
     network, totals, clock = build_nguyen()
     demand = split_demand(totals, 0.4)
@@ -201,21 +256,24 @@ def test_first_nguyen_loading_digest():
 
 def test_nguyen_search_digest():
     network, res = first_nguyen_loading()
-    skims = CostSkims.from_loading(res)
-    nodes = sorted(network.nodes)
-    out = []
-    for o in nodes:
-        for d in nodes:
-            for tau in range(res.clock.n_intervals):
-                for kind in (UE_COST, SO_COST):
-                    try:
-                        path, cost = td_shortest_path(network, skims, o, d, tau, kind)
-                    except UnreachableError:
-                        out.append((o, d, tau, kind, None))
-                    else:
-                        out.append((o, d, tau, kind, path.link_ids, cost))
+    out = search_dump(network, CostSkims.from_loading(res), res.clock.n_intervals)
     assert any(r[-1] is None for r in out) and any(r[-1] is not None for r in out)
     assert digest(out) == NGUYEN_SEARCH_DIGEST
+
+
+def test_grid_search_digest():
+    network = uniform_grid()
+    clock = Clock(step_s=1, interval_s=120, horizon_s=1200)
+    res = load_vehicles(network, grid_merge_plans(), clock)
+    out = search_dump(network, CostSkims.from_loading(res), clock.n_intervals)
+    costs = {}
+    for o, d, _tau, kind, *found in out:
+        costs.setdefault((o, d, kind), set()).add(found[-1])
+    # The merge makes costs depend on the departure interval ...
+    assert any(len(seen) > 1 for seen in costs.values())
+    # ... while free-running links tie: n00->n11 has two 40 s paths.
+    assert ("n00", "n11", 9, UE_COST, ("n00n01", "n01n11"), 40.0) in out
+    assert digest(out) == GRID_SEARCH_DIGEST
 
 
 def test_bilevel_digest(clock_1h):

@@ -12,7 +12,13 @@ from conftest import line_network, parallel_network, two_link_network
 
 def make_skims(clock, tt, ue=None, so=None):
     """Skims from {(link_id, interval): seconds} dicts (ue/so default to tt)."""
-    return CostSkims(clock, tt, dict(ue or tt), dict(so or tt))
+    def rows(cells):
+        out = {}
+        for (lid, tau), value in sorted(cells.items()):
+            assert tau == len(out.setdefault(lid, []))
+            out[lid].append(value)
+        return out
+    return CostSkims(clock, rows(tt), rows(ue or tt), rows(so or tt))
 
 
 def const_skims(net, clock, tt_by_link, ue=None, so=None):
@@ -54,6 +60,17 @@ class TestShortestPath:
         assert td_shortest_path(net, early, "A", "B", 0)[1] == 280.0 + 50.0
         assert td_shortest_path(net, late, "A", "B", 0)[1] == 320.0 + 999.0
         assert early.path_cost(Path(("AM", "MB"), "A", "B"), 0, UE_COST) == 330.0
+
+    def test_arrival_past_horizon_priced_at_last_interval(self, clock_20min):
+        # Leaving at 900 s, the probe reaches M at 1900 s, past the 1200 s
+        # horizon, so MB is read at the last interval (3) by both pricers.
+        net = two_link_network()
+        tt = {("AM", t): 1000.0 for t in range(4)}
+        tt |= {("MB", t): 10.0 * (t + 1) for t in range(4)}
+        skims = make_skims(clock_20min, tt)
+        path = Path(("AM", "MB"), "A", "B")
+        assert skims.path_cost(path, 3, UE_COST) == 1040.0
+        assert td_shortest_path(net, skims, "A", "B", 3) == (path, 1040.0)
 
     def test_unreachable_raises(self, clock_20min):
         net = line_network()

@@ -117,6 +117,23 @@ class TestScenarioParsing:
             Scenario.from_dict({"network": "n", "demand": "d",
                                 "so_ratios": ratios})
 
+    @pytest.mark.parametrize("doc,match", [
+        # These raised TypeError tracebacks ...
+        ({"so_ratios": [None]}, "so_ratios entry must be a number"),
+        ({"solver": {"gamma": [2]}}, "solver gamma must be a number"),
+        ({"noise_beta_max": None}, "noise_beta_max must be a number"),
+        ({"clock": {"step_s": None}}, "clock step_s must be a number"),
+        ({"toll": {"window": 3}}, "toll window must be a list or null"),
+        ({"network": 5}, "scenario network must be a file name"),
+        # ... and these were coerced silently.
+        ({"solver": {"gamma": "0.5"}}, "solver gamma must be a number"),
+        ({"so_ratios": ["0.5"]}, "so_ratios entry must be a number"),
+        ({"seed": True}, "seed must be a number"),
+    ])
+    def test_wrong_json_type_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario.from_dict({"network": "n", "demand": "d", **doc})
+
     @pytest.mark.parametrize("section,value", [
         ("toll", False), ("toll", 0), ("toll", []),   # used to price at defaults
         ("clock", []), ("clock", None), ("clock", 5),
@@ -316,6 +333,12 @@ class TestCli:
 
     def test_validate_missing_file_fails(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 1
+
+    def test_validate_wrong_json_type_is_one_line_error(self, tmp_path, capsys):
+        path = write_fixture_scenario(tmp_path, beta=None)
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == \
+            "error: noise_beta_max must be a number, got None\n"
 
     def test_equilibrate_writes_metrics(self, tmp_path):
         path = write_fixture_scenario(tmp_path / "in")
