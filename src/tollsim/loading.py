@@ -28,13 +28,21 @@ Two marginal-time estimators read those delays: `marginal_time`, the
 per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
 which advances its probe past each clearance and is the one compared with
 +1-vehicle re-simulation; the solver does not route on it yet.
+
+Link statistics come from per-link entry and exit times, one append each
+per move. Links are FIFO, so the k-th exit pairs with the k-th entry, and
+after the loop a bisection at each interval end gives every (link, interval)
+count and sum. Times are whole seconds: the float sums are exact, whatever
+their order.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .demand import SO, UE
 from .fd import blended_reaction_time, lane_capacity
@@ -76,15 +84,14 @@ class PathAssignment:
     flow: float
 
 
-@dataclass(frozen=True)
-class VehiclePlan:
+class VehiclePlan(NamedTuple):
     vehicle_class: int
     path: Path
     interval: int
     departure_time: float
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleRecord:
     vehicle_id: int
     vehicle_class: int
@@ -92,7 +99,7 @@ class VehicleRecord:
     interval: int
     departure_time: float
     link_entries: list
-    exit_time: float = math.nan
+    exit_time: float
 
     @property
     def travel_time(self) -> float:
@@ -152,17 +159,19 @@ def discretize_assignments(assignments, clock: Clock) -> list[VehiclePlan]:
 class _LinkRT:
     """Mutable per-link simulation state."""
 
-    __slots__ = ("link", "index", "ff_steps", "storage", "queue", "next_free",
-                 "recv_credit", "credit_step", "reaction", "headway",
-                 "enter_hv", "enter_cav", "stat_entries", "stat_tt_sum",
-                 "stat_entry_time_sum", "stat_exits", "stat_count_integral",
-                 "stat_cav", "stat_reaction", "queue_flag")
+    __slots__ = ("link", "index", "ff_steps", "storage", "lanes", "lane_m",
+                 "eff_length", "queue", "next_free", "recv_credit", "credit_step",
+                 "reaction", "headway", "enter_hv", "enter_cav", "entry_times",
+                 "exit_times", "stat_cav", "stat_reaction", "queue_flag")
 
     def __init__(self, link, index, clock, n_intervals):
         self.link = link
         self.index = index       # position in link-id order
         self.ff_steps = max(1, math.ceil(link.free_flow_time / clock.step_s - _EPS))
         self.storage = link.storage
+        self.lanes = link.lanes
+        self.lane_m = link.lanes * link.length      # lane-metres
+        self.eff_length = link.effective_vehicle_length
         self.queue = deque()     # vehicle indices, FIFO (head at queue[0])
         self.next_free = 0.0     # server availability time, s
         self.recv_credit = 0.0
@@ -171,11 +180,8 @@ class _LinkRT:
         self.headway = None
         self.enter_hv = 0
         self.enter_cav = 0
-        self.stat_entries = [0] * n_intervals
-        self.stat_tt_sum = [0.0] * n_intervals
-        self.stat_entry_time_sum = [0.0] * n_intervals
-        self.stat_exits = [0] * n_intervals
-        self.stat_count_integral = [0.0] * n_intervals
+        self.entry_times = []    # ascending; FIFO pairs them index by index
+        self.exit_times = []
         self.stat_cav = [0.0] * n_intervals
         self.stat_reaction = [0.0] * n_intervals
         self.queue_flag = bytearray(clock.n_steps)  # 1 = standing queue in step
@@ -205,9 +211,8 @@ def _roll_interval(link_order, tau: int) -> None:
             frac = rt.stat_cav[tau - 1]
         base = blended_reaction_time(frac)
         rt.reaction = base * rt.link.reaction_time_factor
-        q_max = lane_capacity(rt.link.speed_limit, rt.link.effective_vehicle_length,
-                              rt.reaction)
-        rt.headway = 1.0 / (q_max * rt.link.lanes)
+        q_max = lane_capacity(rt.link.speed_limit, rt.eff_length, rt.reaction)
+        rt.headway = 1.0 / (q_max * rt.lanes)
         rt.stat_cav[tau] = frac
         rt.stat_reaction[tau] = rt.reaction
         rt.enter_hv = 0
@@ -310,13 +315,9 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
             plan.path.validate(network)
             paths[id(plan.path)] = plan.path
 
-    order = sorted(range(len(plans)),
-                   key=lambda i: (plans[i].departure_time, plans[i].vehicle_class,
-                                  plans[i].path.origin, plans[i].path.destination,
-                                  plans[i].path.link_ids, i))
-    vehicles = [VehicleRecord(vid, plans[i].vehicle_class, plans[i].path,
-                              plans[i].interval, plans[i].departure_time, [])
-                for vid, i in enumerate(order)]
+    keys = [(p.departure_time, p.vehicle_class, p.path.origin, p.path.destination,
+             p.path.link_ids) for p in plans]
+    plans = [plans[i] for i in sorted(range(len(plans)), key=keys.__getitem__)]
 
     n_int = clock.n_intervals
     n_steps = clock.n_steps
@@ -328,20 +329,21 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     routes = {key: tuple(rts[lid] for lid in path.link_ids) + (None,)
               for key, path in paths.items()}
 
-    # Per-vehicle bookkeeping: route (its links, then None for the exit),
-    # position on it (-1 at the origin), entry time and first step it may
-    # leave its queue (the departure step at the origin, entry step +
-    # free-flow steps on a link).
-    veh_route = [routes[id(v.path)] for v in vehicles]
-    veh_pos = [-1] * len(vehicles)
-    veh_entry = [0.0] * len(vehicles)
-    veh_ready = _ready_steps([v.departure_time for v in vehicles], dt, n_steps)
-    veh_cav = [v.vehicle_class == SO for v in vehicles]
-    veh_log = [v.link_entries for v in vehicles]
+    # Per-vehicle bookkeeping, indexed by vehicle id (position in departure
+    # order): route (its links, then None for the exit), position on it (-1
+    # at the origin), first step it may leave its queue (the departure step
+    # at the origin, entry step + free-flow steps on a link), link entry
+    # times and network exit time.
+    veh_route = [routes[id(p.path)] for p in plans]
+    veh_pos = [-1] * len(plans)
+    veh_ready = _ready_steps([p.departure_time for p in plans], dt, n_steps)
+    veh_cav = [p.vehicle_class == SO for p in plans]
+    veh_log = [[] for _ in plans]
+    veh_exit = [math.nan] * len(plans)
 
     by_origin: dict[str, list[int]] = {}
-    for v in vehicles:
-        by_origin.setdefault(v.path.origin, []).append(v.vehicle_id)
+    for vid, p in enumerate(plans):
+        by_origin.setdefault(p.path.origin, []).append(vid)
     n_links = len(link_order)
     queues = link_order + [_Source(n_links + k, by_origin[o])
                            for k, o in enumerate(sorted(by_origin))]
@@ -406,10 +408,9 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
                         # count. It regenerates across idle steps, but a
                         # single step never admits more than one step's rate
                         # plus one stored vehicle.
-                        link = nrt.link
-                        k = n_down / (link.lanes * link.length)   # veh/m/lane
-                        rate = (1.0 - link.effective_vehicle_length * k) / nrt.reaction
-                        rate = (rate if rate > 0.0 else 0.0) * link.lanes
+                        k = n_down / nrt.lane_m                # veh/m/lane
+                        rate = (1.0 - nrt.eff_length * k) / nrt.reaction
+                        rate = (rate if rate > 0.0 else 0.0) * nrt.lanes
                         if nrt.credit_step >= 0:
                             # What the last refreshed step left, carried up
                             # to one vehicle.
@@ -434,36 +435,23 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
                         break
                 q.popleft()
                 if i < n_links:
-                    # A link exit: its server's headway and exit statistics.
+                    # A link exit: its server's headway and exit time.
                     busy_until = rt.next_free
                     rt.next_free = (busy_until if busy_until >= t else t) + rt.headway
-                    entry = veh_entry[vid]
-                    entry_tau = int(entry // interval_s)   # entries lie in the horizon
-                    rt.stat_tt_sum[entry_tau] += t - entry
-                    rt.stat_exits[tau] += 1
-                    # The vehicle was on the link at the end of the steps from
-                    # its entry to the one before now: t - entry whole seconds,
-                    # split at interval boundaries (exact, so order-free sums).
-                    for j in range(entry_tau, tau):
-                        boundary = (j + 1) * interval_s
-                        rt.stat_count_integral[j] += boundary - entry
-                        entry = boundary
-                    rt.stat_count_integral[tau] += t - entry
+                    rt.exit_times.append(t)
                 if nrt is None:
-                    vehicles[vid].exit_time = t
+                    veh_exit[vid] = t
                 else:
                     veh_pos[vid] = li
                     nrt.recv_credit -= 1.0
                     nq.append(vid)
-                    veh_entry[vid] = t
+                    nrt.entry_times.append(t)
                     veh_ready[vid] = step + nrt.ff_steps
                     veh_log[vid].append(t)
                     if veh_cav[vid]:
                         nrt.enter_cav += 1
                     else:
                         nrt.enter_hv += 1
-                    nrt.stat_entries[tau] += 1
-                    nrt.stat_entry_time_sum[tau] += t
                     if not n_down:
                         # Entered while empty: its head is at least a free-flow
                         # step from ready, so a visit later in this step only
@@ -475,32 +463,48 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     if any(rt.queue for rt in queues):
         by_link = {rt.link.id: len(rt.queue) for rt in link_order if rt.queue}
         raise GridlockError(by_link, dict(Counter(
-            (v.path.origin, v.path.destination) for v in vehicles
-            if math.isnan(v.exit_time))))
+            (p.path.origin, p.path.destination)
+            for p, exit_t in zip(plans, veh_exit) if math.isnan(exit_t))))
     # Nothing enters after the last exit: later intervals keep the last blend.
     while tau < n_int - 1:
         tau += 1
         _roll_interval(link_order, tau)
 
+    # Per (link, interval [lo, hi)): entries ins[e0:e1], whose exits are
+    # outs[e0:e1], and exits outs[x0:x1]; the vehicle-seconds on the link
+    # integrate entries minus exits so far over [lo, hi).
     states = {}
     entry_means = {}
     for rt in link_order:
         a = rt.link
         ff = rt.ff_steps * dt
+        ins, outs = rt.entry_times, rt.exit_times
+        rt.entry_times = rt.exit_times = None
         rows = []
+        e0 = x0 = 0
         for i in range(n_int):
-            n_in = rt.stat_entries[i]
-            tt = rt.stat_tt_sum[i] / n_in if n_in else ff
-            k = (rt.stat_count_integral[i] / clock.interval_s
-                 / (a.lanes * a.length)) * 1000.0          # veh/km/lane
-            flow = rt.stat_exits[i] / clock.interval_s / a.lanes * 3600.0  # veh/h/lane
+            hi = (i + 1) * interval_s
+            e1 = bisect_left(ins, hi, e0)
+            x1 = bisect_left(outs, hi, x0)
+            n_in, n_out = e1 - e0, x1 - x0
+            in_sum = sum(ins[e0:e1])
+            tt = (sum(outs[e0:e1]) - in_sum) / n_in if n_in else ff
+            veh_s = ((e0 - x0) * interval_s + (n_in - n_out) * hi
+                     - in_sum + sum(outs[x0:x1]))
+            k = veh_s / interval_s / rt.lane_m * 1000.0       # veh/km/lane
+            flow = n_out / interval_s / rt.lanes * 3600.0      # veh/h/lane
             rows.append(LinkIntervalState(
                 density=k, flow=flow, travel_time=max(tt, ff), free_flow_time=ff,
                 cav_fraction=rt.stat_cav[i], reaction_time=rt.stat_reaction[i]))
             if n_in:
-                entry_means[(a.id, i)] = rt.stat_entry_time_sum[i] / n_in
+                entry_means[(a.id, i)] = in_sum / n_in
+            e0, x0 = e1, x1
         states[a.id] = rows
 
+    del veh_route, veh_pos, veh_ready, veh_cav     # loop state, before the records
+    vehicles = [VehicleRecord(vid, p.vehicle_class, p.path, p.interval,
+                              p.departure_time, log, exit_t)
+                for vid, (p, log, exit_t) in enumerate(zip(plans, veh_log, veh_exit))]
     return LoadingResult(network, clock, states, vehicles,
                          {rt.link.id: rt.queue_flag for rt in link_order}, entry_means)
 

@@ -54,8 +54,11 @@ class CostSkims:
         self._trees: dict[tuple, dict] = {}
 
     @classmethod
-    def from_loading(cls, result, toll_schedule=None, vot_per_hour: float = 15.0):
-        """Build skims from a loading; tolls enter the UE cost in seconds."""
+    def from_loading(cls, result, toll_schedule=None, vot_per_hour=None):
+        """Build skims from a loading; tolls enter the UE cost in seconds at
+        the value of time `vot_per_hour` ($/h), which a tolled build must pass."""
+        if toll_schedule is not None and vot_per_hour is None:
+            raise ValueError("tolled skims need the value of time")
         tt = {}
         ue = {}
         so = {}

@@ -230,7 +230,7 @@ def test_ac08_so_costs_invariant_to_tolls(clock_1h, clock_20min):
     free_best = td_shortest_path(net, free, "A", "B", 0, SO_COST)
     cost_ok = True
     for a in (0.5, 2.0, 5.0):
-        tolled_skims = CostSkims.from_loading(res, TollSchedule(alpha={0: a}))
+        tolled_skims = CostSkims.from_loading(res, TollSchedule(alpha={0: a}), 15.0)
         cost_ok = (cost_ok
                    and tolled_skims.path_cost(p, 0, SO_COST) == free_cost
                    and td_shortest_path(net, tolled_skims, "A", "B", 0,

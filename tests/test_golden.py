@@ -8,11 +8,13 @@ search (the tie-heavy grid one from the memoised one-to-all search that
 pushed every relaxation and looked each interval up through the clock; the
 shared-origin one from the event-driven loader that still served
 origins in a loop of their own, the two-second-step one from the loader that
-kept blocked heads in a retry list of their own, the bi-level one from the
-outer loop that solved every schedule, charging or not, the mixed-solve one
-from the solver that rebuilt per-class (OD, interval) dicts of flows, costs,
-least costs and demands every iteration) and are never regenerated: a
-mismatch means an optimisation or refactor changed results.
+kept blocked heads in a retry list of their own, the interval-boundary one
+from the loader that updated per-link interval statistics on every move,
+the bi-level one from the outer loop that solved every schedule, charging or
+not, the mixed-solve one from the solver that rebuilt per-class (OD,
+interval) dicts of flows, costs, least costs and demands every iteration)
+and are never regenerated: a mismatch means an optimisation or refactor
+changed results.
 """
 import hashlib
 from collections import Counter
@@ -37,6 +39,7 @@ BILEVEL_DIGEST = "98242dbc5bf40bf8afa461a6d636ac13746b5612479a23e813b188634c5ed4
 TWO_SECOND_STEP_DIGEST = "2e21954f04046f1a9330a8465e2ee306dd6cee91fe087df5e4cd0e573cfb381c"
 MIXED_SOLVE_DIGEST = "aeb2844b82a528e2a2317d7d5eb4adc6d39a4d4bb6d691be0fbf0ed7d5b30173"
 GRID_SEARCH_DIGEST = "6ed33c5ce2183ba531496572903a48ccaaffe3098a0b9bd7af66c4d6f53fa0d9"
+INTERVAL_BOUNDARY_DIGEST = "f10657224636bca83238d3540694f31e2b358092ca5ab499b9dc2a32f7fba7d4"
 
 
 def digest(obj) -> str:
@@ -162,6 +165,30 @@ def heads_blocked_across_boundaries(res, feeder: str, downstream: str) -> list:
     return out
 
 
+def long_feeder_network():
+    """A 130 s feeder A->M and a 20 s feeder C->M merge into the M->B
+    bottleneck; on a 60 s interval clock a free-running A->M vehicle is on
+    the link across two interval boundaries."""
+    v = 20.0
+    return Network(
+        [Node("A", True), Node("C", True), Node("M"), Node("B", True)],
+        [Link("AM", "A", "M", 2600.0, 1, v),
+         Link("CM", "C", "M", 400.0, 1, v),
+         Link("MB", "M", "B", 140.0, 1, v, reaction_time_factor=2.0)])
+
+
+def long_feeder_plans():
+    """A departs every 5 s for 200 s, C every 3 s from 160 s; both stop
+    early, so the feeders go on emptying in intervals nothing enters."""
+    via_a = Path(("AM", "MB"), "A", "B")
+    via_c = Path(("CM", "MB"), "C", "B")
+    plans = [VehiclePlan(SO if i % 3 == 0 else UE, via_a, i // 12, 5.0 * i)
+             for i in range(40)]
+    plans += [VehiclePlan(UE if i % 2 else SO, via_c, 2 + i // 20, 160.0 + 3.0 * i)
+              for i in range(30)]
+    return plans
+
+
 def uniform_grid(n=4, length=400.0, speed=20.0):
     """An n x n grid of centroids joined by equal two-way links (20 s free
     flow each), so every OD pair off a row or column has several least-cost
@@ -247,6 +274,23 @@ def test_two_second_step_loading_digest():
     assert max(entries.values()) >= 2    # the two-lane link admits a pair a step
     assert heads_blocked_across_boundaries(res, "AM", "MB")
     assert digest(loading_dump(res)) == TWO_SECOND_STEP_DIGEST
+
+
+def test_interval_boundary_loading_digest():
+    clock = Clock(step_s=1, interval_s=60, horizon_s=1200)
+    res = load_vehicles(long_feeder_network(), long_feeder_plans(), clock)
+    trips = [(lid, t_in, t_out) for v in res.vehicles
+             for lid, t_in, t_out in zip(v.path.link_ids, v.link_entries,
+                                         v.link_entries[1:] + [v.exit_time])]
+    i_s = clock.interval_s
+    assert any(t_in % i_s == 0 and t_in > 0 for _lid, t_in, _t_out in trips)
+    assert any(t_out % i_s == 0 for _lid, _t_in, t_out in trips)
+    # On the link across two or more boundaries ...
+    assert any((t_out - 1) // i_s - t_in // i_s >= 2 for _lid, t_in, t_out in trips)
+    # ... and intervals with exits but no entries.
+    entered = {(lid, t_in // i_s) for lid, t_in, _t_out in trips}
+    assert any((lid, t_out // i_s) not in entered for lid, _t_in, t_out in trips)
+    assert digest(loading_dump(res)) == INTERVAL_BOUNDARY_DIGEST
 
 
 def test_first_nguyen_loading_digest():

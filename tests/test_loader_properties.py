@@ -1,7 +1,8 @@
 """Property tests of loader invariants on random plans over a small network
 with a merge, a diverge and a spillback bottleneck: vehicle conservation,
-FIFO order per link, storage bounds and independence from plan order, each
-on a 1 s and a 2 s simulation step."""
+FIFO order per link, storage bounds, independence from plan order and link
+statistics that replay exactly from the vehicle trajectories, each on a 1 s
+and a 2 s simulation step."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,11 @@ from test_golden import loading_dump
 
 on_both_steps = pytest.mark.parametrize(
     "clock", [Clock(step_s=s, interval_s=60, horizon_s=1800) for s in (1, 2)],
+    ids=lambda c: f"step{c.step_s}")
+# Intervals shorter than most traversals, so vehicles sit on links across
+# interval boundaries.
+short_intervals = pytest.mark.parametrize(
+    "clock", [Clock(step_s=s, interval_s=20, horizon_s=1800) for s in (1, 2)],
     ids=lambda c: f"step{c.step_s}")
 
 
@@ -59,6 +65,47 @@ def link_traversals(res):
         for lid, t_in, t_out in zip(v.path.link_ids, v.link_entries, exits):
             out[lid].append((t_in, t_out))
     return out
+
+
+def replayed_statistics(res) -> dict:
+    """link id -> per interval [entries, entry-time sum, travel-time sum of
+    those entries, exits, vehicle-seconds on the link], replayed vehicle by
+    vehicle with each traversal's vehicle-seconds split at interval
+    boundaries."""
+    i_s = res.clock.interval_s
+    out = {}
+    for lid, trips in link_traversals(res).items():
+        rows = [[0, 0.0, 0.0, 0, 0.0] for _ in range(res.clock.n_intervals)]
+        for t_in, t_out in trips:
+            first, last = int(t_in // i_s), int(t_out // i_s)
+            rows[first][0] += 1
+            rows[first][1] += t_in
+            rows[first][2] += t_out - t_in
+            rows[last][3] += 1
+            start = t_in
+            for j in range(first, last):
+                rows[j][4] += (j + 1) * i_s - start
+                start = (j + 1) * i_s
+            rows[last][4] += t_out - start
+        out[lid] = rows
+    return out
+
+
+@short_intervals
+@settings(max_examples=40, deadline=None)
+@given(plan_lists)
+def test_link_statistics_replay_exactly(clock, plans):
+    res = load_vehicles(NET, plans, clock)
+    i_s = clock.interval_s
+    for lid, rows in replayed_statistics(res).items():
+        link = NET.links[lid]
+        for j, (n_in, entry_sum, tt_sum, n_out, veh_s) in enumerate(rows):
+            st = res.states[lid][j]
+            ff = st.free_flow_time
+            assert st.density == veh_s / i_s / (link.lanes * link.length) * 1000.0
+            assert st.flow == n_out / i_s / link.lanes * 3600.0
+            assert st.travel_time == max(tt_sum / n_in if n_in else ff, ff)
+            assert res._entry_means.get((lid, j)) == (entry_sum / n_in if n_in else None)
 
 
 @on_both_steps

@@ -112,9 +112,14 @@ class TestGeneralizedCost:
         schedule = TollSchedule(alpha={0: 1.0})  # 1.0 $/km * 1.5 km = $1.50
         p = Path(("AM", "MB"), "A", "B")
         base = CostSkims.from_loading(res).path_cost(p, 0, UE_COST)
-        tolled = CostSkims.from_loading(res, schedule).path_cost(p, 0, UE_COST)
+        tolled = CostSkims.from_loading(res, schedule, 15.0).path_cost(p, 0, UE_COST)
         assert base == 75.0
         assert tolled - base == pytest.approx(360.0, rel=1e-12)
+
+    def test_tolled_skims_need_the_value_of_time(self, clock_20min):
+        res = one_vehicle_loading(two_link_network(zone=("AM",)), clock_20min)
+        with pytest.raises(ValueError, match="value of time"):
+            CostSkims.from_loading(res, TollSchedule(alpha={0: 1.0}))
 
     def test_so_cost_is_bit_identical_under_any_toll(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
@@ -124,13 +129,13 @@ class TestGeneralizedCost:
         assert free > 75.0   # the queue shows in the marginal time
         for alpha in (0.5, 5.0, 50.0):
             tolled = CostSkims.from_loading(
-                res, TollSchedule(alpha={0: alpha})).path_cost(p, 0, SO_COST)
+                res, TollSchedule(alpha={0: alpha}), 15.0).path_cost(p, 0, SO_COST)
             assert tolled == free  # exact, not approximate
 
     def test_schedule_window_only_prices_listed_intervals(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("AM", "MB"))
         res = one_vehicle_loading(net, clock_20min)
-        skims = CostSkims.from_loading(res, TollSchedule(alpha={0: 1.0}))
+        skims = CostSkims.from_loading(res, TollSchedule(alpha={0: 1.0}), 15.0)
         p = Path(("AM", "MB"), "A", "B")
         assert skims.path_cost(p, 1, UE_COST) == 75.0
 
