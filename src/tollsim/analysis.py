@@ -28,23 +28,14 @@ def hysteresis_area(series) -> float:
     return abs(s) / 2.0
 
 
-def _vehicle_link_times(vehicle):
-    """Per-link traversal times recovered from the vehicle's entry stamps."""
-    entries = vehicle.link_entries
-    times = []
-    for i, t_in in enumerate(entries):
-        t_out = entries[i + 1] if i + 1 < len(entries) else vehicle.exit_time
-        times.append(t_out - t_in)
-    return times
-
-
 def vehicle_zone_time(vehicle, network: Network) -> float:
-    """Seconds spent on pricing-zone links; 0 if the vehicle avoids the zone."""
-    total = 0.0
-    for lid, dt in zip(vehicle.path.link_ids, _vehicle_link_times(vehicle)):
-        if network.links[lid].in_pricing_zone:
-            total += dt
-    return total
+    """Seconds spent on pricing-zone links; 0 if the vehicle avoids the zone.
+    A link's exit is the next link's entry, or the network exit."""
+    entries = vehicle.link_entries
+    exits = entries[1:] + [vehicle.exit_time]
+    return sum((t_out - t_in for lid, t_in, t_out in zip(vehicle.path.link_ids,
+                                                         entries, exits)
+                if network.links[lid].in_pricing_zone), 0.0)
 
 
 def vehicle_toll(vehicle, network: Network, toll_schedule, clock) -> float:

@@ -119,6 +119,8 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     """Run the iterative mixed-equilibrium assignment until the mean relative
     gap stays at or below the tolerance for two consecutive iterations, or the
     iteration cap is reached. Returns the full iteration log either way.
+    Only the loadings that can end the solve keep per-vehicle records, so
+    the returned `loading.vehicles` is always complete.
     """
     t0 = time.perf_counter()
     # (od, class) -> {interval: demand} over the positive class demands.
@@ -144,7 +146,11 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         assignments = [PathAssignment(cls, path, tau, f)
                        for (ps, cls, tau, _), fs in zip(rows, flows)
                        for path, f in zip(ps.paths, fs) if f > 0]
-        result = load_network(network, assignments, clock)
+        # The loop stops only at the cap or once `hits` reaches 2, so only a
+        # loading made at the cap or after one hit can become the result's;
+        # the others skip the per-vehicle records.
+        result = load_network(network, assignments, clock,
+                              records=it == config.max_iterations or hits == 1)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 
         # AON searches and path costs over the untouched path sets.

@@ -33,7 +33,8 @@ Link statistics come from per-link entry and exit times, one append each
 per move. Links are FIFO, so the k-th exit pairs with the k-th entry, and
 after the loop a bisection at each interval end gives every (link, interval)
 count and sum. Times are whole seconds: the float sums are exact, whatever
-their order.
+their order. `records=False` skips the per-vehicle entry logs and records,
+which only a solve's final loading needs; counts and TSTT come from exits.
 """
 from __future__ import annotations
 
@@ -239,29 +240,20 @@ def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
 
 
 class LoadingResult:
-    """Immutable outcome of one network loading."""
+    """Immutable outcome of one network loading. `vehicles` is `()` without
+    records; the counts and TSTT (veh-h) come from the loader's exit times,
+    and a returned loading strands no vehicle, so all that entered exited."""
 
     def __init__(self, network, clock, states, vehicles, queue_flags,
-                 entry_time_means):
+                 entry_time_means, n_vehicles, tstt_veh_h):
         self.network = network
         self.clock = clock
         self.states = states                # link_id -> [LinkIntervalState per interval]
-        self.vehicles = vehicles            # list[VehicleRecord]
+        self.vehicles = vehicles            # list[VehicleRecord], or ()
         self._queue_flags = queue_flags     # link_id -> bytearray, 1 per queued step
         self._entry_means = entry_time_means  # (link_id, tau) -> mean entry time
-
-    @property
-    def vehicles_entered(self) -> int:
-        return len(self.vehicles)
-
-    @property
-    def vehicles_exited(self) -> int:
-        return sum(1 for v in self.vehicles if not math.isnan(v.exit_time))
-
-    @property
-    def tstt_veh_h(self) -> float:
-        """Total system travel time in vehicle-hours."""
-        return sum(v.travel_time for v in self.vehicles) / 3600.0
+        self.vehicles_entered = self.vehicles_exited = n_vehicles
+        self.tstt_veh_h = tstt_veh_h
 
     def queue_clearance_delay(self, link_id: str, t: float) -> float:
         """Seconds after time t until the link's standing queue dissipates."""
@@ -307,7 +299,8 @@ class LoadingResult:
         return total
 
 
-def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
+def load_vehicles(network: Network, plans, clock: Clock, *,
+                  records: bool = True) -> LoadingResult:
     """Simulate an explicit list of vehicle plans. See `load_network`."""
     paths: dict[int, Path] = {}     # id -> path; each distinct object validated once
     for plan in plans:
@@ -333,12 +326,12 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
     # order): route (its links, then None for the exit), position on it (-1
     # at the origin), first step it may leave its queue (the departure step
     # at the origin, entry step + free-flow steps on a link), link entry
-    # times and network exit time.
+    # times (kept only for records) and network exit time.
     veh_route = [routes[id(p.path)] for p in plans]
     veh_pos = [-1] * len(plans)
     veh_ready = _ready_steps([p.departure_time for p in plans], dt, n_steps)
     veh_cav = [p.vehicle_class == SO for p in plans]
-    veh_log = [[] for _ in plans]
+    veh_log = [[] for _ in plans] if records else None
     veh_exit = [math.nan] * len(plans)
 
     by_origin: dict[str, list[int]] = {}
@@ -447,7 +440,8 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
                     nq.append(vid)
                     nrt.entry_times.append(t)
                     veh_ready[vid] = step + nrt.ff_steps
-                    veh_log[vid].append(t)
+                    if records:
+                        veh_log[vid].append(t)
                     if veh_cav[vid]:
                         nrt.enter_cav += 1
                     else:
@@ -501,18 +495,25 @@ def load_vehicles(network: Network, plans, clock: Clock) -> LoadingResult:
             e0, x0 = e1, x1
         states[a.id] = rows
 
+    # In vehicle order, so it equals the sum of the records' travel times.
+    tstt = sum(e - p.departure_time for e, p in zip(veh_exit, plans)) / 3600.0
     del veh_route, veh_pos, veh_ready, veh_cav     # loop state, before the records
     vehicles = [VehicleRecord(vid, p.vehicle_class, p.path, p.interval,
                               p.departure_time, log, exit_t)
-                for vid, (p, log, exit_t) in enumerate(zip(plans, veh_log, veh_exit))]
+                for vid, (p, log, exit_t) in enumerate(zip(plans, veh_log, veh_exit))
+                ] if records else ()
     return LoadingResult(network, clock, states, vehicles,
-                         {rt.link.id: rt.queue_flag for rt in link_order}, entry_means)
+                         {rt.link.id: rt.queue_flag for rt in link_order}, entry_means,
+                         len(plans), tstt)
 
 
-def load_network(network: Network, assignments, clock: Clock) -> LoadingResult:
+def load_network(network: Network, assignments, clock: Clock, *,
+                 records: bool = True) -> LoadingResult:
     """Load fractional per-path class flows onto the network.
 
-    Raises GridlockError if the horizon ends before the network empties.
+    `records=False` builds no `VehicleRecord`s (`vehicles` is `()`) and
+    changes nothing else. Raises GridlockError if the horizon ends before
+    the network empties.
     """
     plans = discretize_assignments(assignments, clock)
-    return load_vehicles(network, plans, clock)
+    return load_vehicles(network, plans, clock, records=records)

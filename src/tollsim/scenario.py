@@ -190,7 +190,7 @@ def write_nfd_csv(series, path):
 
 def write_trajectories_csv(result, path):
     _write_csv(path, ["vehicle_id", "class", "departure_interval", "path_id",
-                      "entry_time_s", "exit_time_s"],
+                      "departure_time_s", "exit_time_s"],
                [(v.vehicle_id, v.vehicle_class, v.interval,
                  "|".join(v.path.link_ids), v.departure_time, v.exit_time)
                 for v in result.vehicles])

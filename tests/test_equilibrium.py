@@ -1,9 +1,12 @@
 """Successive-averages solver: step sizes, proportion updates, relative gaps,
 and a hand-solved two-route equilibrium."""
+import inspect
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from tollsim import equilibrium
+from tollsim import equilibrium, loading
 from tollsim.demand import SO, UE, split_demand
 from tollsim.equilibrium import (SolverConfig, UndefinedGapError,
                                  relative_gap, solve_mixed_equilibrium,
@@ -195,3 +198,32 @@ class TestSolver:
         assert [r.iteration for r in res.log] == list(range(1, 11))
         assert all(r.rgap >= 0.0 for r in res.log)
         assert all(r.rgap == (r.r1gap + r.r2gap) / 2.0 for r in res.log)
+
+    @pytest.mark.parametrize("cfg, converges", [
+        (SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0), True),
+        (SolverConfig(max_iterations=6, gap_tolerance=1e-12), False),
+    ], ids=["converges", "hits-the-cap"])
+    def test_records_only_for_loadings_that_can_end_the_solve(
+            self, clock_1h, monkeypatch, cfg, converges):
+        requested = []
+
+        def load_network(*args, records):
+            requested.append(records)
+            return loading.load_network(*args, records=records)
+
+        monkeypatch.setattr(equilibrium, "load_network", load_network)
+        net = bottleneck_pair_network()
+        demand = split_demand({("O", "D", 0): 400.0}, 0.4)
+        res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
+        assert res.converged is converges
+        # At the cap, and after an iteration that met the tolerance.
+        assert requested == [
+            it == cfg.max_iterations or (it > 1 and res.log[it - 2].rgap
+                                         <= cfg.gap_tolerance)
+            for it in range(1, len(res.log) + 1)]
+        assert not all(requested)
+        vehicles = res.loading.vehicles
+        assert len(vehicles) == res.loading.vehicles_entered == 400
+        assert all(math.isfinite(v.exit_time) for v in vehicles)
+        assert inspect.signature(loading.load_network) \
+            .parameters["records"].default is True

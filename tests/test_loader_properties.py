@@ -1,8 +1,9 @@
 """Property tests of loader invariants on random plans over a small network
 with a merge, a diverge and a spillback bottleneck: vehicle conservation,
-FIFO order per link, storage bounds, independence from plan order and link
-statistics that replay exactly from the vehicle trajectories, each on a 1 s
-and a 2 s simulation step."""
+FIFO order per link, storage bounds, independence from plan order, link
+statistics that replay exactly from the vehicle trajectories and a loading
+without vehicle records that equals one with them, each on a 1 s and a 2 s
+simulation step."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,18 @@ plan_lists = st.lists(
     st.builds(burst, st.sampled_from([UE, SO]), st.integers(0, len(PATHS) - 1),
               st.integers(0, 239), st.integers(1, 40), st.integers(1, 4)),
     max_size=6).map(lambda bursts: [p for b in bursts for p in b])
+
+
+def shifted(plans, offsets):
+    """The plans with departures delayed by `offsets` in turn, some by a
+    fraction of a second."""
+    return [p._replace(departure_time=p.departure_time + offsets[k % len(offsets)])
+            for k, p in enumerate(plans)]
+
+
+fractional_plan_lists = st.builds(
+    shifted, plan_lists,
+    st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.7]), min_size=1, max_size=5))
 
 
 def link_traversals(res):
@@ -152,3 +165,22 @@ def test_result_independent_of_plan_order(clock, plans, rng):
     rng.shuffle(shuffled)
     assert loading_dump(load_vehicles(NET, shuffled, clock)) \
         == loading_dump(load_vehicles(NET, plans, clock))
+
+
+@on_both_steps
+@settings(max_examples=40, deadline=None)
+@given(fractional_plan_lists)
+def test_records_change_nothing_else(clock, plans):
+    full = load_vehicles(NET, plans, clock)
+    bare = load_vehicles(NET, plans, clock, records=False)
+    assert len(full.vehicles) == len(plans) and bare.vehicles == ()
+    assert bare.states == full.states
+    assert bare._entry_means == full._entry_means
+    assert bare._queue_flags == full._queue_flags
+    for lid in NET.links:
+        for i in range(clock.n_intervals):
+            assert bare.marginal_time(lid, i) == full.marginal_time(lid, i)
+    assert bare.tstt_veh_h == full.tstt_veh_h
+    assert bare.vehicles_entered == full.vehicles_entered == len(plans)
+    assert bare.vehicles_exited == full.vehicles_exited == len(plans)
+    assert full.tstt_veh_h == sum(v.travel_time for v in full.vehicles) / 3600.0

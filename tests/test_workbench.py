@@ -1,4 +1,5 @@
 """Bundled benchmark network, scenario orchestration and the CLI."""
+import csv
 import dataclasses
 import json
 import os
@@ -345,6 +346,34 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["equilibrate", path, "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
+
+    def test_equilibrate_writes_the_final_trajectories(self, tmp_path,
+                                                       monkeypatch):
+        solves = []
+
+        def solve(*args):
+            solves.append(solve_mixed_equilibrium(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(scenario, "solve_mixed_equilibrium", solve)
+        src = tmp_path / "nguyen"
+        assert main(["nguyen", "--out", str(src)]) == 0
+        with open(src / "scenario.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["solver"]["max_iterations"] = 3
+        with open(src / "scenario.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = tmp_path / "out"
+        assert main(["equilibrate", str(src / "scenario.json"), "--so-ratio",
+                     "0.4", "--out", str(out), "--trajectories"]) == 0
+        [eq] = solves
+        with open(out / "trajectories_r040.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        vehicles = eq.loading.vehicles
+        assert len(rows) == len(vehicles) == eq.loading.vehicles_entered > 0
+        assert [(float(r["departure_time_s"]), float(r["exit_time_s"]))
+                for r in rows] == [(v.departure_time, v.exit_time)
+                                   for v in vehicles]
 
     def test_price_without_toll_config_fails(self, tmp_path):
         path = write_fixture_scenario(tmp_path)
