@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                  "NFD-based pricing laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="schema and network checks")
+    p = sub.add_parser("validate", help="scenario, network and demand checks")
     p.add_argument("scenario")
 
     p = sub.add_parser("equilibrate", help="no-toll equilibrium run")

@@ -5,8 +5,9 @@ fractional; the loader discretizes to whole vehicles. `split_demand` is the
 one UE/SO split: a global SO ratio, optional per-entry overrides and
 optional noise, counter-based on (seed, origin, destination, interval) so
 results do not depend on iteration order. Demand records are checked when
-they are parsed: integral intervals, totals finite and non-negative,
-overrides in [0, 1].
+they are parsed: a list of objects without unknown or missing keys, integral
+intervals, totals finite and non-negative, overrides in [0, 1], and every
+total and override a JSON number.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .network import parse_int
+from .network import check_fields, parse_int, parse_number
 
 UE = 1
 SO = 2
@@ -41,30 +42,31 @@ class ClassDemand:
         self.entries = dict(entries)
 
 
-_DEMAND_FIELDS = {"origin", "destination", "interval_index", "total", "so_ratio"}
+_DEMAND_REQUIRED = ("origin", "destination", "interval_index", "total")
 
 
 def demand_from_records(records) -> tuple[dict[tuple[str, str, int], float],
                                           dict[tuple[str, str, int], float]]:
     """Parse demand records into totals and per-record SO-ratio overrides."""
+    if not isinstance(records, list):
+        raise ValueError("demand must be a list of objects, "
+                         f"got {type(records).__name__}")
     totals: dict[tuple[str, str, int], float] = {}
     overrides: dict[tuple[str, str, int], float] = {}
     for rec in records:
-        unknown = set(rec) - _DEMAND_FIELDS
-        if unknown:
-            raise ValueError(f"unknown demand fields: {sorted(unknown)}")
+        check_fields(rec, _DEMAND_REQUIRED, ("so_ratio",), "demand")
         key = (str(rec["origin"]), str(rec["destination"]),
                parse_int(rec["interval_index"], "interval_index"))
         if key[0] == key[1]:
             raise ValueError(f"demand origin equals destination: {key[0]!r}")
-        total = float(rec["total"])
+        total = parse_number(rec["total"], f"demand total at {key}")
         if total < 0:
             raise ValueError(f"negative demand at {key}")
         if not math.isfinite(total):
             raise ValueError(f"non-finite demand at {key}: {total!r}")
         totals[key] = totals.get(key, 0.0) + total
         if rec.get("so_ratio") is not None:
-            ratio = float(rec["so_ratio"])
+            ratio = parse_number(rec["so_ratio"], f"so_ratio at {key}")
             if not 0.0 <= ratio <= 1.0:
                 raise ValueError(f"so_ratio {ratio!r} at {key} outside [0, 1]")
             overrides[key] = ratio

@@ -175,11 +175,13 @@ _NODE_REQUIRED = ("id",)
 _NODE_OPTIONAL = ("is_centroid",)
 
 
-def _check_fields(record: dict, required, optional, kind: str) -> None:
-    unknown = set(record) - set(required) - set(optional)
+def check_fields(record, required, optional, kind: str) -> None:
+    if not isinstance(record, dict):
+        raise ValueError(f"{kind} must be an object, got {type(record).__name__}")
+    unknown = record.keys() - (*required, *optional)
     if unknown:
         raise ValueError(f"unknown {kind} fields: {sorted(unknown)}")
-    missing = set(required) - set(record)
+    missing = set(required) - record.keys()
     if missing:
         raise ValueError(f"missing {kind} fields: {sorted(missing)}")
 
@@ -203,36 +205,35 @@ def parse_int(value, what: str) -> int:
 
 def network_from_dict(obj: dict) -> Network:
     """Build a Network from the JSON document structure."""
-    unknown = set(obj) - {"nodes", "links", "pricing_zone"}
-    if unknown:
-        raise ValueError(f"unknown network fields: {sorted(unknown)}")
-    missing = {"nodes", "links"} - set(obj)
-    if missing:
-        raise ValueError(f"missing network fields: {sorted(missing)}")
+    check_fields(obj, ("nodes", "links"), ("pricing_zone",), "network")
+    for key in ("nodes", "links", "pricing_zone"):
+        if not isinstance(obj.get(key, []), list):
+            raise ValueError(f"network {key} must be a list, got {obj[key]!r}")
     nodes = []
-    for rec in obj.get("nodes", []):
-        _check_fields(rec, _NODE_REQUIRED, _NODE_OPTIONAL, "node")
-        nodes.append(Node(id=str(rec["id"]), is_centroid=bool(rec.get("is_centroid", False))))
+    for rec in obj["nodes"]:
+        check_fields(rec, _NODE_REQUIRED, _NODE_OPTIONAL, "node")
+        centroid = rec.get("is_centroid", False)
+        if not isinstance(centroid, bool):
+            raise ValueError(f"node {rec['id']!r} is_centroid must be a boolean, "
+                             f"got {centroid!r}")
+        nodes.append(Node(id=str(rec["id"]), is_centroid=centroid))
     zone = set(str(x) for x in obj.get("pricing_zone", []))
     links = []
-    for rec in obj.get("links", []):
-        _check_fields(rec, _LINK_REQUIRED, _LINK_OPTIONAL, "link")
-        link = Link(
+    for rec in obj["links"]:
+        check_fields(rec, _LINK_REQUIRED, _LINK_OPTIONAL, "link")
+        what = f"link {rec['id']!r}"
+        numbers = {key: parse_number(rec[key], f"{what} {key}")
+                   for key in ("length", "speed_limit") + _LINK_OPTIONAL if key in rec}
+        for key, value in numbers.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{what} {key} must be finite, got {value!r}")
+        links.append(Link(
             id=str(rec["id"]),
             from_node=str(rec["from_node"]),
             to_node=str(rec["to_node"]),
-            length=float(rec["length"]),
-            lanes=parse_int(rec["lanes"], f"link {rec['id']!r} lanes"),
-            speed_limit=float(rec["speed_limit"]),
-            effective_vehicle_length=float(rec.get("effective_vehicle_length", 7.0)),
-            reaction_time_factor=float(rec.get("reaction_time_factor", 1.0)),
+            lanes=parse_int(rec["lanes"], f"{what} lanes"),
             in_pricing_zone=str(rec["id"]) in zone,
-        )
-        for key in ("length", "speed_limit") + _LINK_OPTIONAL:
-            if not math.isfinite(getattr(link, key)):
-                raise ValueError(f"link {link.id!r} {key} must be finite, "
-                                 f"got {getattr(link, key)!r}")
-        links.append(link)
+            **numbers))
     known = {a.id for a in links}
     stray = zone - known
     if stray:

@@ -197,16 +197,12 @@ class PathSet:
 
         A duplicate leaves the set unchanged. At cap, the path with the
         smallest mean proportion (ties: oldest) is evicted and the survivors
-        are renormalized; the new path always starts at proportion 0.
+        are renormalized; the new path starts at proportion 0, or at 1 in an
+        interval whose proportions sum to 0 (as in an empty set).
         """
         idx = self.index_of(path)
         if idx is not None:
             return idx
-        if not self.paths:
-            self.paths.append(path)
-            for tau in self.proportions:
-                self.proportions[tau] = [1.0]
-            return 0
         if len(self.paths) >= self.cap:
             means = [sum(self.proportions[tau][i] for tau in self.proportions)
                      for i in range(len(self.paths))]

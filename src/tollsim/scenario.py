@@ -2,8 +2,11 @@
 
 A scenario JSON references a network and a demand file, fixes the clock,
 solver and (optionally) toll configuration, and lists the SO-ratio sweep.
-All randomness flows from the single scenario seed through the counter-based
-demand-split generator; repeated runs are byte-identical.
+`validate_scenario` and `run_scenario` read and check those files through
+one `_load_inputs`, and a run writes every output through one `emit` that
+records it in `manifest.json`. All randomness flows from the single scenario
+seed through the counter-based demand-split generator; repeated runs are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ from . import __version__
 from .analysis import class_zone_summary
 from .demand import NoiseConfig, load_demand_file, split_demand
 from .equilibrium import SolverConfig, solve_mixed_equilibrium
-from .network import (Clock, load_network_file, parse_int, parse_number,
-                      validate_network)
+from .network import (Clock, check_fields, load_network_file, parse_int,
+                      parse_number, validate_network)
 from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
                       nfd_series)
 
@@ -91,9 +94,7 @@ class Scenario:
 
     @staticmethod
     def from_dict(obj: dict, base_dir: str = ".") -> "Scenario":
-        unknown = set(obj) - _SCENARIO_FIELDS
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
+        check_fields(obj, (), _SCENARIO_FIELDS, "scenario")
         for key in ("network", "demand"):
             if not isinstance(obj.get(key), str):
                 raise ValueError(f"scenario {key} must be a file name, "
@@ -110,8 +111,11 @@ class Scenario:
         beta = parse_number(obj.get("noise_beta_max", 0.0), "noise_beta_max")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"noise_beta_max must be finite and in [0, 1], got {beta}")
+        scenario_id = obj.get("scenario_id", "scenario")
+        if not isinstance(scenario_id, str):
+            raise ValueError(f"scenario_id must be a string, got {scenario_id!r}")
         return Scenario(
-            scenario_id=str(obj.get("scenario_id", "scenario")),
+            scenario_id=scenario_id,
             network_path=os.path.join(base_dir, obj["network"]),
             demand_path=os.path.join(base_dir, obj["demand"]),
             clock=clock, solver=solver, toll=toll,
@@ -130,34 +134,35 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Schema plus referenced-file checks; returns violations."""
+def _load_inputs(scenario: Scenario):
+    """(network, (totals, overrides), problems), a file that failed to load
+    being None; `problems` lists (stage, message) pairs, network first."""
     problems = []
-    if not os.path.exists(scenario.network_path):
-        problems.append(f"network file missing: {scenario.network_path}")
-    else:
+
+    def load(stage, loader, path):
         try:
-            network = load_network_file(scenario.network_path)
-            problems.extend(validate_network(network))
-        except ValueError as exc:
-            problems.append(f"network file invalid: {exc}")
-    if not os.path.exists(scenario.demand_path):
-        problems.append(f"demand file missing: {scenario.demand_path}")
-    else:
-        try:
-            totals, _overrides = load_demand_file(scenario.demand_path)
-        except (ValueError, KeyError) as exc:
-            problems.append(f"demand file invalid: {exc}")
-        else:
-            problems.extend(_demand_outside_clock(totals, scenario.clock))
-    return problems
+            return loader(path)
+        except FileNotFoundError:
+            problems.append((stage, f"{stage} file missing: {path}"))
+        except (OSError, ValueError) as exc:
+            problems.append((stage, f"{stage} file invalid: {exc}"))
+        return None
+
+    network = load("network", load_network_file, scenario.network_path)
+    if network is not None:
+        problems += [("network", p) for p in validate_network(network)]
+    demand = load("demand", load_demand_file, scenario.demand_path)
+    if demand is not None:
+        n = scenario.clock.n_intervals
+        problems += [("demand", f"demand {o}->{d} at interval {tau} outside "
+                                f"the clock's {n} intervals")
+                     for (o, d, tau) in sorted(demand[0]) if tau not in range(n)]
+    return network, demand, problems
 
 
-def _demand_outside_clock(totals, clock: Clock) -> list[str]:
-    """One line per demand key whose departure interval the clock lacks."""
-    n = clock.n_intervals
-    return [f"demand {o}->{d} at interval {tau} outside the clock's {n} intervals"
-            for (o, d, tau) in sorted(totals) if tau not in range(n)]
+def validate_scenario(scenario: Scenario) -> list[str]:
+    """Every problem with the scenario's network and demand files."""
+    return [message for _stage, message in _load_inputs(scenario)[2]]
 
 
 def _fmt(x) -> str:
@@ -176,24 +181,15 @@ def _write_csv(path, header, rows):
             w.writerow([_fmt(x) for x in row])
 
 
-def write_iteration_log(log, path):
-    # wall_time_s is left blank: outputs must be byte-identical across runs.
-    _write_csv(path, ["iter", "r1gap", "r2gap", "rgap", "tstt_veh_h", "wall_time_s"],
-               [(r.iteration, r.r1gap, r.r2gap, r.rgap, r.tstt_veh_h, None)
-                for r in log])
+def _write_json(path, obj, indent=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
 
 
-def write_nfd_csv(series, path):
-    _write_csv(path, ["interval_index", "density_veh_km", "flow_veh_h"],
-               [(p.interval, p.density, p.flow) for p in series])
-
-
-def write_trajectories_csv(result, path):
-    _write_csv(path, ["vehicle_id", "class", "departure_interval", "path_id",
-                      "departure_time_s", "exit_time_s"],
-               [(v.vehicle_id, v.vehicle_class, v.interval,
-                 "|".join(v.path.link_ids), v.departure_time, v.exit_time)
-                for v in result.vehicles])
+def _nfd_table(series):
+    return (["interval_index", "density_veh_km", "flow_veh_h"],
+            [(p.interval, p.density, p.flow) for p in series])
 
 
 def _ratio_tag(ratio: float) -> str:
@@ -206,28 +202,27 @@ def run_scenario(scenario: Scenario, out_dir: str,
     run manifest. Every output file lands in `out_dir`.
     """
     os.makedirs(out_dir, exist_ok=True)
+    network, demand, problems = _load_inputs(scenario)
+    if problems:
+        first = problems[0][0]
+        raise StageError(first, ValueError("; ".join(
+            message for stage, message in problems if stage == first)))
+    totals, overrides = demand
     outputs = []
+
+    def emit(name, write, *args):
+        write(os.path.join(out_dir, name), *args)
+        outputs.append(name)
 
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except StageError:
-            raise
         except Exception as exc:
             raise StageError(name, exc) from exc
 
-    network = stage("network", load_network_file, scenario.network_path)
-    problems = validate_network(network)
-    if problems:
-        raise StageError("network", ValueError("; ".join(problems)))
-    totals, overrides = stage("demand", load_demand_file, scenario.demand_path)
-    problems = _demand_outside_clock(totals, scenario.clock)
-    if problems:
-        raise StageError("demand", ValueError("; ".join(problems)))
     noise = (NoiseConfig(seed=scenario.seed, beta_max=scenario.noise_beta_max)
              if scenario.noise_beta_max > 0 else None)
     zone = sorted(network.zone_link_ids)
-    nfd_links = zone if zone else None
 
     runs = {}   # ratio -> (split demand, its untolled equilibrium)
 
@@ -242,18 +237,22 @@ def run_scenario(scenario: Scenario, out_dir: str,
     for ratio in scenario.so_ratios:
         tag = _ratio_tag(ratio)
         _demand, eq = untolled(ratio)
-        write_iteration_log(eq.log, os.path.join(out_dir, f"iters_r{tag}.csv"))
-        outputs.append(f"iters_r{tag}.csv")
-        series = nfd_series(eq.loading, network, nfd_links)
-        write_nfd_csv(series, os.path.join(out_dir, f"nfd_r{tag}.csv"))
-        outputs.append(f"nfd_r{tag}.csv")
-        net_series = nfd_series(eq.loading, network, None)
-        write_nfd_csv(net_series, os.path.join(out_dir, f"nfd_network_r{tag}.csv"))
-        outputs.append(f"nfd_network_r{tag}.csv")
+        # wall_time_s is left blank: outputs must be byte-identical across runs.
+        emit(f"iters_r{tag}.csv", _write_csv,
+             ["iter", "r1gap", "r2gap", "rgap", "tstt_veh_h", "wall_time_s"],
+             [(r.iteration, r.r1gap, r.r2gap, r.rgap, r.tstt_veh_h, None)
+              for r in eq.log])
+        series = nfd_series(eq.loading, network, zone or None)
+        emit(f"nfd_r{tag}.csv", _write_csv, *_nfd_table(series))
+        emit(f"nfd_network_r{tag}.csv", _write_csv,
+             *_nfd_table(nfd_series(eq.loading, network, None)))
         if write_trajectories:
-            write_trajectories_csv(eq.loading,
-                                   os.path.join(out_dir, f"trajectories_r{tag}.csv"))
-            outputs.append(f"trajectories_r{tag}.csv")
+            emit(f"trajectories_r{tag}.csv", _write_csv,
+                 ["vehicle_id", "class", "departure_interval", "path_id",
+                  "departure_time_s", "exit_time_s"],
+                 [(v.vehicle_id, v.vehicle_class, v.interval,
+                   "|".join(v.path.link_ids), v.departure_time, v.exit_time)
+                  for v in eq.loading.vehicles])
         m = class_zone_summary(eq.loading, network, series,
                                vot_per_hour=scenario.solver.vot_per_hour)
         metrics_rows.append((scenario.scenario_id, ratio, 0, m))
@@ -264,44 +263,37 @@ def run_scenario(scenario: Scenario, out_dir: str,
         _demand, base_eq = untolled(0.0)
         base_series = nfd_series(base_eq.loading, network, zone)
         est = stage("pricing", estimate_critical_density, base_series)
-        with open(os.path.join(out_dir, "kcr.json"), "w", encoding="utf-8") as fh:
-            json.dump({"k_cr_veh_km": est.k_cr, "interval": est.interval,
-                       "low_confidence": est.low_confidence}, fh, sort_keys=True)
-            fh.write("\n")
-        outputs.append("kcr.json")
+        emit("kcr.json", _write_json,
+             {"k_cr_veh_km": est.k_cr, "interval": est.interval,
+              "low_confidence": est.low_confidence})
         for ratio in scenario.so_ratios:
             tag = _ratio_tag(ratio)
             demand, base = untolled(ratio)
             bl = stage("pricing", bilevel_solve, network, demand, scenario.clock,
                        scenario.toll, scenario.solver, est.k_cr, base)
-            bl.schedule.write_alpha_csv(os.path.join(out_dir, f"toll_r{tag}.csv"))
-            bl.schedule.write_omega_csv(os.path.join(out_dir, f"omega_r{tag}.csv"))
-            outputs += [f"toll_r{tag}.csv", f"omega_r{tag}.csv"]
-            _write_csv(os.path.join(out_dir, f"controller_r{tag}.csv"),
-                       ["outer_iter", "objective", "mean_alpha",
-                        "mean_zone_density", "inner_gap", "tstt_veh_h"],
-                       [(r.outer_iteration, r.objective, r.mean_alpha,
-                         r.mean_zone_density, r.inner_gap, r.tstt_veh_h)
-                        for r in bl.log])
-            outputs.append(f"controller_r{tag}.csv")
+            emit(f"toll_r{tag}.csv", bl.schedule.write_alpha_csv)
+            emit(f"omega_r{tag}.csv", bl.schedule.write_omega_csv)
+            emit(f"controller_r{tag}.csv", _write_csv,
+                 ["outer_iter", "objective", "mean_alpha",
+                  "mean_zone_density", "inner_gap", "tstt_veh_h"],
+                 [(r.outer_iteration, r.objective, r.mean_alpha,
+                   r.mean_zone_density, r.inner_gap, r.tstt_veh_h)
+                  for r in bl.log])
             tolled_series = nfd_series(bl.equilibrium.loading, network, zone)
-            write_nfd_csv(tolled_series,
-                          os.path.join(out_dir, f"nfd_tolled_r{tag}.csv"))
-            outputs.append(f"nfd_tolled_r{tag}.csv")
+            emit(f"nfd_tolled_r{tag}.csv", _write_csv, *_nfd_table(tolled_series))
             m = class_zone_summary(bl.equilibrium.loading, network, tolled_series,
                                    toll_schedule=bl.schedule,
                                    vot_per_hour=scenario.solver.vot_per_hour,
                                    baseline=base.loading)
             metrics_rows.append((scenario.scenario_id, ratio, 1, m))
 
-    _write_csv(os.path.join(out_dir, "metrics.csv"),
-               ["scenario_id", "so_ratio", "tolled", "tstt_veh_h", "zone_k_mean",
-                "ue_zone_tt_min", "so_zone_tt_min", "mean_toll_usd", "bc_ratio",
-                "hysteresis_area"],
-               [(sid, ratio, tolled, m.tstt_veh_h, m.zone_k_mean, m.ue_zone_tt_min,
-                 m.so_zone_tt_min, m.mean_toll_usd, m.bc_ratio, m.hysteresis_area)
-                for (sid, ratio, tolled, m) in metrics_rows])
-    outputs.append("metrics.csv")
+    emit("metrics.csv", _write_csv,
+         ["scenario_id", "so_ratio", "tolled", "tstt_veh_h", "zone_k_mean",
+          "ue_zone_tt_min", "so_zone_tt_min", "mean_toll_usd", "bc_ratio",
+          "hysteresis_area"],
+         [(sid, ratio, tolled, m.tstt_veh_h, m.zone_k_mean, m.ue_zone_tt_min,
+           m.so_zone_tt_min, m.mean_toll_usd, m.bc_ratio, m.hysteresis_area)
+          for (sid, ratio, tolled, m) in metrics_rows])
 
     manifest = {
         "scenario_hash": scenario.content_hash(),
@@ -310,9 +302,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
         "files": {name: _sha256(os.path.join(out_dir, name))
                   for name in sorted(outputs)},
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest, 2)
     return manifest
 
 

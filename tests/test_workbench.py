@@ -130,10 +130,18 @@ class TestScenarioParsing:
         ({"solver": {"gamma": "0.5"}}, "solver gamma must be a number"),
         ({"so_ratios": ["0.5"]}, "so_ratios entry must be a number"),
         ({"seed": True}, "seed must be a number"),
+        # Used to write "None" (or "7") as the scenario_id in metrics.csv.
+        ({"scenario_id": None}, "scenario_id must be a string"),
+        ({"scenario_id": 7}, "scenario_id must be a string"),
     ])
     def test_wrong_json_type_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
             Scenario.from_dict({"network": "n", "demand": "d", **doc})
+
+    @pytest.mark.parametrize("doc", [[], ["network", "demand"], "net.json"])
+    def test_scenario_must_be_an_object(self, doc):
+        with pytest.raises(ValueError, match="scenario must be an object"):
+            Scenario.from_dict(doc)
 
     @pytest.mark.parametrize("section,value", [
         ("toll", False), ("toll", 0), ("toll", []),   # used to price at defaults
@@ -308,6 +316,82 @@ class TestRunScenario:
         with pytest.raises(StageError) as err:
             run_scenario(Scenario.load(path), str(tmp_path / "out"))
         assert err.value.stage == "network"
+
+
+_DROP = object()
+
+# (file, keys to the edited value, new value or _DROP, stage, message).
+_MALFORMED_INPUTS = [
+    # These raised TypeError tracebacks in `tollsim validate` ...
+    ("net.json", ("links", 0, "length"), None, "network",
+     "link 'OM' length must be a number, got None"),
+    ("net.json", ("links", 1), 5, "network",
+     "link must be an object, got int"),
+    ("net.json", ("nodes",), {"O": True}, "network",
+     "network nodes must be a list, got {'O': True}"),
+    # ... these were coerced silently ...
+    ("net.json", ("links", 0, "length"), "700", "network",
+     "link 'OM' length must be a number, got '700'"),
+    ("net.json", ("links", 0, "speed_limit"), True, "network",
+     "link 'OM' speed_limit must be a number, got True"),
+    ("net.json", ("nodes", 0, "is_centroid"), "false", "network",
+     "node 'O' is_centroid must be a boolean, got 'false'"),
+    ("net.json", ("pricing_zone",), "MD", "network",
+     "network pricing_zone must be a list, got 'MD'"),
+    ("demand.json", (0, "total"), "5", "demand",
+     "demand total at ('O', 'D', 0) must be a number, got '5'"),
+    ("demand.json", (0, "total"), True, "demand",
+     "demand total at ('O', 'D', 0) must be a number, got True"),
+    ("demand.json", (0, "so_ratio"), "0.5", "demand",
+     "so_ratio at ('O', 'D', 0) must be a number, got '0.5'"),
+    # ... these raised a bare KeyError or listed a key's characters ...
+    ("demand.json", (0, "total"), _DROP, "demand",
+     "missing demand fields: ['total']"),
+    ("demand.json", (0, "origin"), _DROP, "demand",
+     "missing demand fields: ['origin']"),
+    ("demand.json", (), {"origin": "O", "destination": "D", "interval_index": 0,
+                         "total": 5.0}, "demand",
+     "demand must be a list of objects, got dict"),
+    # ... and these messages are kept.
+    ("net.json", ("links", 0, "length"), float("inf"), "network",
+     "link 'OM' length must be finite, got inf"),
+    ("net.json", ("links", 0, "lanes"), 1.5, "network",
+     "link 'OM' lanes must be an integer, got 1.5"),
+]
+
+
+def _edited(doc, keys, value):
+    if not keys:
+        return value
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("name,keys,value,stage,message", _MALFORMED_INPUTS,
+                             ids=[c[-1] for c in _MALFORMED_INPUTS])
+    def test_validate_run_and_cli_report_alike(self, tmp_path, capsys, name, keys,
+                                               value, stage, message):
+        path = write_fixture_scenario(tmp_path)
+        with open(tmp_path / name, encoding="utf-8") as fh:
+            doc = _edited(json.load(fh), keys, value)
+        with open(tmp_path / name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        problem = f"{stage} file invalid: {message}"
+        sc = Scenario.load(path)
+        assert validate_scenario(sc) == [problem]
+        with pytest.raises(StageError) as err:
+            run_scenario(sc, str(tmp_path / "out"))
+        assert err.value.stage == stage
+        assert str(err.value) == f"stage {stage!r} failed: {problem}"
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == problem + "\n"
 
 
 class TestCli:
