@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .network import (Clock, InvalidPathError, Link, Network, Node, Path,
                       load_network_file, validate_network)
 from .demand import SO, UE, ClassDemand, NoiseConfig, split_demand
-from .fd import FDParams, blended_reaction_time, fd_flow
+from .fd import blended_reaction_time
 from .loading import (GridlockError, LoadingResult, PathAssignment,
                       load_network, load_vehicles)
 from .routing import CostSkims, PathSet, UnreachableError, td_shortest_path

@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import os
 import sys
 
 from .demand import save_demand_file
-from .network import save_network_file
+from .network import save_network_file, write_json
 from .nguyen import (TOLL_I_GAIN, TOLL_OUTER_CAP, TOLL_P_GAIN, TOLL_WINDOW,
                      ZONE_LINKS, build_nguyen)
 from .pricing import NFDPoint, estimate_critical_density
@@ -151,9 +150,7 @@ def _cmd_nguyen(args) -> int:
                             "i_gain": TOLL_I_GAIN, "outer_cap": TOLL_OUTER_CAP,
                             "window": list(TOLL_WINDOW)}
         scenario["so_ratios"] = [0.0]
-    with open(os.path.join(args.out, "scenario.json"), "w", encoding="utf-8") as fh:
-        json.dump(scenario, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "scenario.json"), scenario)
     print(f"wrote {args.out}/scenario.json (zone: {ZONE_LINKS if args.tolled else 'none'})")
     return 0
 

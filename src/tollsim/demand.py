@@ -7,7 +7,7 @@ optional noise, counter-based on (seed, origin, destination, interval) so
 results do not depend on iteration order. Demand records are checked when
 they are parsed: a list of objects without unknown or missing keys, integral
 intervals, totals finite and non-negative, overrides in [0, 1], and every
-total and override a JSON number.
+total and override a JSON number, origins and destinations JSON strings.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .network import check_fields, parse_int, parse_number
+from .network import check_fields, parse_int, parse_number, parse_str, write_json
 
 UE = 1
 SO = 2
@@ -55,7 +55,8 @@ def demand_from_records(records) -> tuple[dict[tuple[str, str, int], float],
     overrides: dict[tuple[str, str, int], float] = {}
     for rec in records:
         check_fields(rec, _DEMAND_REQUIRED, ("so_ratio",), "demand")
-        key = (str(rec["origin"]), str(rec["destination"]),
+        key = (parse_str(rec["origin"], "demand origin"),
+               parse_str(rec["destination"], "demand destination"),
                parse_int(rec["interval_index"], "interval_index"))
         if key[0] == key[1]:
             raise ValueError(f"demand origin equals destination: {key[0]!r}")
@@ -87,9 +88,7 @@ def save_demand_file(totals, path, overrides=None) -> None:
         if (o, d, tau) in overrides:
             rec["so_ratio"] = overrides[(o, d, tau)]
         records.append(rec)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, records)
 
 
 def split_demand(totals, so_ratio, noise=None, overrides=None) -> ClassDemand:

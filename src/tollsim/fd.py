@@ -10,44 +10,8 @@ link's R blends them by the CAV fraction of its entering traffic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 R_HV = 1.5    # s, human-driven vehicle reaction time
 R_CAV = 1.0   # s, connected automated vehicle reaction time
-
-
-@dataclass(frozen=True)
-class FDParams:
-    speed: float          # V, m/s
-    veh_length: float     # L, m
-    reaction_time: float  # R, s (already scaled by the link factor)
-
-    def __post_init__(self):
-        if self.speed <= 0 or self.veh_length <= 0 or self.reaction_time <= 0:
-            raise ValueError("FD parameters must be positive")
-
-    @property
-    def k_jam(self) -> float:
-        """Jam density, veh/m/lane."""
-        return 1.0 / self.veh_length
-
-    @property
-    def k_crit(self) -> float:
-        """Critical density, veh/m/lane."""
-        return 1.0 / (self.speed * self.reaction_time + self.veh_length)
-
-    @property
-    def q_max(self) -> float:
-        """Capacity, veh/s/lane."""
-        return lane_capacity(self.speed, self.veh_length, self.reaction_time)
-
-
-def fd_flow(k: float, params: FDParams) -> float:
-    """Flow (veh/s/lane) at per-lane density k (veh/m/lane)."""
-    if k < 0 or k > params.k_jam:
-        raise ValueError(f"density {k} outside [0, {params.k_jam}]")
-    return min(params.speed * k,
-               (1.0 - params.veh_length * k) / params.reaction_time)
 
 
 def lane_capacity(speed: float, veh_length: float, reaction_time: float) -> float:

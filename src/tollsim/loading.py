@@ -4,7 +4,7 @@ Each link behaves as a FIFO pipe with a free-flow traversal delay followed by
 a capacity server at its downstream end (point queue with finite storage):
 
 * sending is limited to vehicles older than the link's free-flow time and to
-  the FD capacity q_max * lanes,
+  the FD capacity `fd.lane_capacity` times the lanes,
 * receiving is limited by the congested FD branch (1 - L*k)/R * lanes and by
   the link's jam storage, so queues spill back,
 * each link's FD reaction time is re-blended every assignment interval from

@@ -1,14 +1,23 @@
-"""Road network primitives: nodes, links, paths, pricing zone and the clock.
+"""Road network primitives: nodes, links, paths, pricing zone and the clock,
+and the typed JSON reader and the JSON/CSV writers every tollsim file uses.
 
 All quantities are SI (meters, seconds) unless a field name says otherwise.
 Networks, paths and clocks are immutable after construction and safe to
 share between concurrent readers.
+
+A network file is {"nodes": [...], "links": [...], "pricing_zone": [...]}.
+Its node and link objects are read by `read_fields`: their keys are the
+fields of `Node` and `Link` (less `in_pricing_zone`, which is set by the
+`pricing_zone` list of link ids), a field without a default is required,
+and each value must be a JSON value of the field's type.
 """
 from __future__ import annotations
 
+import csv
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 
 class InvalidPathError(ValueError):
@@ -169,12 +178,6 @@ class Clock:
         return min(int(t // self.interval_s), self.n_intervals - 1)
 
 
-_LINK_REQUIRED = ("id", "from_node", "to_node", "length", "lanes", "speed_limit")
-_LINK_OPTIONAL = ("effective_vehicle_length", "reaction_time_factor")
-_NODE_REQUIRED = ("id",)
-_NODE_OPTIONAL = ("is_centroid",)
-
-
 def check_fields(record, required, optional, kind: str) -> None:
     if not isinstance(record, dict):
         raise ValueError(f"{kind} must be an object, got {type(record).__name__}")
@@ -194,6 +197,13 @@ def parse_number(value, what: str) -> float:
     return float(value)
 
 
+def parse_finite(value, what: str) -> float:
+    number = parse_number(value, what)
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {number!r}")
+    return number
+
+
 def parse_int(value, what: str) -> int:
     """`value` as an int; a non-integral number is rejected, not truncated."""
     if type(value) is int:
@@ -203,39 +213,86 @@ def parse_int(value, what: str) -> int:
     return int(value)
 
 
+def parse_str(value, what: str) -> str:
+    """`value` if it is a JSON string: an id `null` or `5` is rejected, not
+    read as "None" or "5"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def parse_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be a boolean, got {value!r}")
+    return value
+
+
+def parse_intervals(value, what: str) -> tuple | None:
+    """A list of interval indices as a tuple, or null as None."""
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list or null, got {value!r}")
+    return tuple(parse_int(tau, f"{what} entry") for tau in value)
+
+
+# Field type (as annotated) -> the parser of its JSON value.
+_PARSERS = {"str": parse_str, "bool": parse_bool, "int": parse_int,
+            "float": parse_finite, "tuple | None": parse_intervals}
+
+
+@functools.cache
+def _schema(cls, omit: tuple = ()) -> tuple[dict, tuple]:
+    """({key: parser} in field order, required keys) of dataclass `cls`,
+    one key per field but `omit`; built once per class."""
+    parsers = {f.name: _PARSERS[f.type] for f in fields(cls) if f.name not in omit}
+    required = tuple(f.name for f in fields(cls) if f.name in parsers
+                     and f.default is MISSING and f.default_factory is MISSING)
+    return parsers, required
+
+
+def read_fields(cls, record, kind: str, omit: tuple = ()) -> dict:
+    """The keyword arguments of a `cls` read from the JSON object `record`.
+
+    The allowed keys are the fields of `cls` but `omit`, and those without
+    a default are required. The field type picks the parser: `str` and
+    `bool` values must be JSON strings and booleans, `int` ones integral
+    numbers, `float` ones finite numbers. Errors name `kind`, and the
+    record's `id` once it has been read.
+    """
+    parsers, required = _schema(cls, omit)
+    check_fields(record, required, parsers, kind)
+    kwargs = {}
+    what = kind
+    for key, parse in parsers.items():
+        if key in record:
+            kwargs[key] = parse(record[key], f"{what} {key}")
+            if key == "id":
+                what = f"{kind} {kwargs['id']!r}"
+    return kwargs
+
+
+def _record(obj, omit: tuple = ()) -> dict:
+    """The JSON object `read_fields` reads back into `obj`."""
+    return {key: getattr(obj, key) for key in _schema(type(obj), omit)[0]}
+
+
+_ZONE_FLAG = ("in_pricing_zone",)
+
+
 def network_from_dict(obj: dict) -> Network:
     """Build a Network from the JSON document structure."""
     check_fields(obj, ("nodes", "links"), ("pricing_zone",), "network")
     for key in ("nodes", "links", "pricing_zone"):
         if not isinstance(obj.get(key, []), list):
             raise ValueError(f"network {key} must be a list, got {obj[key]!r}")
-    nodes = []
-    for rec in obj["nodes"]:
-        check_fields(rec, _NODE_REQUIRED, _NODE_OPTIONAL, "node")
-        centroid = rec.get("is_centroid", False)
-        if not isinstance(centroid, bool):
-            raise ValueError(f"node {rec['id']!r} is_centroid must be a boolean, "
-                             f"got {centroid!r}")
-        nodes.append(Node(id=str(rec["id"]), is_centroid=centroid))
-    zone = set(str(x) for x in obj.get("pricing_zone", []))
+    nodes = [Node(**read_fields(Node, rec, "node")) for rec in obj["nodes"]]
+    zone = {parse_str(lid, "pricing_zone entry") for lid in obj.get("pricing_zone", [])}
     links = []
     for rec in obj["links"]:
-        check_fields(rec, _LINK_REQUIRED, _LINK_OPTIONAL, "link")
-        what = f"link {rec['id']!r}"
-        numbers = {key: parse_number(rec[key], f"{what} {key}")
-                   for key in ("length", "speed_limit") + _LINK_OPTIONAL if key in rec}
-        for key, value in numbers.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{what} {key} must be finite, got {value!r}")
-        links.append(Link(
-            id=str(rec["id"]),
-            from_node=str(rec["from_node"]),
-            to_node=str(rec["to_node"]),
-            lanes=parse_int(rec["lanes"], f"{what} lanes"),
-            in_pricing_zone=str(rec["id"]) in zone,
-            **numbers))
-    known = {a.id for a in links}
-    stray = zone - known
+        kwargs = read_fields(Link, rec, "link", _ZONE_FLAG)
+        links.append(Link(**kwargs, in_pricing_zone=kwargs["id"] in zone))
+    stray = zone - {a.id for a in links}
     if stray:
         raise ValueError(f"pricing_zone references unknown links: {sorted(stray)}")
     return Network(nodes, links)
@@ -243,15 +300,27 @@ def network_from_dict(obj: dict) -> Network:
 
 def network_to_dict(network: Network) -> dict:
     return {
-        "nodes": [{"id": n.id, "is_centroid": n.is_centroid} for n in network.node_list],
-        "links": [{
-            "id": a.id, "from_node": a.from_node, "to_node": a.to_node,
-            "length": a.length, "lanes": a.lanes, "speed_limit": a.speed_limit,
-            "effective_vehicle_length": a.effective_vehicle_length,
-            "reaction_time_factor": a.reaction_time_factor,
-        } for a in network.link_list],
+        "nodes": [_record(n) for n in network.node_list],
+        "links": [_record(a, _ZONE_FLAG) for a in network.link_list],
         "pricing_zone": sorted(network.zone_link_ids),
     }
+
+
+def write_json(path, obj, indent=2) -> None:
+    """`obj` as JSON with sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row, then one row per item of `rows`; floats are written
+    with 10 significant digits and None as an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{x:.10g}" if isinstance(x, float) else x for x in row])
 
 
 def load_network_file(path) -> Network:
@@ -260,6 +329,4 @@ def load_network_file(path) -> Network:
 
 
 def save_network_file(network: Network, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(network), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, network_to_dict(network))

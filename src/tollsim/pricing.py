@@ -8,13 +8,12 @@ relative delay. SO-class vehicles are exempt: their costs never see tolls.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
 from .demand import ClassDemand
 from .equilibrium import EquilibriumResult, SolverConfig, solve_mixed_equilibrium
-from .network import Clock, Link, Network
+from .network import Clock, Link, Network, write_csv
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,11 @@ class TollSchedule:
                 * link.length / 1000.0)
 
     def write_alpha_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["interval_index", "alpha_per_km"])
-            for tau in sorted(self.alpha):
-                w.writerow([tau, f"{self.alpha[tau]:.10g}"])
+        write_csv(path, ["interval_index", "alpha_per_km"], sorted(self.alpha.items()))
 
     def write_omega_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["link_id", "interval_index", "omega"])
-            for (lid, tau) in sorted(self.omega):
-                w.writerow([lid, tau, f"{self.omega[(lid, tau)]:.10g}"])
+        write_csv(path, ["link_id", "interval_index", "omega"],
+                  [(lid, tau, w) for (lid, tau), w in sorted(self.omega.items())])
 
 
 def congestion_weight(travel_time: float, free_flow_time: float,

@@ -2,26 +2,28 @@
 
 A scenario JSON references a network and a demand file, fixes the clock,
 solver and (optionally) toll configuration, and lists the SO-ratio sweep.
-`validate_scenario` and `run_scenario` read and check those files through
-one `_load_inputs`, and a run writes every output through one `emit` that
-records it in `manifest.json`. All randomness flows from the single scenario
-seed through the counter-based demand-split generator; repeated runs are
-byte-identical.
+The `clock`, `solver` and `toll` sections are read by `network.read_fields`,
+so their keys and value types are the fields of `Clock`, `SolverConfig` and
+`TollConfig`. `validate_scenario` and `run_scenario` read and check the
+network and demand files through one `_load_inputs`, and a run writes every
+output through one `emit` that records it in `manifest.json`. All randomness
+flows from the single scenario seed through the counter-based demand-split
+generator; repeated runs are byte-identical.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from . import __version__
 from .analysis import class_zone_summary
 from .demand import NoiseConfig, load_demand_file, split_demand
 from .equilibrium import SolverConfig, solve_mixed_equilibrium
 from .network import (Clock, check_fields, load_network_file, parse_int,
-                      parse_number, validate_network)
+                      parse_number, parse_str, read_fields, validate_network,
+                      write_csv as _write_csv, write_json)
 from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
                       nfd_series)
 
@@ -40,31 +42,12 @@ _SCENARIO_FIELDS = {"network", "demand", "clock", "solver", "toll",
 
 
 def _config(obj: dict, name: str, cls):
-    """The nested object `name` of the scenario as a `cls`, keyed by its
-    fields. An absent key keeps the field's default; a value must be a JSON
-    number, parsed as an int where that default is one and as a float
-    otherwise, except the toll window: a list of interval indices, or null
-    for every interval."""
+    """The nested object `name` of the scenario as a `cls`; an absent key
+    keeps the field's default."""
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise ValueError(f"scenario {name} must be an object, got {section!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = set(section) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in section.items():
-        what = f"{name} {key}"
-        if key == "window":
-            if value is not None and not isinstance(value, list):
-                raise ValueError(f"{what} must be a list or null, got {value!r}")
-            kwargs[key] = (None if value is None else
-                           tuple(parse_int(tau, "toll window entry") for tau in value))
-        elif isinstance(defaults[key], int):
-            kwargs[key] = parse_int(value, what)
-        else:
-            kwargs[key] = parse_number(value, what)
-    return cls(**kwargs)
+    return cls(**read_fields(cls, section, name))
 
 
 @dataclass(frozen=True)
@@ -111,11 +94,8 @@ class Scenario:
         beta = parse_number(obj.get("noise_beta_max", 0.0), "noise_beta_max")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"noise_beta_max must be finite and in [0, 1], got {beta}")
-        scenario_id = obj.get("scenario_id", "scenario")
-        if not isinstance(scenario_id, str):
-            raise ValueError(f"scenario_id must be a string, got {scenario_id!r}")
         return Scenario(
-            scenario_id=scenario_id,
+            scenario_id=parse_str(obj.get("scenario_id", "scenario"), "scenario_id"),
             network_path=os.path.join(base_dir, obj["network"]),
             demand_path=os.path.join(base_dir, obj["demand"]),
             clock=clock, solver=solver, toll=toll,
@@ -163,28 +143,6 @@ def _load_inputs(scenario: Scenario):
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every problem with the scenario's network and demand files."""
     return [message for _stage, message in _load_inputs(scenario)[2]]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
-
-
-def _write_json(path, obj, indent=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
 
 
 def _nfd_table(series):
@@ -263,9 +221,9 @@ def run_scenario(scenario: Scenario, out_dir: str,
         _demand, base_eq = untolled(0.0)
         base_series = nfd_series(base_eq.loading, network, zone)
         est = stage("pricing", estimate_critical_density, base_series)
-        emit("kcr.json", _write_json,
+        emit("kcr.json", write_json,
              {"k_cr_veh_km": est.k_cr, "interval": est.interval,
-              "low_confidence": est.low_confidence})
+              "low_confidence": est.low_confidence}, None)
         for ratio in scenario.so_ratios:
             tag = _ratio_tag(ratio)
             demand, base = untolled(ratio)
@@ -302,7 +260,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
         "files": {name: _sha256(os.path.join(out_dir, name))
                   for name in sorted(outputs)},
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest, 2)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 

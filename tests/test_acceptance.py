@@ -11,7 +11,7 @@ import pytest
 from tollsim.demand import NoiseConfig, SO, UE, split_demand
 from tollsim.equilibrium import (SolverConfig, relative_gap,
                                  solve_mixed_equilibrium, step_size)
-from tollsim.fd import FDParams
+from tollsim.fd import lane_capacity
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Path
 from tollsim.nguyen import (TOLL_I_GAIN, TOLL_OUTER_CAP, TOLL_P_GAIN,
@@ -81,13 +81,12 @@ def test_ac02_fd_closed_form_and_simulated_saturation(clock_20min):
     t0 = time.perf_counter()
     errs = []
     for r, want in ((1.5, 1875.0), (1.0, 180000.0 / 71.0)):
-        fd = FDParams(V60, 7.0, r)
-        errs.append(abs(fd.q_max * 3600.0 - want) / want)
-        errs.append(abs(fd.k_crit - 1.0 / (V60 * r + 7.0)) * (V60 * r + 7.0))
+        q_max = lane_capacity(V60, 7.0, r)
+        errs.append(abs(q_max * 3600.0 - want) / want)
+        errs.append(abs(q_max / V60 - 1.0 / (V60 * r + 7.0)) * (V60 * r + 7.0))
     closed_ok = max(errs) <= 1e-12
 
-    caps = [FDParams(V60, 7.0, r).q_max
-            for r in (0.8, 1.0, 1.2, 1.5, 2.0)]
+    caps = [lane_capacity(V60, 7.0, r) for r in (0.8, 1.0, 1.2, 1.5, 2.0)]
     monotone_ok = all(a > b for a, b in zip(caps, caps[1:]))
 
     # Saturate a single link with more demand than it can discharge and

@@ -15,21 +15,33 @@ not, the mixed-solve one from the solver that rebuilt per-class (OD,
 interval) dicts of flows, costs, least costs and demands every iteration)
 and are never regenerated: a mismatch means an optimisation or refactor
 changed results.
+
+The file digests are SHA-256s of the bytes `tollsim nguyen`, the toll
+schedule writers and a scenario run write, captured from the writers that
+each opened and formatted their own files, before they shared one JSON and
+one CSV writer.
 """
 import hashlib
+import os
 from collections import Counter
 from dataclasses import astuple
 
+import pytest
+
+from tollsim.cli import main
 from tollsim.demand import SO, UE, NoiseConfig, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.nguyen import build_nguyen
-from tollsim.pricing import bilevel_solve
+from tollsim.pricing import TollSchedule, bilevel_solve
 from tollsim.routing import (SO_COST, UE_COST, CostSkims, UnreachableError,
                              td_shortest_path)
 
+from tollsim.scenario import Scenario, run_scenario
+
 from test_pricing import charging_and_free_case
+from test_workbench import write_fixture_scenario
 
 SPILLBACK_DIGEST = "8607c7b73799ab719ce439fedf508453289e5e6dc61c452709036e4c92e0648b"
 NGUYEN_LOADING_DIGEST = "8e706bc842eabba0525f93813a072e18c4a949410bd253dd2d3f3bedd4be8d9f"
@@ -40,6 +52,76 @@ TWO_SECOND_STEP_DIGEST = "2e21954f04046f1a9330a8465e2ee306dd6cee91fe087df5e4cd0e
 MIXED_SOLVE_DIGEST = "aeb2844b82a528e2a2317d7d5eb4adc6d39a4d4bb6d691be0fbf0ed7d5b30173"
 GRID_SEARCH_DIGEST = "6ed33c5ce2183ba531496572903a48ccaaffe3098a0b9bd7af66c4d6f53fa0d9"
 INTERVAL_BOUNDARY_DIGEST = "f10657224636bca83238d3540694f31e2b358092ca5ab499b9dc2a32f7fba7d4"
+
+# SHA-256 of the bytes of written files, per file name.
+NGUYEN_FILE_DIGESTS = {
+    "nguyen_demand.json":
+        "65df7a40e9bcb578ade5c0fa96dbf0e29a77a8e3f86d109b21a6c07b94a51fcd",
+    "nguyen_network.json":
+        "b20c63daab6ffc51314b0f1e78642ef96a28e1aef3ed5564e508f9e06042754f",
+    "scenario.json":
+        "423443fd4d03a67d87fb64c67b63ef5bc5d58515d5b659fe01864fbbf1e85820",
+}
+NGUYEN_TOLLED_FILE_DIGESTS = {
+    "nguyen_demand.json":
+        "65df7a40e9bcb578ade5c0fa96dbf0e29a77a8e3f86d109b21a6c07b94a51fcd",
+    "nguyen_network.json":
+        "91fe8912bd8a0456f2a4ee198ccae2b00cc1e39b63952777231c27acabf2c7f3",
+    "scenario.json":
+        "5c008cbed52e60830456b627f99df7e5a598fc978869fdf213b8d48ca5988be7",
+}
+SCHEDULE_CSV_DIGESTS = {
+    "omega.csv":
+        "bb7c2869b36c58b7309aabb44db327afc4571ada07906d11ba3fb50d589a46ef",
+    "toll.csv":
+        "b6c0998af3aea1d22d8cecbee70fb4aaf06fa52e50b091e2f90215dd8dbd3ba5",
+}
+RUN_FILE_DIGESTS = {
+    "controller_r000.csv":
+        "4d4fb5aacc16d6d6ea8a8957c668daae39c19e82deabb1a2f76d7c51af760b79",
+    "controller_r100.csv":
+        "3a62a25e6d318a3679f521f4fecc945acf86b4d19fd56fafe0345324d8fea02e",
+    "demand.json":
+        "2aa8df0e71910c40c585665eca28e1b8980d392f4f87c2f1a13feb298e29f7ce",
+    "iters_r000.csv":
+        "03abc46613d2a6649e9f206f0ba67f8d3735855747efc0cb9da21150cec5da0f",
+    "iters_r100.csv":
+        "c6e4af5ecbeed3b3c9d70855d848d74e26df3b7cd2fd0c399254bd0b0e56a9e5",
+    "kcr.json":
+        "ae3bd155c3a7915fdb21e577d5cef6d8a7bf04d83a24bfd3ae169526497067fe",
+    "manifest.json":
+        "ee7008395f2965edce71f95e5547a6c404256fb512bbb513e2171d6332f90dd8",
+    "metrics.csv":
+        "977ddb846203a6f0cb41b3bc33b4f19f334137f767691ea7a8423d6b41851540",
+    "net.json":
+        "4a5699c1fee462c70484d3abd41a41a22db4c5820cebe6b212f6fa2ff13f1a4f",
+    "nfd_network_r000.csv":
+        "c489f5e625cf3035b5b46f711c93cd387298212c016411ad3c2fe1b65b8565cb",
+    "nfd_network_r100.csv":
+        "757fea03b2fc5f709b2ce6200e6351b704f4320e8d20cc8ecc45af1ac3538356",
+    "nfd_r000.csv":
+        "a100bc2728f91317f084d4758c10568e1855260e1c851631edec49b85197d471",
+    "nfd_r100.csv":
+        "9be763f2dae25321ab844bfd75d422b6207c96d81f7651fcbb8cff865cd579ff",
+    "nfd_tolled_r000.csv":
+        "a100bc2728f91317f084d4758c10568e1855260e1c851631edec49b85197d471",
+    "nfd_tolled_r100.csv":
+        "9be763f2dae25321ab844bfd75d422b6207c96d81f7651fcbb8cff865cd579ff",
+    "omega_r000.csv":
+        "ba5fbac889e250fc55c200a1cff513c889f2994140c4c01f8469ba911924e29b",
+    "omega_r100.csv":
+        "ba5fbac889e250fc55c200a1cff513c889f2994140c4c01f8469ba911924e29b",
+    "scenario.json":
+        "4e2e9041b1130850ddbcf183d2856ae200521c34dc8b2d7e6c364686eb4e9595",
+    "toll_r000.csv":
+        "7567560f9129cfbe40bf59a1a747cdc942a8467a1843d9a40d13732bf7fb533a",
+    "toll_r100.csv":
+        "7567560f9129cfbe40bf59a1a747cdc942a8467a1843d9a40d13732bf7fb533a",
+    "trajectories_r000.csv":
+        "32bd01d965be084fea86852a5dc12b77b7ffe7050fb6ac5c2ae07428530d1d45",
+    "trajectories_r100.csv":
+        "fcf7484cb06ffee00c36bab14477a73ccb56b7057fc2d44feae505e0ba89e90d",
+}
 
 
 def digest(obj) -> str:
@@ -347,3 +429,38 @@ def test_mixed_solve_digest():
                   for key, ps in sorted(eq.path_sets.items())),
             loading_dump(eq.loading))
     assert digest(dump) == MIXED_SOLVE_DIGEST
+
+
+def file_digests(directory) -> dict:
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("tolled", [False, True], ids=["plain", "tolled"])
+def test_nguyen_file_bytes(tmp_path, tolled):
+    assert main(["nguyen", "--out", str(tmp_path)] + ["--tolled"] * tolled) == 0
+    assert file_digests(tmp_path) == (NGUYEN_TOLLED_FILE_DIGESTS if tolled
+                                      else NGUYEN_FILE_DIGESTS)
+
+
+def test_schedule_csv_bytes(tmp_path):
+    schedule = TollSchedule(alpha={2: 1.0 / 3.0, 0: 0.1 + 0.2, 1: 2.0},
+                            omega={("MD", 1): 2.0 / 3.0, ("AM", 0): 0.5,
+                                   ("AM", 1): 0.0, ("MD", 0): 1e-12})
+    schedule.write_alpha_csv(str(tmp_path / "toll.csv"))
+    schedule.write_omega_csv(str(tmp_path / "omega.csv"))
+    assert file_digests(tmp_path) == SCHEDULE_CSV_DIGESTS
+
+
+def test_run_file_bytes(tmp_path):
+    """Every file of a tolled two-ratio run with trajectories."""
+    path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.0, 1.0),
+                                  demand_total=400.0, horizon=3600, seed=3,
+                                  beta=0.1)
+    run_scenario(Scenario.load(path), str(tmp_path / "out"),
+                 write_trajectories=True)
+    assert file_digests(tmp_path / "in") | file_digests(tmp_path / "out") \
+        == RUN_FILE_DIGESTS

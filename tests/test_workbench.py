@@ -352,6 +352,19 @@ _MALFORMED_INPUTS = [
     ("demand.json", (), {"origin": "O", "destination": "D", "interval_index": 0,
                          "total": 5.0}, "demand",
      "demand must be a list of objects, got dict"),
+    # ... ids, endpoints and zone entries were coerced with str() ...
+    ("net.json", ("nodes", 0, "id"), None, "network",
+     "node id must be a string, got None"),
+    ("net.json", ("links", 0, "id"), 5, "network",
+     "link id must be a string, got 5"),
+    ("net.json", ("links", 0, "from_node"), None, "network",
+     "link 'OM' from_node must be a string, got None"),
+    ("net.json", ("pricing_zone", 0), 5, "network",
+     "pricing_zone entry must be a string, got 5"),
+    ("demand.json", (0, "origin"), None, "demand",
+     "demand origin must be a string, got None"),
+    ("demand.json", (0, "destination"), 5, "demand",
+     "demand destination must be a string, got 5"),
     # ... and these messages are kept.
     ("net.json", ("links", 0, "length"), float("inf"), "network",
      "link 'OM' length must be finite, got inf"),
