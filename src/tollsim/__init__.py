@@ -8,8 +8,7 @@ from .network import (Clock, InvalidPathError, Link, Network, Node, Path,
                       load_network_file, validate_network)
 from .demand import SO, UE, ClassDemand, NoiseConfig, split_demand
 from .fd import blended_reaction_time
-from .loading import (GridlockError, LoadingResult, PathAssignment,
-                      load_network, load_vehicles)
+from .loading import GridlockError, LoadingResult, load_network, load_vehicles
 from .routing import CostSkims, PathSet, UnreachableError, td_shortest_path
 from .equilibrium import (EquilibriumResult, SolverConfig, relative_gap,
                           solve_mixed_equilibrium, step_size, update_proportions)

@@ -3,7 +3,8 @@ and dual relative gaps.
 
 The solver builds one list of demand rows, (path set, class, interval,
 demand) per positive class demand, and each iteration walks it: it loads the
-rows' path flows, searches time-dependent best paths (shortest generalized
+rows' path flows (each row is one loader group, `(class, interval, paths,
+flows)`), searches time-dependent best paths (shortest generalized
 cost for UE, least marginal time for SO), prices every row's paths for the
 two relative gaps and their mean, then blends the all-or-nothing proportions
 with a successive-averages step (MSWA exponent `SolverConfig.gamma`, 0 is
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .demand import SO, UE, ClassDemand
-from .loading import PathAssignment, load_network
+from .loading import load_network
 from .network import Clock, Network
 from .routing import (CAP_SO, CAP_UE, SO_COST, UE_COST, CostSkims, PathSet,
                       distance_shortest_path, td_shortest_path)
@@ -143,13 +144,11 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     hits = 0
     for it in range(1, config.max_iterations + 1):
         flows = [[p * q for p in ps.proportions[tau]] for ps, _, tau, q in rows]
-        assignments = [PathAssignment(cls, path, tau, f)
-                       for (ps, cls, tau, _), fs in zip(rows, flows)
-                       for path, f in zip(ps.paths, fs) if f > 0]
+        groups = [(cls, tau, ps.paths, fs) for (ps, cls, tau, _), fs in zip(rows, flows)]
         # The loop stops only at the cap or once `hits` reaches 2, so only a
         # loading made at the cap or after one hit can become the result's;
         # the others skip the per-vehicle records.
-        result = load_network(network, assignments, clock,
+        result = load_network(network, groups, clock,
                               records=it == config.max_iterations or hits == 1)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 

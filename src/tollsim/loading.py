@@ -10,6 +10,10 @@ a capacity server at its downstream end (point queue with finite storage):
 * each link's FD reaction time is re-blended every assignment interval from
   the CAV/HV mix that entered the link during the previous interval.
 
+`load_network` takes path flows, one `(vehicle_class, interval, paths,
+flows)` group per (class, OD, departure interval), as the solver holds them;
+`discretize_assignments` rounds each group to whole vehicles.
+
 The loader moves whole vehicles and is fully deterministic. Each origin is a
 source queue of its vehicles in departure order, and one transfer loop moves
 head vehicles off sources and links alike, onto their next link or out of
@@ -76,15 +80,6 @@ class GridlockError(RuntimeError):
         self.stranded_by_od = stranded_by_od
 
 
-@dataclass(frozen=True)
-class PathAssignment:
-    """Fractional vehicle flow for one (class, path, departure interval)."""
-    vehicle_class: int   # UE = 1, SO = 2
-    path: Path
-    interval: int
-    flow: float
-
-
 class VehiclePlan(NamedTuple):
     vehicle_class: int
     path: Path
@@ -117,32 +112,35 @@ class LinkIntervalState:
     reaction_time: float  # s, blended value used by the FD
 
 
-def discretize_assignments(assignments, clock: Clock) -> list[VehiclePlan]:
+def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     """Turn fractional path flows into whole-vehicle departure plans.
 
-    Per (class, OD, interval) the vehicle count is the rounded class total,
-    shared among paths by largest remainder; each path group's departures are
-    spread uniformly over the interval. Deterministic for a given input set.
-    Raises ValueError for a departure interval outside the clock.
+    Each group `(vehicle_class, interval, paths, flows)` is one (class, OD,
+    departure interval) demand: paths of one origin and destination and the
+    flow on each. Its vehicle count is the rounded total of its positive
+    flows, shared among those paths (in link-id order) by largest remainder;
+    each path's departures are spread uniformly over the interval. Groups
+    are rounded one by one, so two groups with the same key are rounded
+    separately, not merged. Raises ValueError for a negative flow, a group
+    whose paths do not share one OD pair, or a departure interval outside
+    the clock.
     """
-    groups: dict[tuple, list[PathAssignment]] = {}
-    for asg in assignments:
-        if asg.flow < 0:
-            raise ValueError("path flows must be non-negative")
-        key = (asg.vehicle_class, asg.path.origin, asg.path.destination, asg.interval)
-        groups.setdefault(key, []).append(asg)
-
     plans: list[VehiclePlan] = []
-    for key in sorted(groups):
-        cls, _o, _d, tau = key
+    for cls, tau, paths, flows in groups:
         if tau not in range(clock.n_intervals):
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
-        members = sorted(groups[key], key=lambda a: a.path.link_ids)
-        total = sum(a.flow for a in members)
+        ods = {(p.origin, p.destination) for p in paths}
+        if len(ods) > 1:
+            raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
+        if any(f < 0 for f in flows):
+            raise ValueError("path flows must be non-negative")
+        members = sorted([(p, f) for p, f in zip(paths, flows, strict=True) if f > 0],
+                         key=lambda m: m[0].link_ids)
+        total = sum(f for _, f in members)
         n_total = int(math.floor(total + 0.5))
         if n_total == 0:
             continue
-        quotas = [a.flow * n_total / total for a in members]
+        quotas = [f * n_total / total for _, f in members]
         counts = [int(math.floor(q)) for q in quotas]
         remainder = n_total - sum(counts)
         order = sorted(range(len(members)),
@@ -150,10 +148,10 @@ def discretize_assignments(assignments, clock: Clock) -> list[VehiclePlan]:
         for i in order[:remainder]:
             counts[i] += 1
         start = tau * clock.interval_s
-        for a, n in zip(members, counts):
+        for (path, _), n in zip(members, counts):
             for j in range(n):
                 dep = start + (j * clock.interval_s) // n
-                plans.append(VehiclePlan(cls, a.path, tau, float(dep)))
+                plans.append(VehiclePlan(cls, path, tau, float(dep)))
     return plans
 
 
@@ -507,13 +505,15 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                          len(plans), tstt)
 
 
-def load_network(network: Network, assignments, clock: Clock, *,
+def load_network(network: Network, groups, clock: Clock, *,
                  records: bool = True) -> LoadingResult:
-    """Load fractional per-path class flows onto the network.
+    """Load fractional path flows onto the network, one `(vehicle_class,
+    interval, paths, flows)` group per (class, OD, departure interval); see
+    `discretize_assignments`.
 
     `records=False` builds no `VehicleRecord`s (`vehicles` is `()`) and
     changes nothing else. Raises GridlockError if the horizon ends before
     the network empties.
     """
-    plans = discretize_assignments(assignments, clock)
+    plans = discretize_assignments(groups, clock)
     return load_vehicles(network, plans, clock, records=records)

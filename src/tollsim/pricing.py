@@ -64,14 +64,11 @@ class TollSchedule:
                     raise ValueError(f"toll {name} at {key!r} must be finite "
                                      f"and non-negative, got {value!r}")
 
-    def alpha_at(self, interval: int) -> float:
-        return self.alpha.get(interval, 0.0)
-
     def link_toll(self, link: Link, interval: int) -> float:
         """Dollars charged for traversing a zone link entered in `interval`."""
         if not link.in_pricing_zone:
             return 0.0
-        return (self.alpha_at(interval)
+        return (self.alpha.get(interval, 0.0)
                 * (1.0 + self.omega.get((link.id, interval), 0.0))
                 * link.length / 1000.0)
 
@@ -226,7 +223,6 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
                               toll_config.alpha_max) for tau in window}
     schedule = TollSchedule()
     best = None
-    objectives = []
     log = []
     for outer in range(1, toll_config.outer_cap + 1):
         eq = (solve_mixed_equilibrium(network, demand, clock, solver_config,
@@ -235,21 +231,20 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
         series = nfd_series(eq.loading, network, zone_ids)
         dens = {pt.interval: pt.density for pt in series}
         objective = sum(abs(dens[tau] - k_cr) for tau in window)
-        mean_alpha = sum(schedule.alpha_at(tau) for tau in window) / len(window)
+        mean_alpha = sum(schedule.alpha.get(tau, 0.0) for tau in window) / len(window)
         mean_dens = sum(dens[tau] for tau in window) / len(window)
         log.append(ControllerRecord(outer, objective, mean_alpha, mean_dens,
                                     eq.final_gap, eq.loading.tstt_veh_h))
         if best is None or objective < best.objective:
             best = BilevelResult(schedule, eq, log, objective, k_cr)
-        objectives.append(objective)
-        if len(objectives) >= 4:
+        if len(log) >= 4:
             stalled = all(
-                objectives[-i - 1] >= objectives[-i - 2]
+                log[-i - 1].objective >= log[-i - 2].objective
                 * (1.0 - toll_config.improvement_tol)
                 for i in range(3))
             if stalled:
                 break
-        if all(abs(schedule.alpha_at(tau) - toll_config.alpha_max) < 1e-12
+        if all(abs(schedule.alpha.get(tau, 0.0) - toll_config.alpha_max) < 1e-12
                for tau in window):
             break
         new_alpha = {}
@@ -264,5 +259,4 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
                     st.travel_time, st.free_flow_time, toll_config.omega_max)
         schedule = TollSchedule(alpha=new_alpha, omega=new_omega)
 
-    best.log = log
     return best

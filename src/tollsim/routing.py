@@ -35,7 +35,6 @@ CAP_SO = 5
 class UnreachableError(ValueError):
     def __init__(self, origin, destination):
         super().__init__(f"destination {destination!r} unreachable from {origin!r}")
-        self.od = (origin, destination)
 
 
 class CostSkims:

@@ -3,12 +3,11 @@ determinism, discretization, marginal times, adaptive FD blending."""
 import pytest
 
 from tollsim.demand import SO, UE
-from tollsim.loading import (GridlockError, PathAssignment, VehiclePlan,
-                             discretize_assignments, load_network,
-                             load_vehicles)
+from tollsim.loading import (GridlockError, VehiclePlan, discretize_assignments,
+                             load_network, load_vehicles)
 from tollsim.network import Clock, InvalidPathError, Path
 
-from conftest import line_network, two_link_network
+from conftest import line_network, parallel_network, two_link_network
 
 AB = Path(("AB",), "A", "B")
 
@@ -131,42 +130,67 @@ class TestPlanValidation:
 
 class TestDiscretization:
     def test_total_rounding(self, clock_20min):
-        plans = discretize_assignments(
-            [PathAssignment(UE, AB, 0, 10.4)], clock_20min)
+        plans = discretize_assignments([(UE, 0, [AB], [10.4])], clock_20min)
         assert len(plans) == 10
 
     def test_largest_remainder_share(self, clock_20min):
         p2 = Path(("AB2",), "A", "B")
-        plans = discretize_assignments(
-            [PathAssignment(UE, AB, 0, 2.25), PathAssignment(UE, p2, 0, 0.75)],
-            clock_20min)
+        plans = discretize_assignments([(UE, 0, [AB, p2], [2.25, 0.75])],
+                                       clock_20min)
         by_path = {}
         for pl in plans:
             by_path[pl.path.link_ids] = by_path.get(pl.path.link_ids, 0) + 1
         assert by_path == {("AB",): 2, ("AB2",): 1}
 
     def test_departures_spread_uniformly(self, clock_20min):
-        plans = discretize_assignments(
-            [PathAssignment(UE, AB, 1, 3.0)], clock_20min)
+        plans = discretize_assignments([(UE, 1, [AB], [3.0])], clock_20min)
         assert sorted(p.departure_time for p in plans) == [300.0, 400.0, 500.0]
 
     def test_negative_flow_rejected(self, clock_20min):
         with pytest.raises(ValueError):
-            discretize_assignments([PathAssignment(UE, AB, 0, -1.0)],
-                                   clock_20min)
+            discretize_assignments([(UE, 0, [AB], [-1.0])], clock_20min)
 
     @pytest.mark.parametrize("interval", [-1, 4])
     def test_interval_outside_clock_rejected(self, clock_20min, interval):
         # At -1 the vehicles would depart before t = 0; at n_intervals they
         # would depart at the horizon and be reported as a gridlock.
         with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
-            discretize_assignments([PathAssignment(UE, AB, interval, 3.0)],
-                                   clock_20min)
+            discretize_assignments([(UE, interval, [AB], [3.0])], clock_20min)
 
     def test_load_network_runs_discretized_flows(self, clock_20min):
         net = line_network()
-        res = load_network(net, [PathAssignment(UE, AB, 0, 25.0)], clock_20min)
+        res = load_network(net, [(UE, 0, [AB], [25.0])], clock_20min)
         assert res.vehicles_entered == 25
+
+    def test_zero_flow_path_gets_no_vehicle(self, clock_20min):
+        p2 = Path(("AB2",), "A", "B")
+        plans = discretize_assignments([(UE, 0, [AB, p2], [0.0, 2.6])],
+                                       clock_20min)
+        assert [p.path for p in plans] == [p2, p2, p2]
+
+    def test_mixed_od_group_rejected(self, clock_20min):
+        ba = Path(("BA",), "B", "A")
+        with pytest.raises(ValueError, match="share one OD pair"):
+            discretize_assignments([(UE, 0, [AB, ba], [1.0, 1.0])], clock_20min)
+
+    def test_group_and_path_order_do_not_change_loading(self, clock_1h):
+        # Equal remainders (2.5 + 2.5 of 5) make the tie order matter.
+        net = parallel_network()
+        s, l = Path(("S",), "O", "D"), Path(("L",), "O", "D")
+        groups = [(UE, 0, [s, l], [2.5, 2.5]), (SO, 0, [s, l], [1.2, 3.7]),
+                  (UE, 1, [s, l], [4.4, 0.0]), (SO, 2, [l], [6.0])]
+        flipped = [(cls, tau, paths[::-1], flows[::-1])
+                   for cls, tau, paths, flows in reversed(groups)]
+        one = load_network(net, groups, clock_1h)
+        two = load_network(net, flipped, clock_1h)
+
+        def rows(res):
+            return [(v.vehicle_id, v.vehicle_class, v.path.link_ids, v.interval,
+                     v.departure_time, v.link_entries, v.exit_time)
+                    for v in res.vehicles]
+        assert rows(one) == rows(two)
+        assert len(rows(one)) == 5 + 5 + 4 + 6
+        assert one.states == two.states
 
 
 class TestMarginalTime:

@@ -386,7 +386,7 @@ class TestBilevel:
         res = bilevel_solve(net, demand, clock_1h, cfg, SolverConfig(), 10.0,
                             untolled)
         assert res.objective == pytest.approx(20.0)  # |0 - 10| per interval
-        assert all(res.schedule.alpha_at(tau) == 0.0 for tau in (0, 1))
+        assert all(res.schedule.alpha.get(tau, 0.0) == 0.0 for tau in (0, 1))
         assert solves == []          # no schedule charges, so nothing is re-solved
 
     def test_solves_only_schedules_that_charge(self, clock_1h, monkeypatch):
