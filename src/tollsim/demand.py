@@ -37,6 +37,8 @@ class ClassDemand:
 
     def __init__(self, entries: dict[tuple[str, str, int], tuple[float, float]]):
         for key, (q1, q2) in entries.items():
+            if not (math.isfinite(q1) and math.isfinite(q2)):
+                raise ValueError(f"non-finite class demand at {key}: {(q1, q2)!r}")
             if q1 < 0 or q2 < 0:
                 raise ValueError(f"negative class demand at {key}")
         self.entries = dict(entries)

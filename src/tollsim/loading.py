@@ -19,14 +19,15 @@ source queue of its vehicles in departure order, and one transfer loop moves
 head vehicles off sources and links alike, onto their next link or out of
 the network. It visits only the steps at which some queue's head may leave,
 and then only those queues: links in id order, then sources in origin order.
-The event queue is a heap holding each such step once, beside a bucket per
-step of the queues due then. A queue's wake step follows from its head's
-ready step and a link's server; a queue whose head is blocked downstream
-goes into the next step's bucket and retries there. While the network is
-empty the loader jumps to the next departure, and it stops once every queue
-is empty. Per link it keeps one byte per step flagging a standing queue,
-written whenever the link's wake step is set; queue clearance delays are
-read from these flags.
+A calendar maps each such step to the queues due then, and the loop walks
+the clock's steps in order, skipping those without an entry. A queue's wake
+step is its head's ready step or, while a link's server is busy, the step
+the server frees up if that is later; a queue whose head is blocked
+downstream is put under the next step and retries there. Steps at or past
+the horizon are never visited: the vehicles of queues due then end the
+loading as a gridlock. Per link it keeps one byte per step flagging a
+standing queue, written whenever the link's wake step is set; queue
+clearance delays are read from these flags.
 
 Two marginal-time estimators read those delays: `marginal_time`, the
 per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
@@ -36,17 +37,20 @@ which advances its probe past each clearance and is the one compared with
 Link statistics come from per-link entry and exit times, one append each
 per move. Links are FIFO, so the k-th exit pairs with the k-th entry, and
 after the loop a bisection at each interval end gives every (link, interval)
-count and sum. Times are whole seconds: the float sums are exact, whatever
-their order. `records=False` skips the per-vehicle entry logs and records,
-which only a solve's final loading needs; counts and TSTT come from exits.
+count, and differences of prefix sums every sum. Times are whole seconds,
+so every partial sum is exact, and so is each difference. A link's idle
+intervals (empty at the start, nothing entering) share one state object
+while its FD blend stays the same. `records=False` skips the per-vehicle
+entry logs and records, which only a solve's final loading needs; counts
+and TSTT come from exits.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from itertools import accumulate
 from typing import NamedTuple
 
 from .demand import SO, UE
@@ -102,7 +106,7 @@ class VehicleRecord:
         return self.exit_time - self.departure_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkIntervalState:
     density: float       # veh/km/lane, time average
     flow: float          # veh/h/lane, from link exits
@@ -121,37 +125,47 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     flows, shared among those paths (in link-id order) by largest remainder;
     each path's departures are spread uniformly over the interval. Groups
     are rounded one by one, so two groups with the same key are rounded
-    separately, not merged. Raises ValueError for a negative flow, a group
-    whose paths do not share one OD pair, or a departure interval outside
-    the clock.
+    separately, not merged. Raises ValueError for a negative or non-finite
+    flow, a group whose paths do not share one OD pair, or a departure
+    interval outside the clock.
     """
     plans: list[VehiclePlan] = []
+    intervals = range(clock.n_intervals)
+    interval_s = clock.interval_s
     for cls, tau, paths, flows in groups:
-        if tau not in range(clock.n_intervals):
+        if tau not in intervals:
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
-        ods = {(p.origin, p.destination) for p in paths}
-        if len(ods) > 1:
-            raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
-        if any(f < 0 for f in flows):
-            raise ValueError("path flows must be non-negative")
-        members = sorted([(p, f) for p, f in zip(paths, flows, strict=True) if f > 0],
-                         key=lambda m: m[0].link_ids)
-        total = sum(f for _, f in members)
-        n_total = int(math.floor(total + 0.5))
-        if n_total == 0:
+        if len(paths) > 1:
+            ods = {(p.origin, p.destination) for p in paths}
+            if len(ods) > 1:
+                raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
+        if not all(0.0 <= f < math.inf for f in flows):
+            raise ValueError("path flows must be finite and non-negative")
+        members = [(p, f) for p, f in zip(paths, flows, strict=True) if f > 0]
+        if len(members) == 1:
+            # A lone path takes the whole rounded flow: largest remainder
+            # would give it the same count.
+            (path, total), = members
+            shares = [(path, math.floor(total + 0.5))]
+        elif members:
+            members.sort(key=lambda m: m[0].link_ids)
+            total = sum(f for _, f in members)
+            n_total = math.floor(total + 0.5)
+            quotas = [f * n_total / total for _, f in members]
+            counts = [math.floor(q) for q in quotas]
+            remainder = n_total - sum(counts)
+            if remainder:
+                order = sorted(range(len(members)),
+                               key=lambda i: (-(quotas[i] - counts[i]), i))
+                for i in order[:remainder]:
+                    counts[i] += 1
+            shares = [(path, n) for (path, _), n in zip(members, counts)]
+        else:
             continue
-        quotas = [f * n_total / total for _, f in members]
-        counts = [int(math.floor(q)) for q in quotas]
-        remainder = n_total - sum(counts)
-        order = sorted(range(len(members)),
-                       key=lambda i: (-(quotas[i] - counts[i]), i))
-        for i in order[:remainder]:
-            counts[i] += 1
-        start = tau * clock.interval_s
-        for (path, _), n in zip(members, counts):
-            for j in range(n):
-                dep = start + (j * clock.interval_s) // n
-                plans.append(VehiclePlan(cls, path, tau, float(dep)))
+        start = tau * interval_s
+        for path, n in shares:
+            plans += [VehiclePlan(cls, path, tau, float(start + (j * interval_s) // n))
+                      for j in range(n)]
     return plans
 
 
@@ -167,7 +181,7 @@ class _LinkRT:
         self.link = link
         self.index = index       # position in link-id order
         self.ff_steps = max(1, math.ceil(link.free_flow_time / clock.step_s - _EPS))
-        self.storage = link.storage
+        self.storage = link.storage + _EPS   # jam storage (veh), plus the tolerance
         self.lanes = link.lanes
         self.lane_m = link.lanes * link.length      # lane-metres
         self.eff_length = link.effective_vehicle_length
@@ -198,7 +212,8 @@ class _Source:
 
 
 def _roll_interval(link_order, tau: int) -> None:
-    """Re-blend every link's FD from the mix that entered it last interval."""
+    """Re-blend each link's FD from the mix that entered it last interval; a
+    link that nothing entered keeps its blend."""
     for rt in link_order:
         entered = rt.enter_hv + rt.enter_cav
         if tau == 0:
@@ -206,8 +221,9 @@ def _roll_interval(link_order, tau: int) -> None:
         elif entered > 0:
             frac = rt.enter_cav / entered
         else:
-            # Nothing entered last interval: keep the previous blend.
-            frac = rt.stat_cav[tau - 1]
+            rt.stat_cav[tau] = rt.stat_cav[tau - 1]
+            rt.stat_reaction[tau] = rt.reaction
+            continue
         base = blended_reaction_time(frac)
         rt.reaction = base * rt.link.reaction_time_factor
         q_max = lane_capacity(rt.link.speed_limit, rt.eff_length, rt.reaction)
@@ -220,17 +236,22 @@ def _roll_interval(link_order, tau: int) -> None:
 
 def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
     """For ascending departure times, the first step s >= 0 whose time s * dt
-    has reached each. Raises ValueError for a departure before 0 or after the
-    last step's start, which no step would ever load."""
+    has reached each. Raises ValueError for a non-finite departure, or one
+    before 0 or after the last step's start, which no step would ever load."""
     last = (n_steps - 1) * dt
+    # A finite sum means every departure is finite, and then the sorted
+    # list's ends bound the rest; only a failed check scans for the offender.
+    if departures and not (math.isfinite(sum(departures)) and departures[0] >= 0.0
+                           and departures[-1] <= last + _EPS):
+        for at in departures:
+            if not math.isfinite(at):
+                raise ValueError(f"departure time must be finite, got {at}")
+            if not 0.0 <= at <= last + _EPS:
+                raise ValueError(f"departure time {at} s outside [0, {last:g}] s, "
+                                 "the start times of the clock's steps")
     steps = []
     s = 0
     for at in departures:
-        if not math.isfinite(at):
-            raise ValueError(f"departure time must be finite, got {at}")
-        if not 0.0 <= at <= last + _EPS:
-            raise ValueError(f"departure time {at} s outside [0, {last:g}] s, "
-                             "the start times of the clock's steps")
         while at > s * dt + _EPS:
             s += 1
         steps.append(s)
@@ -317,7 +338,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     link_order = [_LinkRT(network.links[lid], i, clock, n_int)
                   for i, lid in enumerate(sorted(network.links))]
     rts = {rt.link.id: rt for rt in link_order}
-    routes = {key: tuple(rts[lid] for lid in path.link_ids) + (None,)
+    routes = {key: (*map(rts.__getitem__, path.link_ids), None)
               for key, path in paths.items()}
 
     # Per-vehicle bookkeeping, indexed by vehicle id (position in departure
@@ -339,20 +360,21 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     queues = link_order + [_Source(n_links + k, by_origin[o])
                            for k, o in enumerate(sorted(by_origin))]
 
-    # Heap of the steps at which some queue is due, one entry per bucket in
-    # `wakes`, pushed when the bucket is created; no other step changes
-    # anything. Sources are due at their first departure.
-    wakes: defaultdict[int, list[int]] = defaultdict(list)   # step -> queues due
+    # The calendar: step -> the queues due then; no other step changes
+    # anything. Steps at or past the horizon are never visited: their queues'
+    # vehicles end the loading as a gridlock. Sources are due at their first
+    # departure.
+    calendar: dict[int, list[int]] = {}
     for src in queues[n_links:]:
-        wakes[veh_ready[src.queue[0]]].append(src.index)
-    events = sorted(wakes)               # a sorted list is a heap
+        calendar.setdefault(veh_ready[src.queue[0]], []).append(src.index)
     steps_per_interval = interval_s // clock.step_s
+    one_vehicle = 1.0 - _EPS
     next_roll = 0
     tau = -1
-    while events:
-        step = heappop(events)
-        if step >= n_steps:
-            break
+    for step in range(n_steps):
+        due = calendar.pop(step, None)
+        if due is None:
+            continue
         t = step * dt
         while step >= next_roll:
             tau += 1
@@ -361,40 +383,41 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
         free_by = t + dt - _EPS
 
         # Head vehicles leave their queues, links in id order, then sources.
-        due = wakes.pop(step)
-        due.sort()
+        if len(due) > 1:
+            due.sort()
         for i in due:
             rt = queues[i]
             q = rt.queue
             while True:
                 vid = q[0]
                 ready = veh_ready[vid]
-                if ready > step or rt.next_free > free_by:
+                next_free = rt.next_free
+                if ready > step or next_free > free_by:
                     # Wake the queue at the first step its head may leave.
                     # Until then neither the head nor the server's next free
                     # time changes. A step ends with a standing queue while
                     # the server is still busy or the head is ready, and the
                     # head is ready before the wake step only if the server
                     # is still busy, so exactly the busy steps are flagged.
-                    next_free = rt.next_free
-                    free = step
-                    while next_free > free * dt + dt - _EPS:
-                        free += 1
-                    if free > step:
+                    wake = ready
+                    if next_free > free_by:
+                        free = step + 1
+                        while next_free > free * dt + dt - _EPS:
+                            free += 1
                         end = free if free < n_steps else n_steps
                         rt.queue_flag[step:end] = b"\x01" * (end - step)
-                    wake = free if free >= ready else ready
-                    bucket = wakes[wake]
-                    if not bucket:
-                        heappush(events, wake)
-                    bucket.append(i)
+                        if free > wake:
+                            wake = free
+                    calendar.setdefault(wake, []).append(i)
                     break
                 li = veh_pos[vid] + 1
                 nrt = veh_route[vid][li]
                 if nrt is not None:
                     nq = nrt.queue
                     n_down = len(nq)
-                    if nrt.credit_step != step:
+                    credit = nrt.recv_credit
+                    refreshed = nrt.credit_step
+                    if refreshed != step:
                         # Receiving credit, regenerated from the current
                         # count. It regenerates across idle steps, but a
                         # single step never admits more than one step's rate
@@ -402,39 +425,37 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         k = n_down / nrt.lane_m                # veh/m/lane
                         rate = (1.0 - nrt.eff_length * k) / nrt.reaction
                         rate = (rate if rate > 0.0 else 0.0) * nrt.lanes
-                        if nrt.credit_step >= 0:
+                        if refreshed >= 0:
                             # What the last refreshed step left, carried up
                             # to one vehicle.
-                            carry = nrt.recv_credit if nrt.recv_credit <= 1.0 else 1.0
-                            elapsed = step - nrt.credit_step
+                            carry = credit if credit <= 1.0 else 1.0
+                            elapsed = step - refreshed
                         else:
                             carry = 1.0  # an empty link accepts a vehicle instantly
                             elapsed = 1
-                        credit = carry + rate * dt * elapsed
-                        cap = 1.0 + rate * dt
-                        nrt.recv_credit = credit if credit <= cap else cap
+                        rate_dt = rate * dt
+                        credit = carry + rate_dt * elapsed
+                        cap = 1.0 + rate_dt
+                        if credit > cap:
+                            credit = cap
                         nrt.credit_step = step
-                    if not (nrt.recv_credit >= 1.0 - _EPS
-                            and n_down + 1 <= nrt.storage + _EPS):
+                    if not (credit >= one_vehicle and n_down + 1 <= nrt.storage):
                         # Blocked downstream: the head retries next step.
+                        nrt.recv_credit = credit
                         if i < n_links:
                             rt.queue_flag[step] = 1
-                        bucket = wakes[step + 1]
-                        if not bucket:
-                            heappush(events, step + 1)
-                        bucket.append(i)
+                        calendar.setdefault(step + 1, []).append(i)
                         break
                 q.popleft()
                 if i < n_links:
                     # A link exit: its server's headway and exit time.
-                    busy_until = rt.next_free
-                    rt.next_free = (busy_until if busy_until >= t else t) + rt.headway
+                    rt.next_free = (next_free if next_free >= t else t) + rt.headway
                     rt.exit_times.append(t)
                 if nrt is None:
                     veh_exit[vid] = t
                 else:
                     veh_pos[vid] = li
-                    nrt.recv_credit -= 1.0
+                    nrt.recv_credit = credit - 1.0
                     nq.append(vid)
                     nrt.entry_times.append(t)
                     veh_ready[vid] = step + nrt.ff_steps
@@ -446,9 +467,13 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         nrt.enter_hv += 1
                     if not n_down:
                         # Entered while empty: its head is at least a free-flow
-                        # step from ready, so a visit later in this step only
+                        # step from ready. An idle server wakes it then; a
+                        # busy one gets a visit later in this step, which
                         # sets its wake step and busy flags.
-                        due.append(nrt.index)
+                        if nrt.next_free > free_by:
+                            due.append(nrt.index)
+                        else:
+                            calendar.setdefault(veh_ready[vid], []).append(nrt.index)
                 if not q:
                     break
 
@@ -464,34 +489,51 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
 
     # Per (link, interval [lo, hi)): entries ins[e0:e1], whose exits are
     # outs[e0:e1], and exits outs[x0:x1]; the vehicle-seconds on the link
-    # integrate entries minus exits so far over [lo, hi).
+    # integrate entries minus exits so far over [lo, hi). Slice sums come
+    # from prefix sums: times are whole seconds (step_s is an int), so every
+    # partial sum is exact and their differences equal the slice sums.
     states = {}
     entry_means = {}
     for rt in link_order:
-        a = rt.link
+        lid = rt.link.id
         ff = rt.ff_steps * dt
         ins, outs = rt.entry_times, rt.exit_times
         rt.entry_times = rt.exit_times = None
+        in_cum = [0.0, *accumulate(ins)]
+        out_cum = [0.0, *accumulate(outs)]
+        n_in_all = len(ins)
         rows = []
+        idle = None      # the last idle cell's state, shared under one blend
         e0 = x0 = 0
         for i in range(n_int):
             hi = (i + 1) * interval_s
+            if e0 == x0 and (e0 == n_in_all or ins[e0] >= hi):
+                # Idle: empty at the start, and nothing enters, so nothing
+                # exits either.
+                cav, reaction = rt.stat_cav[i], rt.stat_reaction[i]
+                if (idle is None or idle.cav_fraction != cav
+                        or idle.reaction_time != reaction):
+                    idle = LinkIntervalState(
+                        density=0.0, flow=0.0, travel_time=ff, free_flow_time=ff,
+                        cav_fraction=cav, reaction_time=reaction)
+                rows.append(idle)
+                continue
             e1 = bisect_left(ins, hi, e0)
             x1 = bisect_left(outs, hi, x0)
             n_in, n_out = e1 - e0, x1 - x0
-            in_sum = sum(ins[e0:e1])
-            tt = (sum(outs[e0:e1]) - in_sum) / n_in if n_in else ff
+            in_sum = in_cum[e1] - in_cum[e0]
+            tt = (out_cum[e1] - out_cum[e0] - in_sum) / n_in if n_in else ff
             veh_s = ((e0 - x0) * interval_s + (n_in - n_out) * hi
-                     - in_sum + sum(outs[x0:x1]))
+                     - in_sum + (out_cum[x1] - out_cum[x0]))
             k = veh_s / interval_s / rt.lane_m * 1000.0       # veh/km/lane
             flow = n_out / interval_s / rt.lanes * 3600.0      # veh/h/lane
             rows.append(LinkIntervalState(
                 density=k, flow=flow, travel_time=max(tt, ff), free_flow_time=ff,
                 cav_fraction=rt.stat_cav[i], reaction_time=rt.stat_reaction[i]))
             if n_in:
-                entry_means[(a.id, i)] = in_sum / n_in
+                entry_means[(lid, i)] = in_sum / n_in
             e0, x0 = e1, x1
-        states[a.id] = rows
+        states[lid] = rows
 
     # In vehicle order, so it equals the sum of the records' travel times.
     tstt = sum(e - p.departure_time for e, p in zip(veh_exit, plans)) / 3600.0

@@ -1,11 +1,12 @@
 """Demand splitting: uniform, noisy counter-based, file parsing."""
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tollsim.demand import (NoiseConfig, demand_from_records, load_demand_file,
-                            save_demand_file, split_demand)
+from tollsim.demand import (ClassDemand, NoiseConfig, demand_from_records,
+                            load_demand_file, save_demand_file, split_demand)
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.nguyen import build_nguyen
 
@@ -152,6 +153,13 @@ class TestDemandRecords:
         with pytest.raises(ValueError, match="non-finite demand"):
             demand_from_records([{"origin": "a", "destination": "b",
                                   "interval_index": 0, "total": total}])
+
+    @pytest.mark.parametrize("q", [(float("nan"), 1.0), (1.0, float("inf")),
+                                   (-math.inf, 0.0)])
+    def test_non_finite_class_demand_rejected(self, q):
+        # A NaN entry would otherwise vanish from the solve (q > 0 is false).
+        with pytest.raises(ValueError, match=r"non-finite class demand at \('o', 'd', 0\)"):
+            ClassDemand({("a", "b", 0): (1.0, 1.0), KEY: q})
 
     @pytest.mark.parametrize("ratio", [1.7, -0.1, float("nan")])
     def test_override_outside_unit_interval_rejected(self, ratio):

@@ -8,6 +8,7 @@ from tollsim.loading import (GridlockError, VehiclePlan, discretize_assignments,
 from tollsim.network import Clock, InvalidPathError, Path
 
 from conftest import line_network, parallel_network, two_link_network
+from test_golden import loading_dump
 
 AB = Path(("AB",), "A", "B")
 
@@ -103,6 +104,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="finite"):
             load_vehicles(line_network(), [VehiclePlan(UE, AB, 0, departure)],
                           clock_20min)
+        # Among finite departures, too: the offender sorts anywhere.
+        plans = [VehiclePlan(UE, AB, 0, 10.0), VehiclePlan(SO, AB, 0, departure),
+                 VehiclePlan(UE, AB, 0, 20.0), VehiclePlan(UE, AB, 0, 5.0)]
+        with pytest.raises(ValueError,
+                           match=f"departure time must be finite, got {departure}"):
+            load_vehicles(line_network(), plans, clock_20min)
 
     @pytest.mark.parametrize("departure", [-50.0, 1200.0, 1500.0])
     def test_departure_outside_horizon_rejected(self, clock_20min, departure):
@@ -119,6 +126,23 @@ class TestPlanValidation:
         assert res.vehicles[0].exit_time == 1798.0
         with pytest.raises(ValueError, match="departure time 1799.0 s"):
             load_vehicles(net, [VehiclePlan(UE, AB, 5, 1799.0)], clock)
+
+    def test_equal_paths_load_as_one_shared_path(self, clock_1h):
+        # Vehicles that tie on departure, class and path value keep their
+        # input order whether or not they share one path object. The
+        # interval label is not part of the sort, so it shows that order.
+        net = parallel_network()
+        s, l = Path(("S",), "O", "D"), Path(("L",), "O", "D")
+        s2, l2 = Path(("S",), "O", "D"), Path(("L",), "O", "D")
+        shared = [VehiclePlan(UE, l, 2, 60.0), VehiclePlan(UE, s, 1, 0.0),
+                  VehiclePlan(UE, l, 0, 60.0), VehiclePlan(UE, s, 0, 0.0),
+                  VehiclePlan(SO, s, 3, 0.0), VehiclePlan(UE, s, 2, 0.0)]
+        copies = [VehiclePlan(UE, l2, 2, 60.0), VehiclePlan(UE, s2, 1, 0.0),
+                  VehiclePlan(UE, l, 0, 60.0), VehiclePlan(UE, s, 0, 0.0),
+                  VehiclePlan(SO, s2, 3, 0.0), VehiclePlan(UE, s2, 2, 0.0)]
+        one = load_vehicles(net, shared, clock_1h)
+        assert [v.interval for v in one.vehicles] == [1, 0, 2, 3, 2, 0]
+        assert loading_dump(load_vehicles(net, copies, clock_1h)) == loading_dump(one)
 
     def test_invalid_path_rejected_even_when_shared(self, clock_20min):
         bad = Path(("AB",), "B", "A")
@@ -147,8 +171,14 @@ class TestDiscretization:
         assert sorted(p.departure_time for p in plans) == [300.0, 400.0, 500.0]
 
     def test_negative_flow_rejected(self, clock_20min):
-        with pytest.raises(ValueError):
-            discretize_assignments([(UE, 0, [AB], [-1.0])], clock_20min)
+        # NaN would otherwise be dropped silently (it is neither > 0 nor
+        # < 0) and inf would overflow the rounding.
+        ab2 = Path(("AB2",), "A", "B")
+        for flow in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                discretize_assignments([(UE, 0, [AB], [flow])], clock_20min)
+            with pytest.raises(ValueError, match="finite and non-negative"):
+                discretize_assignments([(UE, 0, [AB, ab2], [2.0, flow])], clock_20min)
 
     @pytest.mark.parametrize("interval", [-1, 4])
     def test_interval_outside_clock_rejected(self, clock_20min, interval):

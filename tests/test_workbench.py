@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from tollsim.demand import save_demand_file, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.nguyen import DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen
 from tollsim.pricing import TollConfig
+import tollsim
 from tollsim import scenario
 from tollsim.scenario import (Scenario, StageError, run_scenario,
                               validate_scenario)
@@ -471,6 +474,33 @@ class TestCli:
         assert [(float(r["departure_time_s"]), float(r["exit_time_s"]))
                 for r in rows] == [(v.departure_time, v.exit_time)
                                    for v in vehicles]
+
+    def test_sweep_bytes_do_not_depend_on_hash_seed(self, tmp_path):
+        # The byte-identical promise must hold across interpreters, whose
+        # str hashes, and so set iteration orders, differ by PYTHONHASHSEED.
+        src = tmp_path / "nguyen"
+        assert main(["nguyen", "--out", str(src), "--seed", "5"]) == 0
+        with open(src / "scenario.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # Three iterations: at two, a leak into the order of tied vehicles
+        # on different paths did not reach the outputs.
+        doc["solver"]["max_iterations"] = 3
+        doc["noise_beta_max"] = 0.2
+        with open(src / "scenario.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        pkg_root = os.path.dirname(os.path.dirname(tollsim.__file__))
+        manifests = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"out{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pkg_root)
+            subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tollsim.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "sweep", str(src / "scenario.json"), "--ratios", "0,0.5",
+                 "--out", str(out)],
+                env=env, check=True, capture_output=True)
+            manifests.append((out / "manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_price_without_toll_config_fails(self, tmp_path):
         path = write_fixture_scenario(tmp_path)
