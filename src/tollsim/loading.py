@@ -23,11 +23,12 @@ A calendar maps each such step to the queues due then, and the loop walks
 the clock's steps in order, skipping those without an entry. A queue's wake
 step is its head's ready step or, while a link's server is busy, the step
 the server frees up if that is later; a queue whose head is blocked
-downstream is put under the next step and retries there. Steps at or past
-the horizon are never visited: the vehicles of queues due then end the
-loading as a gridlock. Per link it keeps one byte per step flagging a
-standing queue, written whenever the link's wake step is set; queue
-clearance delays are read from these flags.
+downstream is put under the next step and retries there. The loop stops
+once the calendar is empty, when every queue is. Steps at or past the
+horizon are never visited: the vehicles of queues due then end the loading
+as a gridlock. Per link it keeps one byte per step flagging a standing
+queue, written whenever the link's wake step is set; queue clearance delays
+are read from these flags.
 
 Two marginal-time estimators read those delays: `marginal_time`, the
 per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
@@ -130,42 +131,32 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     interval outside the clock.
     """
     plans: list[VehiclePlan] = []
-    intervals = range(clock.n_intervals)
-    interval_s = clock.interval_s
     for cls, tau, paths, flows in groups:
-        if tau not in intervals:
+        if tau not in range(clock.n_intervals):
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
-        if len(paths) > 1:
-            ods = {(p.origin, p.destination) for p in paths}
-            if len(ods) > 1:
-                raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
+        ods = {(p.origin, p.destination) for p in paths}
+        if len(ods) > 1:
+            raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
         if not all(0.0 <= f < math.inf for f in flows):
             raise ValueError("path flows must be finite and non-negative")
-        members = [(p, f) for p, f in zip(paths, flows, strict=True) if f > 0]
-        if len(members) == 1:
-            # A lone path takes the whole rounded flow: largest remainder
-            # would give it the same count.
-            (path, total), = members
-            shares = [(path, math.floor(total + 0.5))]
-        elif members:
-            members.sort(key=lambda m: m[0].link_ids)
-            total = sum(f for _, f in members)
-            n_total = math.floor(total + 0.5)
-            quotas = [f * n_total / total for _, f in members]
-            counts = [math.floor(q) for q in quotas]
-            remainder = n_total - sum(counts)
-            if remainder:
-                order = sorted(range(len(members)),
-                               key=lambda i: (-(quotas[i] - counts[i]), i))
-                for i in order[:remainder]:
-                    counts[i] += 1
-            shares = [(path, n) for (path, _), n in zip(members, counts)]
-        else:
+        members = sorted([(p, f) for p, f in zip(paths, flows, strict=True) if f > 0],
+                         key=lambda m: m[0].link_ids)
+        total = sum(f for _, f in members)
+        n_total = int(math.floor(total + 0.5))
+        if n_total == 0:
             continue
-        start = tau * interval_s
-        for path, n in shares:
-            plans += [VehiclePlan(cls, path, tau, float(start + (j * interval_s) // n))
-                      for j in range(n)]
+        quotas = [f * n_total / total for _, f in members]
+        counts = [int(math.floor(q)) for q in quotas]
+        remainder = n_total - sum(counts)
+        order = sorted(range(len(members)),
+                       key=lambda i: (-(quotas[i] - counts[i]), i))
+        for i in order[:remainder]:
+            counts[i] += 1
+        start = tau * clock.interval_s
+        for (path, _), n in zip(members, counts):
+            for j in range(n):
+                dep = start + (j * clock.interval_s) // n
+                plans.append(VehiclePlan(cls, path, tau, float(dep)))
     return plans
 
 
@@ -212,8 +203,7 @@ class _Source:
 
 
 def _roll_interval(link_order, tau: int) -> None:
-    """Re-blend each link's FD from the mix that entered it last interval; a
-    link that nothing entered keeps its blend."""
+    """Re-blend every link's FD from the mix that entered it last interval."""
     for rt in link_order:
         entered = rt.enter_hv + rt.enter_cav
         if tau == 0:
@@ -221,9 +211,8 @@ def _roll_interval(link_order, tau: int) -> None:
         elif entered > 0:
             frac = rt.enter_cav / entered
         else:
-            rt.stat_cav[tau] = rt.stat_cav[tau - 1]
-            rt.stat_reaction[tau] = rt.reaction
-            continue
+            # Nothing entered last interval: keep the previous blend.
+            frac = rt.stat_cav[tau - 1]
         base = blended_reaction_time(frac)
         rt.reaction = base * rt.link.reaction_time_factor
         q_max = lane_capacity(rt.link.speed_limit, rt.eff_length, rt.reaction)
@@ -467,15 +456,13 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         nrt.enter_hv += 1
                     if not n_down:
                         # Entered while empty: its head is at least a free-flow
-                        # step from ready. An idle server wakes it then; a
-                        # busy one gets a visit later in this step, which
+                        # step from ready, so a visit later in this step only
                         # sets its wake step and busy flags.
-                        if nrt.next_free > free_by:
-                            due.append(nrt.index)
-                        else:
-                            calendar.setdefault(veh_ready[vid], []).append(nrt.index)
+                        due.append(nrt.index)
                 if not q:
                     break
+        if not calendar:
+            break       # every queue is empty
 
     if any(rt.queue for rt in queues):
         by_link = {rt.link.id: len(rt.queue) for rt in link_order if rt.queue}
