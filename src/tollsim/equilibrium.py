@@ -121,7 +121,9 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     gap stays at or below the tolerance for two consecutive iterations, or the
     iteration cap is reached. Returns the full iteration log either way.
     Only the loadings that can end the solve keep per-vehicle records, so
-    the returned `loading.vehicles` is always complete.
+    the returned `loading.vehicles` is always complete. Without SO demand no
+    row routes on marginal time, so only those same loadings keep the
+    clearance data, and the returned loading always has it too.
     """
     t0 = time.perf_counter()
     # (od, class) -> {interval: demand} over the positive class demands.
@@ -138,6 +140,7 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         ps.insert(distance_shortest_path(network, o, d))
         path_sets[(o, d, cls)] = ps
         rows += [(ps, cls, tau, q) for tau, q in by_tau.items()]
+    routes_so = any(cls == SO for _, cls, _, _ in rows)
 
     log: list[IterationRecord] = []
     converged = False
@@ -147,9 +150,11 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         groups = [(cls, tau, ps.paths, fs) for (ps, cls, tau, _), fs in zip(rows, flows)]
         # The loop stops only at the cap or once `hits` reaches 2, so only a
         # loading made at the cap or after one hit can become the result's;
-        # the others skip the per-vehicle records.
-        result = load_network(network, groups, clock,
-                              records=it == config.max_iterations or hits == 1)
+        # the others skip the per-vehicle records and, unless a row routes on
+        # the SO cost, the clearance data.
+        final = it == config.max_iterations or hits == 1
+        result = load_network(network, groups, clock, records=final,
+                              clearance=routes_so or final)
         skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
 
         # AON searches and path costs over the untouched path sets.

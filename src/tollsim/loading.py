@@ -26,14 +26,19 @@ the server frees up if that is later; a queue whose head is blocked
 downstream is put under the next step and retries there. The loop stops
 once the calendar is empty, when every queue is. Steps at or past the
 horizon are never visited: the vehicles of queues due then end the loading
-as a gridlock. Per link it keeps one byte per step flagging a standing
-queue, written whenever the link's wake step is set; queue clearance delays
-are read from these flags.
+as a gridlock.
 
-Two marginal-time estimators read those delays: `marginal_time`, the
-per-(link, interval) SO cost the routing skims sum, and `path_marginal_time`,
-which advances its probe past each clearance and is the one compared with
-+1-vehicle re-simulation; the solver does not route on it yet.
+With `clearance=True` (the default) it also keeps, per link, one byte per
+step flagging a standing queue, written whenever the link's wake step is
+set, and each (link, interval)'s mean entry time; queue clearance delays are
+read from these flags. Two marginal-time estimators read those delays:
+`marginal_time`, the per-(link, interval) SO cost the routing skims sum, and
+`path_marginal_time`, which advances its probe past each clearance and is
+the one compared with +1-vehicle re-simulation; the solver does not route on
+it yet. Only the SO cost reads them, so a caller that routes no class on it
+may pass `clearance=False`: the loader then writes no flags and no entry
+means, the three clearance readers raise ValueError, and nothing else
+changes.
 
 Link statistics come from per-link entry and exit times, one append each
 per move. Links are FIFO, so the k-th exit pairs with the k-th entry, and
@@ -168,7 +173,7 @@ class _LinkRT:
                  "reaction", "headway", "enter_hv", "enter_cav", "entry_times",
                  "exit_times", "stat_cav", "stat_reaction", "queue_flag")
 
-    def __init__(self, link, index, clock, n_intervals):
+    def __init__(self, link, index, clock, n_intervals, clearance):
         self.link = link
         self.index = index       # position in link-id order
         self.ff_steps = max(1, math.ceil(link.free_flow_time / clock.step_s - _EPS))
@@ -188,7 +193,8 @@ class _LinkRT:
         self.exit_times = []
         self.stat_cav = [0.0] * n_intervals
         self.stat_reaction = [0.0] * n_intervals
-        self.queue_flag = bytearray(clock.n_steps)  # 1 = standing queue in step
+        # 1 = standing queue in step; None without clearance data
+        self.queue_flag = bytearray(clock.n_steps) if clearance else None
 
 
 class _Source:
@@ -250,7 +256,9 @@ def _ready_steps(departures, dt: float, n_steps: int) -> list[int]:
 class LoadingResult:
     """Immutable outcome of one network loading. `vehicles` is `()` without
     records; the counts and TSTT (veh-h) come from the loader's exit times,
-    and a returned loading strands no vehicle, so all that entered exited."""
+    and a returned loading strands no vehicle, so all that entered exited.
+    `clearance` says whether the queue flags and entry means that the
+    clearance readers need were kept."""
 
     def __init__(self, network, clock, states, vehicles, queue_flags,
                  entry_time_means, n_vehicles, tstt_veh_h):
@@ -260,11 +268,18 @@ class LoadingResult:
         self.vehicles = vehicles            # list[VehicleRecord], or ()
         self._queue_flags = queue_flags     # link_id -> bytearray, 1 per queued step
         self._entry_means = entry_time_means  # (link_id, tau) -> mean entry time
+        self.clearance = queue_flags is not None
         self.vehicles_entered = self.vehicles_exited = n_vehicles
         self.tstt_veh_h = tstt_veh_h
 
+    def _need_clearance(self) -> None:
+        if not self.clearance:
+            raise ValueError("this loading kept no queue clearance data; "
+                             "load with clearance=True")
+
     def queue_clearance_delay(self, link_id: str, t: float) -> float:
         """Seconds after time t until the link's standing queue dissipates."""
+        self._need_clearance()
         flags = self._queue_flags[link_id]
         step = int(t // self.clock.step_s)
         if step < 0:
@@ -281,6 +296,7 @@ class LoadingResult:
         time plus the clearance of the queue standing when a vehicle that
         entered at the interval's mean entry time exits. This is the SO cost
         the routing skims carry."""
+        self._need_clearance()
         st = self.states[link_id][interval]
         entry = self._entry_means.get((link_id, interval))
         if entry is None:
@@ -295,6 +311,7 @@ class LoadingResult:
         that dissipation before the next link is read, so nested queues
         (an upstream queue held back by a downstream one) are not re-counted.
         """
+        self._need_clearance()
         t = interval * self.clock.interval_s
         total = 0.0
         for lid in path.link_ids:
@@ -308,7 +325,7 @@ class LoadingResult:
 
 
 def load_vehicles(network: Network, plans, clock: Clock, *,
-                  records: bool = True) -> LoadingResult:
+                  records: bool = True, clearance: bool = True) -> LoadingResult:
     """Simulate an explicit list of vehicle plans. See `load_network`."""
     paths: dict[int, Path] = {}     # id -> path; each distinct object validated once
     for plan in plans:
@@ -324,7 +341,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     n_steps = clock.n_steps
     dt = float(clock.step_s)
     interval_s = clock.interval_s
-    link_order = [_LinkRT(network.links[lid], i, clock, n_int)
+    link_order = [_LinkRT(network.links[lid], i, clock, n_int, clearance)
                   for i, lid in enumerate(sorted(network.links))]
     rts = {rt.link.id: rt for rt in link_order}
     routes = {key: (*map(rts.__getitem__, path.link_ids), None)
@@ -393,8 +410,9 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         free = step + 1
                         while next_free > free * dt + dt - _EPS:
                             free += 1
-                        end = free if free < n_steps else n_steps
-                        rt.queue_flag[step:end] = b"\x01" * (end - step)
+                        if clearance:
+                            end = free if free < n_steps else n_steps
+                            rt.queue_flag[step:end] = b"\x01" * (end - step)
                         if free > wake:
                             wake = free
                     calendar.setdefault(wake, []).append(i)
@@ -431,7 +449,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                     if not (credit >= one_vehicle and n_down + 1 <= nrt.storage):
                         # Blocked downstream: the head retries next step.
                         nrt.recv_credit = credit
-                        if i < n_links:
+                        if clearance and i < n_links:
                             rt.queue_flag[step] = 1
                         calendar.setdefault(step + 1, []).append(i)
                         break
@@ -480,7 +498,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     # from prefix sums: times are whole seconds (step_s is an int), so every
     # partial sum is exact and their differences equal the slice sums.
     states = {}
-    entry_means = {}
+    entry_means = {} if clearance else None
     for rt in link_order:
         lid = rt.link.id
         ff = rt.ff_steps * dt
@@ -517,7 +535,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
             rows.append(LinkIntervalState(
                 density=k, flow=flow, travel_time=max(tt, ff), free_flow_time=ff,
                 cav_fraction=rt.stat_cav[i], reaction_time=rt.stat_reaction[i]))
-            if n_in:
+            if n_in and clearance:
                 entry_means[(lid, i)] = in_sum / n_in
             e0, x0 = e1, x1
         states[lid] = rows
@@ -529,20 +547,23 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                               p.departure_time, log, exit_t)
                 for vid, (p, log, exit_t) in enumerate(zip(plans, veh_log, veh_exit))
                 ] if records else ()
-    return LoadingResult(network, clock, states, vehicles,
-                         {rt.link.id: rt.queue_flag for rt in link_order}, entry_means,
+    flags = {rt.link.id: rt.queue_flag for rt in link_order} if clearance else None
+    return LoadingResult(network, clock, states, vehicles, flags, entry_means,
                          len(plans), tstt)
 
 
 def load_network(network: Network, groups, clock: Clock, *,
-                 records: bool = True) -> LoadingResult:
+                 records: bool = True, clearance: bool = True) -> LoadingResult:
     """Load fractional path flows onto the network, one `(vehicle_class,
     interval, paths, flows)` group per (class, OD, departure interval); see
     `discretize_assignments`.
 
     `records=False` builds no `VehicleRecord`s (`vehicles` is `()`) and
-    changes nothing else. Raises GridlockError if the horizon ends before
-    the network empties.
+    changes nothing else. `clearance=False` keeps no standing-queue flags
+    and no mean entry times, so `queue_clearance_delay`, `marginal_time` and
+    `path_marginal_time` raise ValueError and the result's `clearance` is
+    False; it too changes nothing else. Raises GridlockError if the horizon
+    ends before the network empties.
     """
     plans = discretize_assignments(groups, clock)
-    return load_vehicles(network, plans, clock, records=records)
+    return load_vehicles(network, plans, clock, records=records, clearance=clearance)

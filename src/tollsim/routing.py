@@ -42,7 +42,9 @@ class CostSkims:
 
     Each of the three skims maps a link id to a list with one value per
     assignment interval, so a lookup is `row[tau]`. Times past the horizon
-    read the last interval, as `Clock.interval_of` clamps them.
+    read the last interval, as `Clock.interval_of` clamps them. `so_cost`
+    is None on skims without SO rows, those built from a loading made with
+    `clearance=False`; an SO path cost or search on them raises ValueError.
     """
 
     def __init__(self, clock: Clock, travel_time, ue_cost, so_cost):
@@ -52,19 +54,29 @@ class CostSkims:
         # (network, origin, interval, kind) -> {node: (cost, link ids)}
         self._trees: dict[tuple, dict] = {}
 
+    def _rows(self, kind: str) -> dict:
+        costs = self._costs[kind]
+        if costs is None:
+            raise ValueError("these skims have no SO cost rows: build them from "
+                             "a loading made with clearance=True")
+        return costs
+
     @classmethod
     def from_loading(cls, result, toll_schedule=None, vot_per_hour=None):
         """Build skims from a loading; tolls enter the UE cost in seconds at
-        the value of time `vot_per_hour` ($/h), which a tolled build must pass."""
+        the value of time `vot_per_hour` ($/h), which a tolled build must pass.
+        SO rows (link marginal times) are built only from a loading that kept
+        its clearance data (`result.clearance`)."""
         if toll_schedule is not None and vot_per_hour is None:
             raise ValueError("tolled skims need the value of time")
         tt = {}
         ue = {}
-        so = {}
+        so = {} if result.clearance else None
         for lid, rows in result.states.items():
             link = result.network.links[lid]
             tt[lid] = [st.travel_time for st in rows]
-            so[lid] = [result.marginal_time(lid, tau) for tau in range(len(rows))]
+            if so is not None:
+                so[lid] = [result.marginal_time(lid, tau) for tau in range(len(rows))]
             if toll_schedule is not None and link.in_pricing_zone:
                 ue[lid] = [st.travel_time
                            + toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
@@ -75,7 +87,7 @@ class CostSkims:
 
     def path_cost(self, path: Path, departure_interval: int, kind: str) -> float:
         """Sum of per-link costs with arrival-interval lookups along the path."""
-        costs = self._costs[kind]
+        costs = self._rows(kind)
         tt = self._tt
         interval_s = self.clock.interval_s
         last = self.clock.n_intervals - 1
@@ -101,7 +113,7 @@ def _search_tree(network: Network, skims: CostSkims, origin: str,
     after that node was settled: every label is the one an unpruned search
     settles.
     """
-    costs = skims._costs[cost_kind]
+    costs = skims._rows(cost_kind)
     tt = skims._tt
     interval_s = skims.clock.interval_s
     last = skims.clock.n_intervals - 1

@@ -199,31 +199,40 @@ class TestSolver:
         assert all(r.rgap >= 0.0 for r in res.log)
         assert all(r.rgap == (r.r1gap + r.r2gap) / 2.0 for r in res.log)
 
-    @pytest.mark.parametrize("cfg, converges", [
-        (SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0), True),
-        (SolverConfig(max_iterations=6, gap_tolerance=1e-12), False),
-    ], ids=["converges", "hits-the-cap"])
+    @pytest.mark.parametrize("cfg, converges, so_ratio", [
+        (SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0), True, 0.4),
+        (SolverConfig(max_iterations=6, gap_tolerance=1e-12), False, 0.4),
+        (SolverConfig(max_iterations=100, gap_tolerance=0.005, gamma=2.0), True, 0.0),
+        (SolverConfig(max_iterations=6, gap_tolerance=1e-12), False, 0.0),
+    ], ids=["converges", "hits-the-cap", "converges-ue-only", "hits-the-cap-ue-only"])
     def test_records_only_for_loadings_that_can_end_the_solve(
-            self, clock_1h, monkeypatch, cfg, converges):
+            self, clock_1h, monkeypatch, cfg, converges, so_ratio):
         requested = []
 
-        def load_network(*args, records):
-            requested.append(records)
-            return loading.load_network(*args, records=records)
+        def load_network(*args, records, clearance):
+            requested.append((records, clearance))
+            return loading.load_network(*args, records=records, clearance=clearance)
 
         monkeypatch.setattr(equilibrium, "load_network", load_network)
         net = bottleneck_pair_network()
-        demand = split_demand({("O", "D", 0): 400.0}, 0.4)
+        demand = split_demand({("O", "D", 0): 400.0}, so_ratio)
         res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
         assert res.converged is converges
+        records = [r for r, _ in requested]
         # At the cap, and after an iteration that met the tolerance.
-        assert requested == [
+        assert records == [
             it == cfg.max_iterations or (it > 1 and res.log[it - 2].rgap
                                          <= cfg.gap_tolerance)
             for it in range(1, len(res.log) + 1)]
-        assert not all(requested)
+        assert not all(records)
+        # Clearance data at every loading while a class routes on the SO
+        # cost; without SO demand only where the records are kept too.
+        assert [c for _, c in requested] == (
+            [True] * len(requested) if so_ratio > 0 else records)
         vehicles = res.loading.vehicles
         assert len(vehicles) == res.loading.vehicles_entered == 400
         assert all(math.isfinite(v.exit_time) for v in vehicles)
-        assert inspect.signature(loading.load_network) \
-            .parameters["records"].default is True
+        assert math.isfinite(res.loading.marginal_time("MD", 0))
+        params = inspect.signature(loading.load_network).parameters
+        assert params["records"].default is True
+        assert params["clearance"].default is True

@@ -1,9 +1,9 @@
 """Property tests of loader invariants on random plans over a small network
 with a merge, a diverge and a spillback bottleneck: vehicle conservation,
 FIFO order per link, storage bounds, independence from plan order, link
-statistics that replay exactly from the vehicle trajectories and a loading
-without vehicle records that equals one with them, each on a 1 s and a 2 s
-simulation step."""
+statistics that replay exactly from the vehicle trajectories, and loadings
+without vehicle records or without clearance data that equal one with them,
+each on a 1 s and a 2 s simulation step."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,3 +184,22 @@ def test_records_change_nothing_else(clock, plans):
     assert bare.vehicles_entered == full.vehicles_entered == len(plans)
     assert bare.vehicles_exited == full.vehicles_exited == len(plans)
     assert full.tstt_veh_h == sum(v.travel_time for v in full.vehicles) / 3600.0
+
+
+@on_both_steps
+@settings(max_examples=40, deadline=None)
+@given(fractional_plan_lists)
+def test_clearance_changes_nothing_else(clock, plans):
+    full = load_vehicles(NET, plans, clock)
+    bare = load_vehicles(NET, plans, clock, clearance=False)
+    assert full.clearance and not bare.clearance
+    assert bare.states == full.states
+    assert bare.vehicles == full.vehicles and len(bare.vehicles) == len(plans)
+    assert bare.tstt_veh_h == full.tstt_veh_h
+    assert bare.vehicles_entered == full.vehicles_entered == len(plans)
+    assert bare.vehicles_exited == full.vehicles_exited == len(plans)
+    for read in (lambda: bare.queue_clearance_delay("MN", 0.0),
+                 lambda: bare.marginal_time("MN", 0),
+                 lambda: bare.path_marginal_time(PATHS[0], 0)):
+        with pytest.raises(ValueError, match=r"clearance=True"):
+            read()

@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from tollsim.demand import UE
+from tollsim.loading import LoadingResult, VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
                              UnreachableError, distance_shortest_path,
@@ -107,6 +109,42 @@ class TestShortestPath:
         assert td_shortest_path(net, skims, "O", "D", 0, SO_COST)[0].link_ids \
             == ("L",)
         assert skims.path_cost(Path(("S",), "O", "D"), 0, SO_COST) == 900.0
+
+
+class TestSkimsFromLoading:
+    @pytest.fixture
+    def marginal_calls(self, monkeypatch):
+        calls = []
+        marginal_time = LoadingResult.marginal_time
+
+        def counting(result, link_id, interval):
+            calls.append((link_id, interval))
+            return marginal_time(result, link_id, interval)
+
+        monkeypatch.setattr(LoadingResult, "marginal_time", counting)
+        return calls
+
+    def loading(self, clock, clearance):
+        plans = [VehiclePlan(UE, Path(("AM", "MB"), "A", "B"), 0, float(i))
+                 for i in range(20)]
+        return load_vehicles(two_link_network(), plans, clock, clearance=clearance)
+
+    def test_so_rows_only_from_a_loading_with_clearance(self, clock_20min,
+                                                        marginal_calls):
+        net = two_link_network()
+        path = Path(("AM", "MB"), "A", "B")
+        full = CostSkims.from_loading(self.loading(clock_20min, True))
+        assert len(marginal_calls) == 2 * clock_20min.n_intervals
+        marginal_calls.clear()
+        bare = CostSkims.from_loading(self.loading(clock_20min, False))
+        assert marginal_calls == []
+        assert bare.path_cost(path, 0, UE_COST) == full.path_cost(path, 0, UE_COST)
+        assert td_shortest_path(net, bare, "A", "B", 0) \
+            == td_shortest_path(net, full, "A", "B", 0)
+        with pytest.raises(ValueError, match="no SO cost rows"):
+            bare.path_cost(path, 0, SO_COST)
+        with pytest.raises(ValueError, match="no SO cost rows"):
+            td_shortest_path(net, bare, "A", "B", 0, SO_COST)
 
 
 class TestStaticShortestPath:
