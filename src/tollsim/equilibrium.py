@@ -164,7 +164,8 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
             kind = _COST_KIND[cls]
             best_path, best_cost = td_shortest_path(
                 network, skims, ps.origin, ps.destination, tau, kind)
-            costs = [skims.path_cost(p, tau, kind) for p in ps.paths]
+            costs = [best_cost if p.link_ids == best_path.link_ids
+                     else skims.path_cost(p, tau, kind) for p in ps.paths]
             gap_rows[cls].append((fs, costs, min(min(costs), best_cost), q))
             aon.append(best_path)
         r1gap, r2gap = relative_gap(gap_rows[UE]), relative_gap(gap_rows[SO])

@@ -327,11 +327,12 @@ class LoadingResult:
 def load_vehicles(network: Network, plans, clock: Clock, *,
                   records: bool = True, clearance: bool = True) -> LoadingResult:
     """Simulate an explicit list of vehicle plans. See `load_network`."""
-    paths: dict[int, Path] = {}     # id -> path; each distinct object validated once
-    for plan in plans:
-        if id(plan.path) not in paths:
-            plan.path.validate(network)
-            paths[id(plan.path)] = plan.path
+    # id -> path; each distinct path is validated once per network.
+    paths = {id(p.path): p.path for p in plans}
+    for path in paths.values():
+        if path not in network.valid_paths:
+            path.validate(network)
+            network.valid_paths.add(path)
 
     keys = [(p.departure_time, p.vehicle_class, p.path.origin, p.path.destination,
              p.path.link_ids) for p in plans]
@@ -341,8 +342,8 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     n_steps = clock.n_steps
     dt = float(clock.step_s)
     interval_s = clock.interval_s
-    link_order = [_LinkRT(network.links[lid], i, clock, n_int, clearance)
-                  for i, lid in enumerate(sorted(network.links))]
+    link_order = [_LinkRT(a, i, clock, n_int, clearance)
+                  for i, a in enumerate(network.link_order)]
     rts = {rt.link.id: rt for rt in link_order}
     routes = {key: (*map(rts.__getitem__, path.link_ids), None)
               for key, path in paths.items()}

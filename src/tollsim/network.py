@@ -2,8 +2,9 @@
 and the typed JSON reader and the JSON/CSV writers every tollsim file uses.
 
 All quantities are SI (meters, seconds) unless a field name says otherwise.
-Networks, paths and clocks are immutable after construction and safe to
-share between concurrent readers.
+Paths, clocks and a network's nodes and links are immutable; a network only
+adds to `valid_paths`, the paths `load_vehicles` has validated against it.
+All are safe to share between concurrent readers.
 
 A network file is {"nodes": [...], "links": [...], "pricing_zone": [...]}.
 Its node and link objects are read by `read_fields`: their keys are the
@@ -60,11 +61,17 @@ class Network:
         self.link_list = list(links)
         self.nodes = {n.id: n for n in self.node_list}
         self.links = {a.id: a for a in self.link_list}
-        out: dict[str, list[Link]] = {nid: [] for nid in self.nodes}
-        for a in self.link_list:
-            out.setdefault(a.from_node, []).append(a)
-        self.out_links = {nid: tuple(sorted(v, key=lambda a: a.id))
-                          for nid, v in out.items()}
+        # Path-search indices; links in id order, so index order is id order.
+        self.link_order = sorted(self.links.values(), key=lambda a: a.id)
+        ends = (e for a in self.link_order for e in (a.from_node, a.to_node))
+        self.node_index = {nid: i for i, nid in enumerate(dict.fromkeys([*self.nodes, *ends]))}
+        out: dict[str, list[Link]] = {nid: [] for nid in self.node_index}
+        self.out_adj = [[] for _ in self.node_index]
+        for i, a in enumerate(self.link_order):
+            out[a.from_node].append(a)
+            self.out_adj[self.node_index[a.from_node]].append((i, self.node_index[a.to_node]))
+        self.out_links = {nid: tuple(v) for nid, v in out.items()}
+        self.valid_paths: set[Path] = set()
 
     @property
     def zone_link_ids(self) -> frozenset[str]:

@@ -8,19 +8,18 @@ search below.
 
 Link costs are read at the interval of arrival at each link, clamped to the
 last interval past the horizon; arrival times propagate along travel-time
-skims. Ties are broken by the lexicographically smallest link-id sequence so
-searches are fully deterministic.
-
-A label-setting search from one origin settles nodes in the same order
-whatever the destination, so each (origin, departure interval, cost kind)
-is searched once, to every node, and the tree is kept on the skims it was
-built from; a path query is a lookup into that tree. The search pushes a
-relaxation only if it beats every entry already pushed for its node, which
-leaves each settled label, tie-breaks included, as a full search finds it.
+skims. One label-setting search runs on the network's link and node indices;
+a cost tie goes to the lexicographically smallest link-id sequence, so
+searches are fully deterministic. From one origin it settles nodes in the
+same order whatever the destination, so each (origin, departure interval,
+cost kind) is searched once, to every node, and the tree is kept on the
+skims it was built from; a path query walks that tree back from its
+destination. The distance search runs it on link lengths.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .network import Clock, Network, Path
@@ -45,14 +44,22 @@ class CostSkims:
     read the last interval, as `Clock.interval_of` clamps them. `so_cost`
     is None on skims without SO rows, those built from a loading made with
     `clearance=False`; an SO path cost or search on them raises ValueError.
+    Every entry must be finite and positive, as the search needs.
     """
 
     def __init__(self, clock: Clock, travel_time, ue_cost, so_cost):
+        for what, rows in (("travel time", travel_time), ("UE cost", ue_cost),
+                           ("SO cost", so_cost or {})):
+            for lid, row in rows.items():
+                for tau, value in enumerate(row):
+                    if not 0.0 < value < math.inf:
+                        raise ValueError(f"link {lid!r} has {what} {value!r} in interval "
+                                         f"{tau}; path searches need finite positive costs")
         self.clock = clock
         self._tt = travel_time
         self._costs = {UE_COST: ue_cost, SO_COST: so_cost}
-        # (network, origin, interval, kind) -> {node: (cost, link ids)}
-        self._trees: dict[tuple, dict] = {}
+        self._by_index: dict[tuple, tuple] = {}  # (network, kind) -> `_columns`
+        self._trees: dict[tuple, tuple] = {}     # (network, origin, interval, kind) -> tree
 
     def _rows(self, kind: str) -> dict:
         costs = self._costs[kind]
@@ -60,6 +67,15 @@ class CostSkims:
             raise ValueError("these skims have no SO cost rows: build them from "
                              "a loading made with clearance=True")
         return costs
+
+    def _columns(self, network: Network, kind: str) -> tuple[list, list]:
+        """Per interval, the `kind` costs and the travel times by link index."""
+        if (network, kind) not in self._by_index:
+            self._by_index[network, kind] = tuple(
+                [[rows[a.id][tau] for a in network.link_order]
+                 for tau in range(self.clock.n_intervals)]
+                for rows in (self._rows(kind), self._tt))
+        return self._by_index[network, kind]
 
     @classmethod
     def from_loading(cls, result, toll_schedule=None, vot_per_hour=None):
@@ -102,82 +118,104 @@ class CostSkims:
         return total
 
 
-def _search_tree(network: Network, skims: CostSkims, origin: str,
-                 departure_interval: int, cost_kind: str) -> dict:
-    """Least-cost labels {node: (cost, link ids)} of every node reachable
-    from `origin` for a departure at the start of the interval.
-
-    A relaxation is pushed only if its (cost, link ids) beats the least pair
-    pushed for that node so far. Link ids name one path, so no two entries
-    for a node tie on both, and a dominated entry would only have popped
-    after that node was settled: every label is the one an unpruned search
-    settles.
+def _search(network: Network, origin: int, t0: float, costs, tt, interval_s,
+            last: int, stop: int = -1) -> tuple[list, list, list]:
+    """Label-setting search from node index `origin` at time `t0` over
+    per-interval columns of link costs and times read at the arrival
+    interval, clamped to `last`, until node `stop` settles: per-node least
+    cost, parent link and parent node (-1 at the origin and unreached
+    nodes). A cost tie goes to the smaller link ids, which gives each node
+    the label a search ordered on (cost, link ids) settles only if every
+    link cost is positive: a zero-cost link could settle a node before an
+    equal-cost, smaller label reaches it.
     """
-    costs = skims._rows(cost_kind)
-    tt = skims._tt
-    interval_s = skims.clock.interval_s
-    last = skims.clock.n_intervals - 1
-    out_links = network.out_links
+    n = len(network.node_index)
+    cost, plink, pnode = [math.inf] * n, [-1] * n, [-1] * n
+    arrival, done = [0.0] * n, [False] * n
+    adj = network.out_adj
     heappush, heappop = heapq.heappush, heapq.heappop
-    heap = [(0.0, (), origin, float(departure_interval * interval_s))]
-    pushed: dict[str, tuple] = {}
-    tree: dict[str, tuple] = {}
+    cost[origin], arrival[origin] = 0.0, t0
+    heap = [(0.0, origin)]
     while heap:
-        cost, lex, node, t = heappop(heap)
-        if node in tree:
+        c, u = heappop(heap)
+        if done[u]:
             continue
-        tree[node] = (cost, lex)
+        done[u] = True
+        if u == stop:
+            break
+        t = arrival[u]
         tau = int(t // interval_s)
         if tau > last:
             tau = last
-        for link in out_links.get(node, ()):
-            head = link.to_node
-            if head in tree:
+        col, tt_col = costs[tau], tt[tau]
+        for li, v in adj[u]:
+            if done[v]:
                 continue
-            lid = link.id
-            entry = (cost + costs[lid][tau], lex + (lid,), head, t + tt[lid][tau])
-            best = pushed.get(head)
-            if best is not None and best <= entry:
+            cv = c + col[li]
+            cw = cost[v]
+            if cv < cw:
+                heappush(heap, (cv, v))
+            elif cv > cw or plink[v] < 0:    # worse, or both infinite
                 continue
-            pushed[head] = entry
-            heappush(heap, entry)
-    return tree
+            else:
+                # Walk both paths back to the last node they share; the links
+                # they take from it differ and decide. Costs rise along a
+                # path, so the dearer node is not on the other's path.
+                a, la, b, lb = u, li, pnode[v], plink[v]
+                while a != b:
+                    if cost[a] < cost[b]:
+                        b, lb = pnode[b], plink[b]
+                    else:
+                        a, la = pnode[a], plink[a]
+                if la > lb:
+                    continue
+            cost[v], plink[v], pnode[v] = cv, li, u
+            arrival[v] = t + tt_col[li]
+    return cost, plink, pnode
+
+
+def _path(network: Network, tree, origin: str, destination: str) -> tuple[Path, float]:
+    """The tree's path to `destination` and its cost; UnreachableError if none."""
+    cost, plink, pnode = tree
+    v = network.node_index.get(destination)
+    if v is None or plink[v] < 0:
+        raise UnreachableError(origin, destination)
+    least, ids, order = cost[v], [], network.link_order
+    while (li := plink[v]) >= 0:
+        ids.append(order[li].id)
+        v = pnode[v]
+    return Path(tuple(ids[::-1]), origin, destination), least
 
 
 def td_shortest_path(network: Network, skims: CostSkims, origin: str,
                      destination: str, departure_interval: int,
                      cost_kind: str = UE_COST) -> tuple[Path, float]:
-    """Least-cost acyclic path for a departure at the start of the interval."""
+    """Least-cost acyclic path for a departure at the start of the interval,
+    and its cost, summed as `path_cost` sums it."""
     key = (network, origin, departure_interval, cost_kind)
     tree = skims._trees.get(key)
     if tree is None:
-        tree = skims._trees[key] = _search_tree(network, skims, origin,
-                                                departure_interval, cost_kind)
-    label = tree.get(destination)
-    if label is None or not label[1]:
-        raise UnreachableError(origin, destination)
-    cost, lex = label
-    return Path(lex, origin, destination), cost
+        o = network.node_index.get(origin)
+        if o is None:
+            raise UnreachableError(origin, destination)
+        interval_s = skims.clock.interval_s
+        tree = skims._trees[key] = _search(
+            network, o, float(departure_interval * interval_s),
+            *skims._columns(network, cost_kind), interval_s, skims.clock.n_intervals - 1)
+    return _path(network, tree, origin, destination)
 
 
 def distance_shortest_path(network: Network, origin: str, destination: str) -> Path:
     """Static shortest path by link length (used for initialization)."""
-    heap = [(0.0, (), origin)]
-    settled: set[str] = set()
-    while heap:
-        dist, lex, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == destination:
-            if not lex:
-                raise UnreachableError(origin, destination)
-            return Path(lex, origin, destination)
-        for link in network.out_links.get(node, ()):
-            if link.to_node in settled:
-                continue
-            heapq.heappush(heap, (dist + link.length, lex + (link.id,), link.to_node))
-    raise UnreachableError(origin, destination)
+    o, d = network.node_index.get(origin), network.node_index.get(destination)
+    if o is None or d is None:
+        raise UnreachableError(origin, destination)
+    bad = [a.id for a in network.link_order if not 0.0 < a.length < math.inf]
+    if bad:
+        raise ValueError(f"links {bad} have lengths that are not finite and positive")
+    lengths = [[a.length for a in network.link_order]]
+    tree = _search(network, o, 0.0, lengths, lengths, 1, 0, d)
+    return _path(network, tree, origin, destination)[0]
 
 
 @dataclass
@@ -197,12 +235,6 @@ class PathSet:
         for tau in self.intervals:
             self.proportions.setdefault(tau, [])
 
-    def index_of(self, path: Path):
-        for i, p in enumerate(self.paths):
-            if p.link_ids == path.link_ids:
-                return i
-        return None
-
     def insert(self, path: Path) -> int:
         """Insert a path honoring the cap; returns its index.
 
@@ -211,13 +243,12 @@ class PathSet:
         are renormalized; the new path starts at proportion 0, or at 1 in an
         interval whose proportions sum to 0 (as in an empty set).
         """
-        idx = self.index_of(path)
-        if idx is not None:
-            return idx
+        for i, p in enumerate(self.paths):
+            if p.link_ids == path.link_ids:
+                return i
         if len(self.paths) >= self.cap:
-            means = [sum(self.proportions[tau][i] for tau in self.proportions)
-                     for i in range(len(self.paths))]
-            evict = min(range(len(self.paths)), key=lambda i: (means[i], i))
+            means = [sum(col) for col in zip(*self.proportions.values())]
+            evict = means.index(min(means)) if means else 0
             del self.paths[evict]
             for tau, vec in self.proportions.items():
                 vec.pop(evict)

@@ -12,7 +12,8 @@ from tollsim.equilibrium import (SolverConfig, UndefinedGapError,
                                  relative_gap, solve_mixed_equilibrium,
                                  step_size, update_proportions)
 from tollsim.network import Clock, Link, Network, Node
-from tollsim.routing import UE_COST, CostSkims
+from tollsim.nguyen import build_nguyen
+from tollsim.routing import SO_COST, UE_COST, CostSkims
 
 
 def bottleneck_pair_network():
@@ -155,8 +156,8 @@ class TestSolver:
             if path.link_ids != ("OD",))
         assert short_flow == pytest.approx(281.25, rel=0.10)
         skims = CostSkims.from_loading(res.loading)   # untolled: UE cost = time
-        times = [skims.path_cost(path, 0, UE_COST) for path in ps.paths
-                 if ps.proportions[0][ps.index_of(path)] > 0.01]
+        times = [skims.path_cost(path, 0, UE_COST)
+                 for path, p in zip(ps.paths, ps.proportions[0]) if p > 0.01]
         assert max(times) / min(times) < 1.05
 
     def test_all_so_assignment_beats_all_ue_on_total_time(self, clock_1h):
@@ -179,6 +180,23 @@ class TestSolver:
         classes = {v.vehicle_class for v in res.loading.vehicles}
         assert classes == {UE, SO}
         assert res.loading.vehicles_entered == 400
+
+    def test_reused_tree_cost_is_exactly_the_path_cost(self, monkeypatch):
+        # The solver prices the set's copy of the AON path with the search
+        # tree's cost, not with `path_cost`; the two must agree to the bit.
+        search = equilibrium.td_shortest_path
+        rows = []
+
+        def checked_search(network, skims, origin, destination, tau, kind):
+            best_path, best_cost = search(network, skims, origin, destination, tau, kind)
+            rows.append(kind)
+            assert skims.path_cost(best_path, tau, kind) == best_cost
+            return best_path, best_cost
+
+        monkeypatch.setattr(equilibrium, "td_shortest_path", checked_search)
+        network, totals, clock = build_nguyen()
+        solve_mixed_equilibrium(network, split_demand(totals, 0.5), clock)
+        assert {UE_COST, SO_COST} == set(rows)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_gap_raises(self, clock_1h, monkeypatch, bad):

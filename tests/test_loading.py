@@ -151,6 +151,23 @@ class TestPlanValidation:
         with pytest.raises(InvalidPathError):
             load_vehicles(line_network(), plans, clock_20min)
 
+    def test_each_path_value_validated_once_per_network(self, clock_20min,
+                                                        monkeypatch):
+        checked = []
+        validate = Path.validate
+        monkeypatch.setattr(Path, "validate",
+                            lambda path, net: checked.append(path) or validate(path, net))
+        net = line_network()
+        bad = Path(("AB",), "B", "A")
+        for _ in range(2):
+            load_vehicles(net, [VehiclePlan(UE, Path(("AB",), "A", "B"), 0, 0.0)],
+                          clock_20min)
+            with pytest.raises(InvalidPathError):
+                load_vehicles(net, [VehiclePlan(UE, bad, 0, 0.0)], clock_20min)
+        assert checked == [AB, bad, bad]
+        load_vehicles(line_network(), [VehiclePlan(UE, AB, 0, 0.0)], clock_20min)
+        assert checked == [AB, bad, bad, AB]
+
 
 class TestDiscretization:
     def test_total_rounding(self, clock_20min):

@@ -1,6 +1,9 @@
 """Time-dependent shortest paths and bounded path sets."""
+import heapq
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import UE
 from tollsim.loading import LoadingResult, VehiclePlan, load_vehicles
@@ -147,6 +150,130 @@ class TestSkimsFromLoading:
             td_shortest_path(net, bare, "A", "B", 0, SO_COST)
 
 
+def oracle_tree(network, costs, tt, clock, origin, departure_interval):
+    """Reference search: labels {node: (cost, link ids)} of every node
+    reachable from `origin`, settled in (cost, link ids) order with the link
+    ids carried on every heap entry. A relaxation is pushed only if it beats
+    the least entry pushed for its node so far."""
+    heap = [(0.0, (), origin, float(departure_interval * clock.interval_s))]
+    pushed = {}
+    tree = {}
+    while heap:
+        cost, lex, node, t = heapq.heappop(heap)
+        if node in tree:
+            continue
+        tree[node] = (cost, lex)
+        tau = clock.interval_of(t)
+        for link in network.out_links.get(node, ()):
+            if link.to_node in tree:
+                continue
+            entry = (cost + costs[link.id][tau], lex + (link.id,), link.to_node,
+                     t + tt[link.id][tau])
+            best = pushed.get(link.to_node)
+            if best is None or entry < best:
+                pushed[link.to_node] = entry
+                heapq.heappush(heap, entry)
+    return tree
+
+
+def oracle_distance_path(network, origin, destination):
+    """Reference static search by link length: link ids, or None."""
+    heap = [(0.0, (), origin)]
+    settled = set()
+    while heap:
+        dist, lex, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == destination:
+            return lex or None
+        for link in network.out_links.get(node, ()):
+            if link.to_node not in settled:
+                heapq.heappush(heap, (dist + link.length, lex + (link.id,), link.to_node))
+    return None
+
+
+# Link ids whose string order differs from their order of creation.
+LINK_IDS = ("b", "a10", "a", "B", "a2", "ab", "b0", "a1", "c", "ba", "A", "b1")
+
+
+@st.composite
+def search_cases(draw):
+    """A small random network, multi-interval skims and the skims' rows. All
+    costs, times and lengths are whole numbers, so exact ties happen."""
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
+    n_int = draw(st.integers(1, 3))
+    clock = Clock(step_s=1, interval_s=10, horizon_s=10 * n_int)
+    ids = draw(st.lists(st.sampled_from(LINK_IDS), unique=True, min_size=1))
+    links = [Link(lid, draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
+                  float(draw(st.integers(1, 3))), 1, 10.0) for lid in ids]
+
+    def rows(top):
+        return {lid: [float(draw(st.integers(1, top))) for _ in range(n_int)]
+                for lid in ids}
+
+    tt, costs = rows(25), {UE_COST: rows(3), SO_COST: rows(3)}
+    network = Network([Node(nid) for nid in nodes], links)
+    return network, clock, tt, costs, CostSkims(clock, tt, costs[UE_COST], costs[SO_COST])
+
+
+class TestSearchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases())
+    def test_labels_and_distance_paths_match_the_oracle(self, case):
+        network, clock, tt, costs, skims = case
+        nodes = sorted(network.nodes)
+        for o in nodes:
+            for tau in range(clock.n_intervals):
+                for kind in (UE_COST, SO_COST):
+                    tree = oracle_tree(network, costs[kind], tt, clock, o, tau)
+                    for d in nodes:
+                        label = tree.get(d, (None, ()))
+                        if label[1]:
+                            assert td_shortest_path(network, skims, o, d, tau, kind) \
+                                == (Path(label[1], o, d), label[0])
+                        else:
+                            with pytest.raises(UnreachableError):
+                                td_shortest_path(network, skims, o, d, tau, kind)
+            for d in nodes:
+                lex = oracle_distance_path(network, o, d)
+                if lex:
+                    assert distance_shortest_path(network, o, d) == Path(lex, o, d)
+                else:
+                    with pytest.raises(UnreachableError):
+                        distance_shortest_path(network, o, d)
+            for unknown in ((o, "nowhere"), ("nowhere", o)):
+                with pytest.raises(UnreachableError):
+                    td_shortest_path(network, skims, *unknown, 0)
+                with pytest.raises(UnreachableError):
+                    distance_shortest_path(network, *unknown)
+
+
+class TestSearchPrecondition:
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_skims_reject_entries_that_are_not_finite_and_positive(
+            self, clock_20min, bad, row):
+        rows = [{"AM": [5.0] * 4, "MB": [5.0] * 4} for _ in range(3)]
+        rows[row]["MB"][2] = bad
+        with pytest.raises(ValueError, match="link 'MB' .* in interval 2"):
+            CostSkims(clock_20min, *rows)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_distance_search_rejects_lengths_that_are_not_finite_and_positive(
+            self, bad):
+        with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
+            distance_shortest_path(two_link_network(l2=bad), "A", "B")
+
+    def test_overflowing_costs_leave_nodes_unreachable(self, clock_20min):
+        # Finite entries whose sum overflows tie at infinity with a node not
+        # yet reached; that tie must not relabel it.
+        net = two_link_network()
+        skims = const_skims(net, clock_20min, {"AM": 1e308, "MB": 1e308})
+        with pytest.raises(UnreachableError):
+            td_shortest_path(net, skims, "A", "B", 0)
+
+
 class TestStaticShortestPath:
     def test_picks_shortest_by_length(self):
         net = Network(
@@ -215,6 +342,12 @@ class TestPathSet:
         ps.proportions[0] = [0.5, 0.5]
         ps.insert(path_named("c"))
         assert [p.link_ids for p in ps.paths] == [("b",), ("c",)]
+
+    def test_eviction_without_intervals_removes_oldest(self):
+        ps = PathSet("O", "D", 1, ())
+        ps.insert(path_named("a"))
+        assert ps.insert(path_named("b")) == 0
+        assert [p.link_ids for p in ps.paths] == [("b",)]
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
