@@ -28,6 +28,15 @@ once the calendar is empty, when every queue is. Steps at or past the
 horizon are never visited: the vehicles of queues due then end the loading
 as a gridlock.
 
+A link's receiving rate per step, `rate * dt`, depends only on the vehicles
+on it and on its FD blend, and the blend changes only at an interval roll.
+So each link memoizes it by vehicle count in a dict that `_roll_interval`
+replaces with an empty one at every roll, and it is never read under another
+blend. A miss evaluates the same expressions in the same order as a
+recomputation, so a hit returns the identical float. The memo lives and dies
+with one interval of one loading: the only state a network carries from one
+loading to the next is `valid_paths`.
+
 With `clearance=True` (the default) it also keeps, per link, one byte per
 step flagging a standing queue, written whenever the link's wake step is
 set, and each (link, interval)'s mean entry time; queue clearance delays are
@@ -136,6 +145,9 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     interval outside the clock.
     """
     plans: list[VehiclePlan] = []
+    append = plans.append
+    interval_s = clock.interval_s
+    new = tuple.__new__      # a VehiclePlan without its Python-level constructor
     for cls, tau, paths, flows in groups:
         if tau not in range(clock.n_intervals):
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
@@ -157,11 +169,10 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
                        key=lambda i: (-(quotas[i] - counts[i]), i))
         for i in order[:remainder]:
             counts[i] += 1
-        start = tau * clock.interval_s
+        start = tau * interval_s
         for (path, _), n in zip(members, counts):
             for j in range(n):
-                dep = start + (j * clock.interval_s) // n
-                plans.append(VehiclePlan(cls, path, tau, float(dep)))
+                append(new(VehiclePlan, (cls, path, tau, float(start + (j * interval_s) // n))))
     return plans
 
 
@@ -170,8 +181,8 @@ class _LinkRT:
 
     __slots__ = ("link", "index", "ff_steps", "storage", "lanes", "lane_m",
                  "eff_length", "queue", "next_free", "recv_credit", "credit_step",
-                 "reaction", "headway", "enter_hv", "enter_cav", "entry_times",
-                 "exit_times", "stat_cav", "stat_reaction", "queue_flag")
+                 "rate_memo", "reaction", "headway", "enter_hv", "enter_cav",
+                 "entry_times", "exit_times", "stat_cav", "stat_reaction", "queue_flag")
 
     def __init__(self, link, index, clock, n_intervals, clearance):
         self.link = link
@@ -185,6 +196,7 @@ class _LinkRT:
         self.next_free = 0.0     # server availability time, s
         self.recv_credit = 0.0
         self.credit_step = -1    # last step the credit was refreshed at
+        self.rate_memo = None    # vehicles on link -> rate * dt, for one interval
         self.reaction = None     # set at the first interval roll
         self.headway = None
         self.enter_hv = 0
@@ -225,6 +237,7 @@ def _roll_interval(link_order, tau: int) -> None:
         rt.headway = 1.0 / (q_max * rt.lanes)
         rt.stat_cav[tau] = frac
         rt.stat_reaction[tau] = rt.reaction
+        rt.rate_memo = {}
         rt.enter_hv = 0
         rt.enter_cav = 0
 
@@ -395,10 +408,10 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
         for i in due:
             rt = queues[i]
             q = rt.queue
+            next_free = rt.next_free
             while True:
                 vid = q[0]
                 ready = veh_ready[vid]
-                next_free = rt.next_free
                 if ready > step or next_free > free_by:
                     # Wake the queue at the first step its head may leave.
                     # Until then neither the head nor the server's next free
@@ -416,7 +429,11 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                             rt.queue_flag[step:end] = b"\x01" * (end - step)
                         if free > wake:
                             wake = free
-                    calendar.setdefault(wake, []).append(i)
+                    due_then = calendar.get(wake)
+                    if due_then is None:
+                        calendar[wake] = [i]
+                    else:
+                        due_then.append(i)
                     break
                 li = veh_pos[vid] + 1
                 nrt = veh_route[vid][li]
@@ -430,9 +447,12 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         # count. It regenerates across idle steps, but a
                         # single step never admits more than one step's rate
                         # plus one stored vehicle.
-                        k = n_down / nrt.lane_m                # veh/m/lane
-                        rate = (1.0 - nrt.eff_length * k) / nrt.reaction
-                        rate = (rate if rate > 0.0 else 0.0) * nrt.lanes
+                        rate_dt = nrt.rate_memo.get(n_down)
+                        if rate_dt is None:
+                            k = n_down / nrt.lane_m                # veh/m/lane
+                            rate = (1.0 - nrt.eff_length * k) / nrt.reaction
+                            rate_dt = (rate if rate > 0.0 else 0.0) * nrt.lanes * dt
+                            nrt.rate_memo[n_down] = rate_dt
                         if refreshed >= 0:
                             # What the last refreshed step left, carried up
                             # to one vehicle.
@@ -441,7 +461,6 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         else:
                             carry = 1.0  # an empty link accepts a vehicle instantly
                             elapsed = 1
-                        rate_dt = rate * dt
                         credit = carry + rate_dt * elapsed
                         cap = 1.0 + rate_dt
                         if credit > cap:
@@ -452,12 +471,16 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         nrt.recv_credit = credit
                         if clearance and i < n_links:
                             rt.queue_flag[step] = 1
-                        calendar.setdefault(step + 1, []).append(i)
+                        due_then = calendar.get(step + 1)
+                        if due_then is None:
+                            calendar[step + 1] = [i]
+                        else:
+                            due_then.append(i)
                         break
                 q.popleft()
                 if i < n_links:
                     # A link exit: its server's headway and exit time.
-                    rt.next_free = (next_free if next_free >= t else t) + rt.headway
+                    rt.next_free = next_free = (next_free if next_free >= t else t) + rt.headway
                     rt.exit_times.append(t)
                 if nrt is None:
                     veh_exit[vid] = t

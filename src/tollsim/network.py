@@ -71,6 +71,11 @@ class Network:
             out[a.from_node].append(a)
             self.out_adj[self.node_index[a.from_node]].append((i, self.node_index[a.to_node]))
         self.out_links = {nid: tuple(v) for nid, v in out.items()}
+        # The distance search's link lengths by index, and the ids of the
+        # links whose lengths it cannot use.
+        self.length_column = tuple(a.length for a in self.link_order)
+        self.bad_length_ids = tuple(a.id for a in self.link_order
+                                    if not 0.0 < a.length < math.inf)
         self.valid_paths: set[Path] = set()
 
     @property

@@ -210,10 +210,10 @@ def distance_shortest_path(network: Network, origin: str, destination: str) -> P
     o, d = network.node_index.get(origin), network.node_index.get(destination)
     if o is None or d is None:
         raise UnreachableError(origin, destination)
-    bad = [a.id for a in network.link_order if not 0.0 < a.length < math.inf]
-    if bad:
-        raise ValueError(f"links {bad} have lengths that are not finite and positive")
-    lengths = [[a.length for a in network.link_order]]
+    if network.bad_length_ids:
+        raise ValueError(f"links {list(network.bad_length_ids)} have lengths "
+                         "that are not finite and positive")
+    lengths = (network.length_column,)
     tree = _search(network, o, 0.0, lengths, lengths, 1, 0, d)
     return _path(network, tree, origin, destination)[0]
 

@@ -1,8 +1,9 @@
 """Property tests of loader invariants on random plans over a small network
 with a merge, a diverge and a spillback bottleneck: vehicle conservation,
 FIFO order per link, storage bounds, independence from plan order, link
-statistics that replay exactly from the vehicle trajectories, and loadings
+statistics that replay exactly from the vehicle trajectories, loadings
 without vehicle records or without clearance data that equal one with them,
+and loadings that do not depend on earlier loadings of the same network,
 each on a 1 s and a 2 s simulation step."""
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -203,3 +204,27 @@ def test_clearance_changes_nothing_else(clock, plans):
                  lambda: bare.path_marginal_time(PATHS[0], 0)):
         with pytest.raises(ValueError, match=r"clearance=True"):
             read()
+
+
+def outcome(res) -> tuple:
+    """Everything a loading reports: `loading_dump` where it kept clearance
+    data, else its states and vehicles; and its counts and TSTT."""
+    dump = loading_dump(res) if res.clearance else (res.states, res.vehicles)
+    return dump, res.vehicles_entered, res.vehicles_exited, res.tstt_veh_h
+
+
+@on_both_steps
+@pytest.mark.parametrize("records", [True, False], ids=["records", "bare"])
+@pytest.mark.parametrize("clearance", [True, False], ids=["clearance", "no-clearance"])
+@settings(max_examples=25, deadline=None)
+@given(plan_lists, plan_lists)
+def test_loading_independent_of_earlier_loadings(clock, records, clearance,
+                                                 first, second):
+    # A network keeps only the paths it has validated from one loading to
+    # the next; no loader state may carry over.
+    net = merge_diverge_network()
+    load_vehicles(net, first, clock, records=records, clearance=clearance)
+    again = load_vehicles(net, second, clock, records=records, clearance=clearance)
+    fresh = load_vehicles(merge_diverge_network(), second, clock, records=records,
+                          clearance=clearance)
+    assert outcome(again) == outcome(fresh)

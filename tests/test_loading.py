@@ -187,6 +187,23 @@ class TestDiscretization:
         plans = discretize_assignments([(UE, 1, [AB], [3.0])], clock_20min)
         assert sorted(p.departure_time for p in plans) == [300.0, 400.0, 500.0]
 
+    def test_plans_are_vehicle_plans_at_exact_seconds(self, clock_20min):
+        # Seven vehicles in a 5 s interval share departure seconds.
+        crowded = discretize_assignments([(SO, 1, [AB], [7.0])],
+                                         Clock(step_s=1, interval_s=5, horizon_s=20))
+        ab2 = Path(("AB2",), "A", "B")
+        # Two paths, listed out of link-id order, with 1 and 2 vehicles.
+        shared = discretize_assignments([(UE, 2, [ab2, AB], [2.25, 0.75])],
+                                        clock_20min)
+        for plans in (crowded, shared):
+            assert all(type(p) is VehiclePlan for p in plans)
+        assert [p.departure_time for p in crowded] == [5.0, 5.0, 6.0, 7.0, 7.0, 8.0, 9.0]
+        assert {(p.vehicle_class, p.path, p.interval) for p in crowded} == {(SO, AB, 1)}
+        assert [(p.vehicle_class, p.path, p.interval, p.departure_time)
+                for p in shared] == [(UE, AB, 2, 600.0), (UE, ab2, 2, 600.0),
+                                     (UE, ab2, 2, 750.0)]
+        assert shared[2] == VehiclePlan(UE, ab2, 2, 750.0)
+
     def test_negative_flow_rejected(self, clock_20min):
         # NaN would otherwise be dropped silently (it is neither > 0 nor
         # < 0) and inf would overflow the rounding.

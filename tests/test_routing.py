@@ -262,8 +262,10 @@ class TestSearchPrecondition:
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_distance_search_rejects_lengths_that_are_not_finite_and_positive(
             self, bad):
-        with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
-            distance_shortest_path(two_link_network(l2=bad), "A", "B")
+        net = two_link_network(l2=bad)
+        for _ in range(2):      # on every call, not only the first
+            with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
+                distance_shortest_path(net, "A", "B")
 
     def test_overflowing_costs_leave_nodes_unreachable(self, clock_20min):
         # Finite entries whose sum overflows tie at infinity with a node not
