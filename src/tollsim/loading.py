@@ -37,17 +37,17 @@ recomputation, so a hit returns the identical float. The memo lives and dies
 with one interval of one loading: the only state a network carries from one
 loading to the next is `valid_paths`.
 
-With `clearance=True` (the default) it also keeps, per link, one byte per
-step flagging a standing queue, written whenever the link's wake step is
-set, and each (link, interval)'s mean entry time; queue clearance delays are
-read from these flags. Two marginal-time estimators read those delays:
-`marginal_time`, the per-(link, interval) SO cost the routing skims sum, and
-`path_marginal_time`, which advances its probe past each clearance and is
-the one compared with +1-vehicle re-simulation; the solver does not route on
-it yet. Only the SO cost reads them, so a caller that routes no class on it
-may pass `clearance=False`: the loader then writes no flags and no entry
-means, the three clearance readers raise ValueError, and nothing else
-changes.
+Every loading keeps each (link, interval)'s mean entry time. With
+`clearance=True` (the default) it also keeps, per link, one byte per step
+flagging a standing queue, written whenever the link's wake step is set;
+queue clearance delays are read from these flags. Two marginal-time
+estimators read those delays: `marginal_time`, the per-(link, interval) SO
+cost the routing skims sum, and `path_marginal_time`, which advances its
+probe past each clearance and is the one compared with +1-vehicle
+re-simulation; the solver does not route on it yet. Only the SO cost reads
+them, so a caller that routes no class on it may pass `clearance=False`: the
+loader then writes no flags, `queue_clearance_delay` and the two estimators
+that read it raise ValueError, and nothing else changes.
 
 Link statistics come from per-link entry and exit times, one append each
 per move. Links are FIFO, so the k-th exit pairs with the k-th entry, and
@@ -194,7 +194,7 @@ class _LinkRT:
         self.eff_length = link.effective_vehicle_length
         self.queue = deque()     # vehicle indices, FIFO (head at queue[0])
         self.next_free = 0.0     # server availability time, s
-        self.recv_credit = 0.0
+        self.recv_credit = 1.0   # an untouched link admits a vehicle at once
         self.credit_step = -1    # last step the credit was refreshed at
         self.rate_memo = None    # vehicles on link -> rate * dt, for one interval
         self.reaction = None     # set at the first interval roll
@@ -270,8 +270,8 @@ class LoadingResult:
     """Immutable outcome of one network loading. `vehicles` is `()` without
     records; the counts and TSTT (veh-h) come from the loader's exit times,
     and a returned loading strands no vehicle, so all that entered exited.
-    `clearance` says whether the queue flags and entry means that the
-    clearance readers need were kept."""
+    Mean entry times are always kept; `clearance` says whether the
+    standing-queue flags that `queue_clearance_delay` reads were."""
 
     def __init__(self, network, clock, states, vehicles, queue_flags,
                  entry_time_means, n_vehicles, tstt_veh_h):
@@ -285,14 +285,11 @@ class LoadingResult:
         self.vehicles_entered = self.vehicles_exited = n_vehicles
         self.tstt_veh_h = tstt_veh_h
 
-    def _need_clearance(self) -> None:
+    def queue_clearance_delay(self, link_id: str, t: float) -> float:
+        """Seconds after time t until the link's standing queue dissipates."""
         if not self.clearance:
             raise ValueError("this loading kept no queue clearance data; "
                              "load with clearance=True")
-
-    def queue_clearance_delay(self, link_id: str, t: float) -> float:
-        """Seconds after time t until the link's standing queue dissipates."""
-        self._need_clearance()
         flags = self._queue_flags[link_id]
         step = int(t // self.clock.step_s)
         if step < 0:
@@ -309,7 +306,6 @@ class LoadingResult:
         time plus the clearance of the queue standing when a vehicle that
         entered at the interval's mean entry time exits. This is the SO cost
         the routing skims carry."""
-        self._need_clearance()
         st = self.states[link_id][interval]
         entry = self._entry_means.get((link_id, interval))
         if entry is None:
@@ -324,7 +320,6 @@ class LoadingResult:
         that dissipation before the next link is read, so nested queues
         (an upstream queue held back by a downstream one) are not re-counted.
         """
-        self._need_clearance()
         t = interval * self.clock.interval_s
         total = 0.0
         for lid in path.link_ids:
@@ -441,8 +436,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                     nq = nrt.queue
                     n_down = len(nq)
                     credit = nrt.recv_credit
-                    refreshed = nrt.credit_step
-                    if refreshed != step:
+                    if nrt.credit_step != step:
                         # Receiving credit, regenerated from the current
                         # count. It regenerates across idle steps, but a
                         # single step never admits more than one step's rate
@@ -453,15 +447,10 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                             rate = (1.0 - nrt.eff_length * k) / nrt.reaction
                             rate_dt = (rate if rate > 0.0 else 0.0) * nrt.lanes * dt
                             nrt.rate_memo[n_down] = rate_dt
-                        if refreshed >= 0:
-                            # What the last refreshed step left, carried up
-                            # to one vehicle.
-                            carry = credit if credit <= 1.0 else 1.0
-                            elapsed = step - refreshed
-                        else:
-                            carry = 1.0  # an empty link accepts a vehicle instantly
-                            elapsed = 1
-                        credit = carry + rate_dt * elapsed
+                        # What the last refreshed step left, carried up to
+                        # one vehicle.
+                        credit = ((credit if credit <= 1.0 else 1.0)
+                                  + rate_dt * (step - nrt.credit_step))
                         cap = 1.0 + rate_dt
                         if credit > cap:
                             credit = cap
@@ -522,7 +511,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     # from prefix sums: times are whole seconds (step_s is an int), so every
     # partial sum is exact and their differences equal the slice sums.
     states = {}
-    entry_means = {} if clearance else None
+    entry_means = {}
     for rt in link_order:
         lid = rt.link.id
         ff = rt.ff_steps * dt
@@ -559,7 +548,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
             rows.append(LinkIntervalState(
                 density=k, flow=flow, travel_time=max(tt, ff), free_flow_time=ff,
                 cav_fraction=rt.stat_cav[i], reaction_time=rt.stat_reaction[i]))
-            if n_in and clearance:
+            if n_in:
                 entry_means[(lid, i)] = in_sum / n_in
             e0, x0 = e1, x1
         states[lid] = rows
@@ -583,11 +572,11 @@ def load_network(network: Network, groups, clock: Clock, *,
     `discretize_assignments`.
 
     `records=False` builds no `VehicleRecord`s (`vehicles` is `()`) and
-    changes nothing else. `clearance=False` keeps no standing-queue flags
-    and no mean entry times, so `queue_clearance_delay`, `marginal_time` and
-    `path_marginal_time` raise ValueError and the result's `clearance` is
-    False; it too changes nothing else. Raises GridlockError if the horizon
-    ends before the network empties.
+    changes nothing else. `clearance=False` keeps no standing-queue flags,
+    so `queue_clearance_delay`, `marginal_time` and `path_marginal_time`
+    raise ValueError and the result's `clearance` is False; mean entry times
+    are kept either way, and it too changes nothing else. Raises
+    GridlockError if the horizon ends before the network empties.
     """
     plans = discretize_assignments(groups, clock)
     return load_vehicles(network, plans, clock, records=records, clearance=clearance)

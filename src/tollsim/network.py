@@ -109,16 +109,14 @@ def validate_network(network: Network) -> list[str]:
                 violations.append(f"link {a.id!r} references missing node {end!r}")
             else:
                 touched.add(end)
-        if not a.length > 0:
-            violations.append(f"link {a.id!r} has non-positive length")
         if a.lanes < 1:
             violations.append(f"link {a.id!r} has lanes < 1")
-        if not a.speed_limit > 0:
-            violations.append(f"link {a.id!r} has non-positive speed limit")
-        if not a.effective_vehicle_length > 0:
-            violations.append(f"link {a.id!r} has non-positive effective vehicle length")
-        if not a.reaction_time_factor > 0:
-            violations.append(f"link {a.id!r} has non-positive reaction time factor")
+        for name in ("length", "speed_limit", "effective_vehicle_length",
+                     "reaction_time_factor"):
+            value = getattr(a, name)
+            if not 0.0 < value < math.inf:
+                violations.append(f"link {a.id!r} {name} must be finite and "
+                                  f"positive, got {value!r}")
     for n in network.node_list:
         if n.is_centroid and n.id not in touched:
             violations.append(f"centroid {n.id!r} is not connected to any link")

@@ -95,38 +95,27 @@ class NFDPoint:
     flow: float      # veh/h, lane-length weighted
 
 
-def nfd_point(link_states, links) -> tuple[float, float]:
-    """Lane-length weighted (density, flow) over a link set.
-
-    `link_states` maps link id -> object with .density and .flow;
-    `links` is the iterable of Link objects to aggregate.
-    """
-    links = list(links)
-    if not links:
-        raise ValueError("empty link set")
-    weight = 0.0
-    ksum = 0.0
-    qsum = 0.0
-    for a in links:
-        w = a.length * a.lanes
-        st = link_states[a.id]
-        weight += w
-        ksum += st.density * w
-        qsum += st.flow * w
-    return ksum / weight, qsum / weight
-
-
 def nfd_series(result, network: Network, link_ids=None) -> list[NFDPoint]:
-    """Per-interval NFD trajectory over the given links (default: whole network)."""
+    """Per-interval NFD trajectory over the given links (default: whole
+    network): density and flow, each weighted by the links' lane-lengths."""
     if link_ids is None:
         links = network.link_list
     else:
         links = [network.links[lid] for lid in sorted(link_ids)]
+    if not links:
+        raise ValueError("empty link set")
+    rows = [(result.states[a.id], a.length * a.lanes) for a in links]
+    weight = 0.0
+    for _, w in rows:
+        weight += w
     series = []
     for tau in range(result.clock.n_intervals):
-        states = {a.id: result.states[a.id][tau] for a in links}
-        k, q = nfd_point(states, links)
-        series.append(NFDPoint(tau, k, q))
+        ksum = qsum = 0.0
+        for states, w in rows:
+            st = states[tau]
+            ksum += st.density * w
+            qsum += st.flow * w
+        series.append(NFDPoint(tau, ksum / weight, qsum / weight))
     return series
 
 

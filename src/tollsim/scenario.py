@@ -64,6 +64,8 @@ class Scenario:
     raw: dict = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
+        if not self.so_ratios:
+            raise ValueError("scenario so_ratios must be non-empty")
         # Each ratio names its output files by its whole-percent tag.
         tags = {}
         for r in self.so_ratios:

@@ -195,6 +195,7 @@ def test_clearance_changes_nothing_else(clock, plans):
     bare = load_vehicles(NET, plans, clock, clearance=False)
     assert full.clearance and not bare.clearance
     assert bare.states == full.states
+    assert bare._entry_means == full._entry_means
     assert bare.vehicles == full.vehicles and len(bare.vehicles) == len(plans)
     assert bare.tstt_veh_h == full.tstt_veh_h
     assert bare.vehicles_entered == full.vehicles_entered == len(plans)

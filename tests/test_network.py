@@ -1,5 +1,7 @@
 """Network primitives: validation, paths, zone distance, clock, JSON I/O."""
+import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +24,17 @@ def test_zero_lane_link_yields_one_violation_naming_the_link():
     violations = validate_network(net)
     assert len(violations) == 1
     assert "AB" in violations[0]
+
+
+@pytest.mark.parametrize("field", ["length", "speed_limit",
+                                   "effective_vehicle_length", "reaction_time_factor"])
+@pytest.mark.parametrize("value", [math.inf, 0.0, -1.0, math.nan])
+def test_link_number_must_be_finite_and_positive(field, value):
+    # An infinite length used to validate clean, while the distance search
+    # rejected the same link.
+    link = dataclasses.replace(Link("AB", "A", "B", 100.0, 1, 10.0), **{field: value})
+    violations = validate_network(Network([Node("A"), Node("B")], [link]))
+    assert violations == [f"link 'AB' {field} must be finite and positive, got {value!r}"]
 
 
 def test_zone_link_with_missing_endpoints_yields_two_violations():

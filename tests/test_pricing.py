@@ -1,6 +1,7 @@
 """Distance tolling, NFD aggregation, critical-density estimation, the PI
 controller and the bi-level outer loop."""
 import csv
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from tollsim import pricing
 from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, PIState,
                              TollConfig, TollSchedule, bilevel_solve,
                              congestion_weight, estimate_critical_density,
-                             nfd_point, nfd_series, pi_update)
+                             nfd_series, pi_update)
 from tollsim.routing import SO_COST, UE_COST, CostSkims
 
 from conftest import two_link_network
@@ -160,28 +161,38 @@ class TestTollScheduleIO:
 
 
 class TestNfd:
-    def test_lane_length_weighted_fixture(self):
-        class St:
-            def __init__(self, k, q):
-                self.density, self.flow = k, q
+    @staticmethod
+    def series(links, rows, link_ids=None):
+        """`nfd_series` over a loading whose link `a` has (density, flow)
+        `rows[a][tau]` in interval tau."""
+        states = {lid: [SimpleNamespace(density=k, flow=q) for k, q in kq]
+                  for lid, kq in rows.items()}
+        n = len(next(iter(rows.values()), ()))
+        result = SimpleNamespace(states=states, clock=SimpleNamespace(n_intervals=n))
+        nodes = {end for a in links for end in (a.from_node, a.to_node)}
+        return nfd_series(result, Network([Node(v) for v in sorted(nodes)], links),
+                          link_ids)
 
+    def test_lane_length_weighted_fixture(self):
         links = [Link("a", "x", "y", 1000.0, 1, 10.0),
                  Link("b", "y", "z", 500.0, 2, 10.0)]
-        states = {"a": St(10.0, 600.0), "b": St(14.0, 900.0)}
-        k, q = nfd_point(states, links)
-        assert k == pytest.approx(12.0, rel=1e-12)
-        assert q == pytest.approx(750.0, rel=1e-12)
+        rows = {"a": [(10.0, 600.0), (0.0, 0.0)], "b": [(14.0, 900.0), (6.0, 300.0)]}
+        first, second = self.series(links, rows)
+        assert (first.interval, second.interval) == (0, 1)
+        assert first.density == pytest.approx(12.0, rel=1e-12)
+        assert first.flow == pytest.approx(750.0, rel=1e-12)
+        assert (second.density, second.flow) == (3.0, 150.0)
+        assert self.series(links, rows, ["b"]) == [NFDPoint(0, 14.0, 900.0),
+                                                    NFDPoint(1, 6.0, 300.0)]
 
     def test_single_link_passthrough(self):
-        class St:
-            density, flow = 8.0, 400.0
-
         links = [Link("a", "x", "y", 1000.0, 3, 10.0)]
-        assert nfd_point({"a": St()}, links) == (8.0, 400.0)
+        assert self.series(links, {"a": [(8.0, 400.0)]}) == [NFDPoint(0, 8.0, 400.0)]
 
     def test_empty_link_set_rejected(self):
-        with pytest.raises(ValueError):
-            nfd_point({}, [])
+        links = [Link("a", "x", "y", 1000.0, 1, 10.0)]
+        with pytest.raises(ValueError, match="empty link set"):
+            self.series(links, {"a": [(8.0, 400.0)]}, [])
 
 
 def pts(values):

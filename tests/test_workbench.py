@@ -136,6 +136,8 @@ class TestScenarioParsing:
         # Used to write "None" (or "7") as the scenario_id in metrics.csv.
         ({"scenario_id": None}, "scenario_id must be a string"),
         ({"scenario_id": 7}, "scenario_id must be a string"),
+        # Used to run the untolled k_cr solve and write a header-only metrics.csv.
+        ({"so_ratios": []}, "so_ratios must be non-empty"),
     ])
     def test_wrong_json_type_rejected(self, doc, match):
         with pytest.raises(ValueError, match=match):
