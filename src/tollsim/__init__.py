@@ -12,9 +12,8 @@ from .loading import GridlockError, LoadingResult, load_network, load_vehicles
 from .routing import CostSkims, PathSet, UnreachableError, td_shortest_path
 from .equilibrium import (EquilibriumResult, SolverConfig, relative_gap,
                           solve_mixed_equilibrium, step_size, update_proportions)
-from .pricing import (PIState, TollConfig, TollSchedule, bilevel_solve,
-                      congestion_weight, estimate_critical_density, nfd_series,
-                      pi_update)
+from .pricing import (TollConfig, TollSchedule, bilevel_solve, congestion_weight,
+                      estimate_critical_density, nfd_series, pi_update)
 from .analysis import class_zone_summary, hysteresis_area
 from .nguyen import build_nguyen
 from .scenario import Scenario, run_scenario, validate_scenario

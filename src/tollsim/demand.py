@@ -67,11 +67,17 @@ def demand_from_records(records) -> tuple[dict[tuple[str, str, int], float],
             raise ValueError(f"negative demand at {key}")
         if not math.isfinite(total):
             raise ValueError(f"non-finite demand at {key}: {total!r}")
-        totals[key] = totals.get(key, 0.0) + total
-        if rec.get("so_ratio") is not None:
-            ratio = parse_number(rec["so_ratio"], f"so_ratio at {key}")
+        ratio = rec.get("so_ratio")
+        if ratio is not None:
+            ratio = parse_number(ratio, f"so_ratio at {key}")
             if not 0.0 <= ratio <= 1.0:
                 raise ValueError(f"so_ratio {ratio!r} at {key} outside [0, 1]")
+        # Duplicates accumulate, so their SO share must be one for the sum.
+        if key in totals and overrides.get(key) != ratio:
+            raise ValueError(f"duplicate demand records at {key} disagree on "
+                             f"so_ratio: {overrides.get(key)!r} and {ratio!r}")
+        totals[key] = totals.get(key, 0.0) + total
+        if ratio is not None:
             overrides[key] = ratio
     return totals, overrides
 

@@ -5,11 +5,14 @@ Tolls apply per pricing-zone link as alpha * (1 + omega) * length, where
 alpha ($/km) is set per tolling interval by a discrete PI controller tracking
 the zone's critical density, and omega in [0, omega_max] reflects each link's
 relative delay. SO-class vehicles are exempt: their costs never see tolls.
+
+The controller keeps no state: `pi_update` maps the config, the setpoint, an
+interval's zone density and its last (rate, density) to the next rate.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .demand import ClassDemand
 from .equilibrium import EquilibriumResult, SolverConfig, solve_mixed_equilibrium
@@ -31,9 +34,11 @@ class TollConfig:
             raise ValueError("alpha_max must be finite and positive")
         if not 0.0 <= self.omega_max < math.inf:
             raise ValueError("omega_max must be finite and non-negative")
-        for name in ("p_gain", "i_gain", "improvement_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("p_gain", "i_gain"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        if not 0.0 <= self.improvement_tol < 1.0:
+            raise ValueError("improvement_tol must be finite and in [0, 1)")
         if self.outer_cap < 1:
             raise ValueError("outer_cap must be at least 1")
         if self.window is not None and not self.window:
@@ -144,33 +149,18 @@ def estimate_critical_density(series) -> CriticalDensityEstimate:
                                    low_confidence=(best == peak_k))
 
 
-@dataclass(frozen=True)
-class PIState:
-    """Controller memory for one tolling interval."""
-    k_cr: float
-    p_gain: float
-    i_gain: float
-    alpha_max: float
-    prev_alpha: float = 0.0
-    prev_k: float = math.nan
-    iteration: int = 0
-
-    def __post_init__(self):
-        if self.k_cr <= 0:
-            raise ValueError("critical density must be positive")
-
-
-def pi_update(state: PIState, k_bar: float) -> tuple[float, PIState]:
-    """One discrete PI step; returns the clamped toll rate and the next state."""
-    if state.iteration == 0:
-        raw = state.i_gain * (k_bar - state.k_cr)
+def pi_update(config: TollConfig, k_cr: float, k_bar: float,
+              last: tuple[float, float] | None = None) -> float:
+    """One discrete PI step from zone density `k_bar` toward setpoint `k_cr`:
+    the toll rate clamped to [0, alpha_max]. `last` is the interval's previous
+    (rate, density); without one the step has only the integral term."""
+    if last is None:
+        raw = config.i_gain * (k_bar - k_cr)
     else:
-        raw = (state.prev_alpha
-               + state.p_gain * (k_bar - state.prev_k)
-               + state.i_gain * (k_bar - state.k_cr))
-    alpha = min(max(raw, 0.0), state.alpha_max)
-    return alpha, replace(state, prev_alpha=alpha, prev_k=k_bar,
-                          iteration=state.iteration + 1)
+        prev_alpha, prev_k = last
+        raw = (prev_alpha + config.p_gain * (k_bar - prev_k)
+               + config.i_gain * (k_bar - k_cr))
+    return min(max(raw, 0.0), config.alpha_max)
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,6 @@ class BilevelResult:
     equilibrium: object
     log: list
     objective: float
-    k_cr: float
 
 
 def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
@@ -204,13 +193,14 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
     positive rate charges nothing, whatever its weights, so the outer
     iterations under one (the first among them) reuse it instead of solving.
     """
+    if not 0.0 < k_cr < math.inf:
+        raise ValueError(f"critical density must be finite and positive, got {k_cr!r}")
     zone_ids = sorted(network.zone_link_ids)
     if not zone_ids:
         raise ValueError("pricing zone is empty")
     window = toll_config.tolled_intervals(clock)
-    pi_states = {tau: PIState(k_cr, toll_config.p_gain, toll_config.i_gain,
-                              toll_config.alpha_max) for tau in window}
     schedule = TollSchedule()
+    prev_dens = None   # zone densities at the last PI step; None before the first
     best = None
     log = []
     for outer in range(1, toll_config.outer_cap + 1):
@@ -225,7 +215,7 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
         log.append(ControllerRecord(outer, objective, mean_alpha, mean_dens,
                                     eq.final_gap, eq.loading.tstt_veh_h))
         if best is None or objective < best.objective:
-            best = BilevelResult(schedule, eq, log, objective, k_cr)
+            best = BilevelResult(schedule, eq, log, objective)
         if len(log) >= 4:
             stalled = all(
                 log[-i - 1].objective >= log[-i - 2].objective
@@ -236,10 +226,11 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
         if all(abs(schedule.alpha.get(tau, 0.0) - toll_config.alpha_max) < 1e-12
                for tau in window):
             break
-        new_alpha = {}
-        for tau in window:
-            alpha, pi_states[tau] = pi_update(pi_states[tau], dens[tau])
-            new_alpha[tau] = alpha
+        new_alpha = {tau: pi_update(toll_config, k_cr, dens[tau],
+                                    None if prev_dens is None
+                                    else (schedule.alpha[tau], prev_dens[tau]))
+                     for tau in window}
+        prev_dens = dens
         new_omega = {}
         for lid in zone_ids:
             for tau in range(clock.n_intervals):

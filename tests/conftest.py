@@ -38,6 +38,12 @@ def parallel_network(short_len=5000.0, long_len=7000.0, speed=50.0 / 3.0,
     )
 
 
+def links_from(network, node):
+    """The links leaving `node`, in id order, read from the search index."""
+    return [network.link_order[i]
+            for i, _ in network.out_adj[network.node_index[node]]]
+
+
 @pytest.fixture
 def clock_20min():
     return Clock(step_s=1, interval_s=300, horizon_s=1200)

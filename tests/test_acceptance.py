@@ -16,7 +16,7 @@ from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Path
 from tollsim.nguyen import (TOLL_I_GAIN, TOLL_OUTER_CAP, TOLL_P_GAIN,
                             TOLL_WINDOW, ZONE_LINKS, build_nguyen)
-from tollsim.pricing import (PIState, TollConfig, TollSchedule, bilevel_solve,
+from tollsim.pricing import (TollConfig, TollSchedule, bilevel_solve,
                              estimate_critical_density, nfd_series, pi_update)
 from tollsim.routing import SO_COST, UE_COST, CostSkims, td_shortest_path
 from tollsim.analysis import hysteresis_area
@@ -274,18 +274,16 @@ def test_ac09_distance_toll_reduction_and_fixture():
 
 def test_ac10_pi_controller_fixture_and_synthetic_plant():
     t0 = time.perf_counter()
-    state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=5.0,
-                    prev_alpha=0.2, prev_k=20.0, iteration=1)
-    alpha, _ = pi_update(state, 18.0)
+    alpha = pi_update(TollConfig(p_gain=0.1, i_gain=0.05, alpha_max=5.0),
+                      15.0, 18.0, last=(0.2, 20.0))
     fixture_ok = abs(alpha - 0.15) <= 1e-12 * 0.15
 
     cfg = TollConfig()
-    state = PIState(k_cr=15.0, p_gain=cfg.p_gain, i_gain=cfg.i_gain,
-                    alpha_max=cfg.alpha_max)
-    a, hit, clamped_ok = 0.0, None, True
+    a, last, hit, clamped_ok = 0.0, None, None, True
     for it in range(1, 31):
         k = 20.0 - 4.0 * a
-        a, state = pi_update(state, k)
+        a = pi_update(cfg, 15.0, k, last)
+        last = (a, k)
         clamped_ok = clamped_ok and 0.0 <= a <= cfg.alpha_max
         if hit is None and abs((20.0 - 4.0 * a) - 15.0) / 15.0 < 0.05:
             hit = it

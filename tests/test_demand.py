@@ -114,6 +114,29 @@ class TestDemandRecords:
         ])
         assert totals[("a", "b", 0)] == 15.0
 
+    def test_duplicates_with_equal_overrides_accumulate(self):
+        totals, overrides = demand_from_records([
+            {"origin": "a", "destination": "b", "interval_index": 0,
+             "total": 10, "so_ratio": 0.2},
+            {"origin": "a", "destination": "b", "interval_index": 0,
+             "total": 5, "so_ratio": 0.2},
+        ])
+        assert totals == {("a", "b", 0): 15.0}
+        assert overrides == {("a", "b", 0): 0.2}
+
+    @pytest.mark.parametrize("first,second", [(0.2, None), (None, 0.2),
+                                              (0.2, 0.5)])
+    def test_duplicates_with_conflicting_overrides_rejected(self, first, second):
+        # One SO share applies to the summed total, so 100 vehicles at 0.2
+        # plus 100 at the scenario's 0.9 cannot be split as asked.
+        records = [{"origin": "a", "destination": "b", "interval_index": 0,
+                    "total": 100.0} for _ in range(2)]
+        for rec, ratio in zip(records, (first, second)):
+            if ratio is not None:
+                rec["so_ratio"] = ratio
+        with pytest.raises(ValueError, match=r"\('a', 'b', 0\).*so_ratio"):
+            demand_from_records(records)
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown demand fields"):
             demand_from_records([{"origin": "a", "destination": "b",

@@ -1,6 +1,8 @@
 """Distance tolling, NFD aggregation, critical-density estimation, the PI
 controller and the bi-level outer loop."""
 import csv
+import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -11,10 +13,9 @@ from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.loading import VehiclePlan, load_vehicles
 from tollsim.network import Link, Network, Node, Path
 from tollsim import pricing
-from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, PIState,
-                             TollConfig, TollSchedule, bilevel_solve,
-                             congestion_weight, estimate_critical_density,
-                             nfd_series, pi_update)
+from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, TollConfig,
+                             TollSchedule, bilevel_solve, congestion_weight,
+                             estimate_critical_density, nfd_series, pi_update)
 from tollsim.routing import SO_COST, UE_COST, CostSkims
 
 from conftest import two_link_network
@@ -229,57 +230,55 @@ class TestCriticalDensity:
             estimate_critical_density([])
 
 
+PI_CONFIG = TollConfig(p_gain=0.1, i_gain=0.05, alpha_max=5.0)
+
+
 class TestPiController:
     def test_later_iteration_fixture(self):
         # 0.2 + 0.1*(18 - 20) + 0.05*(18 - 15) = 0.15 $/km.
-        state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=5.0,
-                        prev_alpha=0.2, prev_k=20.0, iteration=1)
-        alpha, nxt = pi_update(state, 18.0)
+        alpha = pi_update(PI_CONFIG, 15.0, 18.0, last=(0.2, 20.0))
         assert alpha == pytest.approx(0.15, rel=1e-12)
-        assert nxt.prev_alpha == alpha
-        assert nxt.prev_k == 18.0
-        assert nxt.iteration == 2
 
     def test_first_iteration_uses_integral_term_only(self):
-        state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=5.0)
-        alpha, _ = pi_update(state, 25.0)
+        alpha = pi_update(PI_CONFIG, 15.0, 25.0)
         assert alpha == pytest.approx(0.05 * 10.0, rel=1e-12)
 
-    def test_clamped_to_zero_and_cap(self):
-        state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=1.0)
-        low, state = pi_update(state, 5.0)       # below setpoint
-        assert low == 0.0
-        high, _ = pi_update(state, 500.0)
-        assert high == 1.0
+    def test_first_iteration_keeps_the_sign_of_zero(self):
+        # 0 * (10 - 15) is -0.0, which toll_r*.csv prints as -0; a velocity
+        # step from (0.0, 10.0) would print 0 instead.
+        alpha = pi_update(TollConfig(i_gain=0.0), 15.0, 10.0)
+        assert math.copysign(1.0, alpha) == -1.0
 
-    def test_bad_setpoint_rejected(self):
-        with pytest.raises(ValueError):
-            PIState(k_cr=0.0, p_gain=0.1, i_gain=0.05, alpha_max=5.0)
+    def test_clamped_to_zero_and_cap(self):
+        cfg = replace(PI_CONFIG, alpha_max=1.0)
+        low = pi_update(cfg, 15.0, 5.0)       # below setpoint
+        assert low == 0.0
+        high = pi_update(cfg, 15.0, 500.0, last=(low, 5.0))
+        assert high == 1.0
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1,
                     max_size=20))
     def test_output_always_within_clamp(self, densities):
-        state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=2.0)
+        cfg = replace(PI_CONFIG, alpha_max=2.0)
+        last = None
         for k in densities:
-            alpha, state = pi_update(state, k)
+            alpha = pi_update(cfg, 15.0, k, last)
             assert 0.0 <= alpha <= 2.0
+            last = (alpha, k)
 
     def test_raises_toll_when_density_above_setpoint(self):
-        state = PIState(k_cr=15.0, p_gain=0.1, i_gain=0.05, alpha_max=5.0,
-                        prev_alpha=1.0, prev_k=20.0, iteration=3)
-        alpha, _ = pi_update(state, 20.0)
+        alpha = pi_update(PI_CONFIG, 15.0, 20.0, last=(1.0, 20.0))
         assert alpha > 1.0
 
     def test_converges_on_linear_plant(self):
         # Plant: density 20 - 4*alpha, setpoint 15 (reached at alpha = 1.25).
         k0, k_cr, slope = 20.0, 15.0, 4.0
         cfg = TollConfig()
-        state = PIState(k_cr=k_cr, p_gain=cfg.p_gain, i_gain=cfg.i_gain,
-                        alpha_max=cfg.alpha_max)
-        alpha = 0.0
+        alpha, last = 0.0, None
         for _ in range(30):
             k = k0 - slope * alpha
-            alpha, state = pi_update(state, k)
+            alpha = pi_update(cfg, k_cr, k, last)
+            last = (alpha, k)
         k = k0 - slope * alpha
         assert abs(k - k_cr) / k_cr < 0.05
         assert alpha == pytest.approx((k0 - k_cr) / slope, rel=0.10)
@@ -351,6 +350,21 @@ class TestTollConfig:
         with pytest.raises(ValueError, match="repeats an interval"):
             TollConfig(window=(0, 0, 1))
 
+    @pytest.mark.parametrize("name", ["p_gain", "i_gain"])
+    def test_negative_gain_rejected(self, name):
+        # A negative gain would lower the toll as the zone fills up.
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            TollConfig(**{name: -0.5})
+
+    @pytest.mark.parametrize("tol", [-0.01, 1.0, 2.0])
+    def test_improvement_tol_outside_unit_interval_rejected(self, tol):
+        # From 1 up, every fourth outer iteration would count as a stall.
+        with pytest.raises(ValueError, match="improvement_tol"):
+            TollConfig(improvement_tol=tol)
+
+    def test_zero_gains_and_tolerance_accepted(self):
+        TollConfig(p_gain=0.0, i_gain=0.0, improvement_tol=0.0)
+
     def test_tolled_intervals_default_to_the_whole_clock(self, clock_1h):
         assert TollConfig().tolled_intervals(clock_1h) == tuple(range(12))
         assert TollConfig(window=(3, 1)).tolled_intervals(clock_1h) == (3, 1)
@@ -378,6 +392,28 @@ class TestBilevel:
         with pytest.raises(ValueError, match="reaches outside"):
             bilevel_solve(net, demand, clock_1h, TollConfig(window=window),
                           SolverConfig(), 15.0, untolled)
+
+    @pytest.mark.parametrize("k_cr", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_setpoint_rejected(self, clock_1h, k_cr):
+        net = tolled_pair_network()
+        demand = split_demand({("O", "D", 0): 10.0}, 0.0)
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h)
+        with pytest.raises(ValueError, match="critical density"):
+            bilevel_solve(net, demand, clock_1h, TollConfig(),
+                          SolverConfig(), k_cr, untolled)
+
+    def test_each_step_remembers_the_last_rate_and_density(self, clock_1h):
+        # With one tolled interval the log's means are that interval's rate
+        # and density, so every rate is the PI step from the logged ones.
+        net, demand, solver, cfg, k_cr = charging_and_free_case()
+        cfg = replace(cfg, window=(0,))
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h, solver)
+        log = bilevel_solve(net, demand, clock_1h, cfg, solver, k_cr, untolled).log
+        assert len(log) >= 3
+        last = None
+        for prev, rec in zip(log, log[1:]):
+            assert rec.mean_alpha == pi_update(cfg, k_cr, prev.mean_zone_density, last)
+            last = (rec.mean_alpha, prev.mean_zone_density)
 
     def test_empty_zone_rejected(self, clock_1h):
         from conftest import parallel_network
@@ -422,6 +458,5 @@ class TestBilevel:
         res = bilevel_solve(net, demand, clock_1h, cfg, solver, est.k_cr, base)
         base_obj = res.log[0].objective  # first outer pass runs untolled
         assert res.objective <= base_obj
-        assert res.k_cr == est.k_cr
         assert [r.outer_iteration for r in res.log] \
             == list(range(1, len(res.log) + 1))

@@ -12,7 +12,8 @@ from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
                              UnreachableError, distance_shortest_path,
                              td_shortest_path)
 
-from conftest import line_network, parallel_network, two_link_network
+from conftest import (line_network, links_from, parallel_network,
+                      two_link_network)
 
 
 def make_skims(clock, tt, ue=None, so=None):
@@ -164,7 +165,7 @@ def oracle_tree(network, costs, tt, clock, origin, departure_interval):
             continue
         tree[node] = (cost, lex)
         tau = clock.interval_of(t)
-        for link in network.out_links.get(node, ()):
+        for link in links_from(network, node):
             if link.to_node in tree:
                 continue
             entry = (cost + costs[link.id][tau], lex + (link.id,), link.to_node,
@@ -187,7 +188,7 @@ def oracle_distance_path(network, origin, destination):
         settled.add(node)
         if node == destination:
             return lex or None
-        for link in network.out_links.get(node, ()):
+        for link in links_from(network, node):
             if link.to_node not in settled:
                 heapq.heappush(heap, (dist + link.length, lex + (link.id,), link.to_node))
     return None

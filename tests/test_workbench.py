@@ -20,6 +20,7 @@ from tollsim import scenario
 from tollsim.scenario import (Scenario, StageError, run_scenario,
                               validate_scenario)
 
+from conftest import links_from
 from test_pricing import tolled_pair_network
 
 
@@ -29,7 +30,7 @@ def count_simple_routes(network):
         if node == dest:
             return 1
         return sum(count(link.to_node, dest, visited | {link.to_node})
-                   for link in network.out_links.get(node, ())
+                   for link in links_from(network, node)
                    if link.to_node not in visited)
 
     return sum(count(o, d, {o}) for (o, d) in OD_PAIRS)
@@ -193,6 +194,8 @@ class TestScenarioParsing:
         ("toll", "p_gain", float("nan")),
         ("toll", "i_gain", float("inf")),
         ("toll", "improvement_tol", float("nan")),
+        ("toll", "p_gain", -0.5),                    # would reverse the controller
+        ("toll", "improvement_tol", 1.0),            # would stall every run
         (None, "noise_beta_max", 1.5),               # else fails at run time
     ])
     def test_non_finite_number_rejected(self, section, key, value):
