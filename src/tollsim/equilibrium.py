@@ -2,13 +2,14 @@
 and dual relative gaps.
 
 The solver builds one list of demand rows, (path set, class, interval,
-demand) per positive class demand, and each iteration walks it: it loads the
-rows' path flows (each row is one loader group, `(class, interval, paths,
-flows)`), searches time-dependent best paths (shortest generalized
-cost for UE, least marginal time for SO), prices every row's paths for the
-two relative gaps and their mean, then blends the all-or-nothing proportions
-with a successive-averages step (MSWA exponent `SolverConfig.gamma`, 0 is
-plain MSA).
+demand) per positive class demand; each OD pair's path sets, one per class,
+start from its distance-shortest path, searched once per pair. Each
+iteration walks the rows: it loads the rows' path flows (each row is one
+loader group, `(class, interval, paths, flows)`), searches time-dependent
+best paths (shortest generalized cost for UE, least marginal time for SO),
+prices every row's paths for the two relative gaps and their mean, then
+blends the all-or-nothing proportions with a successive-averages step (MSWA
+exponent `SolverConfig.gamma`, 0 is plain MSA).
 """
 from __future__ import annotations
 
@@ -135,9 +136,12 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
 
     path_sets: dict[tuple[str, str, int], PathSet] = {}
     rows = []           # (path set, class, interval, demand), path-set order
+    first_paths = {}    # (origin, destination) -> distance path, both classes'
     for (o, d, cls), by_tau in od_demand.items():
         ps = PathSet(o, d, _CAPS[cls], tuple(by_tau))
-        ps.insert(distance_shortest_path(network, o, d))
+        if (o, d) not in first_paths:
+            first_paths[o, d] = distance_shortest_path(network, o, d)
+        ps.insert(first_paths[o, d])
         path_sets[(o, d, cls)] = ps
         rows += [(ps, cls, tau, q) for tau, q in by_tau.items()]
     routes_so = any(cls == SO for _, cls, _, _ in rows)

@@ -8,11 +8,15 @@ a capacity server at its downstream end (point queue with finite storage):
 * receiving is limited by the congested FD branch (1 - L*k)/R * lanes and by
   the link's jam storage, so queues spill back,
 * each link's FD reaction time is re-blended every assignment interval from
-  the CAV/HV mix that entered the link during the previous interval.
+  the CAV/HV mix that entered the link during the previous interval; a link
+  whose CAV fraction is unchanged keeps its reaction time and headway.
 
 `load_network` takes path flows, one `(vehicle_class, interval, paths,
 flows)` group per (class, OD, departure interval), as the solver holds them;
-`discretize_assignments` rounds each group to whole vehicles.
+`discretize_assignments` rounds each group to whole vehicles. A group with
+one positive flow gets that flow rounded, with no remainder to share; only
+a group with several sums them in link-id order and shares the rounded
+total by largest remainder.
 
 The loader moves whole vehicles and is fully deterministic. Each origin is a
 source queue of its vehicles in departure order, and one transfer loop moves
@@ -121,8 +125,7 @@ class VehicleRecord:
         return self.exit_time - self.departure_time
 
 
-@dataclass(frozen=True, slots=True)
-class LinkIntervalState:
+class LinkIntervalState(NamedTuple):
     density: float       # veh/km/lane, time average
     flow: float          # veh/h/lane, from link exits
     travel_time: float   # s, mean over vehicles entering during the interval
@@ -137,38 +140,46 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     Each group `(vehicle_class, interval, paths, flows)` is one (class, OD,
     departure interval) demand: paths of one origin and destination and the
     flow on each. Its vehicle count is the rounded total of its positive
-    flows, shared among those paths (in link-id order) by largest remainder;
-    each path's departures are spread uniformly over the interval. Groups
-    are rounded one by one, so two groups with the same key are rounded
-    separately, not merged. Raises ValueError for a negative or non-finite
-    flow, a group whose paths do not share one OD pair, or a departure
-    interval outside the clock.
+    flows, shared among those paths (in link-id order) by largest remainder,
+    so a lone positive flow takes it all; each path's departures are spread
+    uniformly over the interval. Groups are rounded one by one, so two
+    groups with the same key are rounded separately, not merged. Raises
+    ValueError for a negative or non-finite flow, a group whose paths do
+    not share one OD pair, or a departure interval outside the clock.
     """
     plans: list[VehiclePlan] = []
     append = plans.append
     interval_s = clock.interval_s
+    taus = range(clock.n_intervals)
     new = tuple.__new__      # a VehiclePlan without its Python-level constructor
     for cls, tau, paths, flows in groups:
-        if tau not in range(clock.n_intervals):
+        if tau not in taus:
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
-        ods = {(p.origin, p.destination) for p in paths}
-        if len(ods) > 1:
-            raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
+        if len(paths) > 1:
+            o, d = paths[0].origin, paths[0].destination
+            for p in paths:
+                if p.origin != o or p.destination != d:
+                    ods = sorted({(p.origin, p.destination) for p in paths})
+                    raise ValueError(f"a group's paths must share one OD pair, got {ods}")
         if not all(0.0 <= f < math.inf for f in flows):
             raise ValueError("path flows must be finite and non-negative")
-        members = sorted([(p, f) for p, f in zip(paths, flows, strict=True) if f > 0],
-                         key=lambda m: m[0].link_ids)
-        total = sum(f for _, f in members)
-        n_total = int(math.floor(total + 0.5))
-        if n_total == 0:
-            continue
-        quotas = [f * n_total / total for _, f in members]
-        counts = [int(math.floor(q)) for q in quotas]
-        remainder = n_total - sum(counts)
-        order = sorted(range(len(members)),
-                       key=lambda i: (-(quotas[i] - counts[i]), i))
-        for i in order[:remainder]:
-            counts[i] += 1
+        members = [(p, f) for p, f in zip(paths, flows, strict=True) if f > 0]
+        if len(members) == 1:
+            # Largest remainder would give a lone member every vehicle.
+            counts = [int(math.floor(members[0][1] + 0.5))]
+        else:
+            members.sort(key=lambda m: m[0].link_ids)
+            total = sum(f for _, f in members)
+            n_total = int(math.floor(total + 0.5))
+            if n_total == 0:
+                continue
+            quotas = [f * n_total / total for _, f in members]
+            counts = [int(math.floor(q)) for q in quotas]
+            remainder = n_total - sum(counts)
+            order = sorted(range(len(members)),
+                           key=lambda i: (-(quotas[i] - counts[i]), i))
+            for i in order[:remainder]:
+                counts[i] += 1
         start = tau * interval_s
         for (path, _), n in zip(members, counts):
             for j in range(n):
@@ -221,7 +232,9 @@ class _Source:
 
 
 def _roll_interval(link_order, tau: int) -> None:
-    """Re-blend every link's FD from the mix that entered it last interval."""
+    """Re-blend every link's FD from the mix that entered it last interval.
+    A link whose CAV fraction equals last interval's keeps its reaction time
+    and headway: nothing else they depend on changes during a loading."""
     for rt in link_order:
         entered = rt.enter_hv + rt.enter_cav
         if tau == 0:
@@ -231,10 +244,11 @@ def _roll_interval(link_order, tau: int) -> None:
         else:
             # Nothing entered last interval: keep the previous blend.
             frac = rt.stat_cav[tau - 1]
-        base = blended_reaction_time(frac)
-        rt.reaction = base * rt.link.reaction_time_factor
-        q_max = lane_capacity(rt.link.speed_limit, rt.eff_length, rt.reaction)
-        rt.headway = 1.0 / (q_max * rt.lanes)
+        if tau == 0 or frac != rt.stat_cav[tau - 1]:
+            base = blended_reaction_time(frac)
+            rt.reaction = base * rt.link.reaction_time_factor
+            q_max = lane_capacity(rt.link.speed_limit, rt.eff_length, rt.reaction)
+            rt.headway = 1.0 / (q_max * rt.lanes)
         rt.stat_cav[tau] = frac
         rt.stat_reaction[tau] = rt.reaction
         rt.rate_memo = {}
@@ -335,15 +349,18 @@ class LoadingResult:
 def load_vehicles(network: Network, plans, clock: Clock, *,
                   records: bool = True, clearance: bool = True) -> LoadingResult:
     """Simulate an explicit list of vehicle plans. See `load_network`."""
-    # id -> path; each distinct path is validated once per network.
-    paths = {id(p.path): p.path for p in plans}
+    # id -> path, and each plan's sort key, in one pass over the plans.
+    paths = {}
+    keys = []
+    add_key = keys.append
+    for cls, path, _, departure in plans:
+        paths[id(path)] = path
+        add_key((departure, cls, path.origin, path.destination, path.link_ids))
+    # Each distinct path is validated once per network.
     for path in paths.values():
         if path not in network.valid_paths:
             path.validate(network)
             network.valid_paths.add(path)
-
-    keys = [(p.departure_time, p.vehicle_class, p.path.origin, p.path.destination,
-             p.path.link_ids) for p in plans]
     plans = [plans[i] for i in sorted(range(len(plans)), key=keys.__getitem__)]
 
     n_int = clock.n_intervals
@@ -531,9 +548,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                 cav, reaction = rt.stat_cav[i], rt.stat_reaction[i]
                 if (idle is None or idle.cav_fraction != cav
                         or idle.reaction_time != reaction):
-                    idle = LinkIntervalState(
-                        density=0.0, flow=0.0, travel_time=ff, free_flow_time=ff,
-                        cav_fraction=cav, reaction_time=reaction)
+                    idle = LinkIntervalState(0.0, 0.0, ff, ff, cav, reaction)
                 rows.append(idle)
                 continue
             e1 = bisect_left(ins, hi, e0)
@@ -545,9 +560,8 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                      - in_sum + (out_cum[x1] - out_cum[x0]))
             k = veh_s / interval_s / rt.lane_m * 1000.0       # veh/km/lane
             flow = n_out / interval_s / rt.lanes * 3600.0      # veh/h/lane
-            rows.append(LinkIntervalState(
-                density=k, flow=flow, travel_time=max(tt, ff), free_flow_time=ff,
-                cav_fraction=rt.stat_cav[i], reaction_time=rt.stat_reaction[i]))
+            rows.append(LinkIntervalState(k, flow, max(tt, ff), ff,
+                                          rt.stat_cav[i], rt.stat_reaction[i]))
             if n_in:
                 entry_means[(lid, i)] = in_sum / n_in
             e0, x0 = e1, x1

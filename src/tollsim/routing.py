@@ -8,9 +8,11 @@ search below.
 
 Link costs are read at the interval of arrival at each link, clamped to the
 last interval past the horizon; arrival times propagate along travel-time
-skims. One label-setting search runs on the network's link and node indices;
-a cost tie goes to the lexicographically smallest link-id sequence, so
-searches are fully deterministic. From one origin it settles nodes in the
+skims, so `path_cost` steps its interval forward as they pass interval
+ends. A departure interval outside the clock raises ValueError. One
+label-setting search runs on the network's link and node indices; a cost
+tie goes to the lexicographically smallest link-id sequence, so searches
+are fully deterministic. From one origin it settles nodes in the
 same order whatever the destination, so each (origin, departure interval,
 cost kind) is searched once, to every node, and the tree is kept on the
 skims it was built from; a path query walks that tree back from its
@@ -88,11 +90,12 @@ class CostSkims:
         tt = {}
         ue = {}
         so = {} if result.clearance else None
+        marginal_time = result.marginal_time
         for lid, rows in result.states.items():
             link = result.network.links[lid]
             tt[lid] = [st.travel_time for st in rows]
             if so is not None:
-                so[lid] = [result.marginal_time(lid, tau) for tau in range(len(rows))]
+                so[lid] = [marginal_time(lid, tau) for tau in range(len(rows))]
             if toll_schedule is not None and link.in_pricing_zone:
                 ue[lid] = [st.travel_time
                            + toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
@@ -102,20 +105,34 @@ class CostSkims:
         return cls(result.clock, tt, ue, so)
 
     def path_cost(self, path: Path, departure_interval: int, kind: str) -> float:
-        """Sum of per-link costs with arrival-interval lookups along the path."""
+        """Sum of per-link costs with arrival-interval lookups along the path.
+        Raises ValueError for a departure interval outside the clock."""
         costs = self._rows(kind)
         tt = self._tt
         interval_s = self.clock.interval_s
         last = self.clock.n_intervals - 1
-        t = departure_interval * interval_s
+        _check_interval(self.clock, departure_interval)
+        # Arrival times only grow, so the interval advances while t has
+        # reached its end: for t >= 0, t >= (tau + 1) * interval_s exactly
+        # when int(t // interval_s) > tau.
+        tau = departure_interval
+        t = tau * interval_s
+        end = t + interval_s
         total = 0.0
         for lid in path.link_ids:
-            tau = int(t // interval_s)
-            if tau > last:
-                tau = last
+            while t >= end and tau < last:
+                tau += 1
+                end += interval_s
             total += costs[lid][tau]
             t += tt[lid][tau]
         return total
+
+
+def _check_interval(clock: Clock, tau: int) -> None:
+    """ValueError unless `tau` is one of the clock's intervals; a negative
+    one would index the last interval's costs."""
+    if tau not in range(clock.n_intervals):
+        raise ValueError(f"departure interval {tau} outside the clock's horizon")
 
 
 def _search(network: Network, origin: int, t0: float, costs, tt, interval_s,
@@ -195,6 +212,7 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
     key = (network, origin, departure_interval, cost_kind)
     tree = skims._trees.get(key)
     if tree is None:
+        _check_interval(skims.clock, departure_interval)
         o = network.node_index.get(origin)
         if o is None:
             raise UnreachableError(origin, destination)

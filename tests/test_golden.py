@@ -128,11 +128,17 @@ def digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode("utf-8")).hexdigest()
 
 
+# The `LinkIntervalState` fields, in the order the pinned digests hash them.
+STATE_FIELDS = ("density", "flow", "travel_time", "free_flow_time",
+                "cav_fraction", "reaction_time")
+
+
 def loading_dump(res) -> tuple:
     """States rows, entry means, per-vehicle trajectories and the queue
     clearance delay at every step (and mid-step) of every link."""
     clock = res.clock
-    states = tuple((lid, tuple(astuple(st) for st in res.states[lid]))
+    states = tuple((lid, tuple(tuple(getattr(st, f) for f in STATE_FIELDS)
+                               for st in res.states[lid]))
                    for lid in sorted(res.states))
     means = tuple(sorted(res._entry_means.items()))
     vehicles = tuple((v.vehicle_id, v.vehicle_class, v.path.link_ids, v.interval,

@@ -1,6 +1,9 @@
 """Mesoscopic loader: free flow, bottleneck oracle, conservation, FIFO,
 determinism, discretization, marginal times, adaptive FD blending."""
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import SO, UE
 from tollsim.loading import (GridlockError, VehiclePlan, discretize_assignments,
@@ -255,6 +258,110 @@ class TestDiscretization:
         assert rows(one) == rows(two)
         assert len(rows(one)) == 5 + 5 + 4 + 6
         assert one.states == two.states
+
+
+def spec_discretize(groups, clock):
+    """The reference rounding: every group, one path or several, goes through
+    the OD set, the link-id sort and largest-remainder rounding."""
+    plans = []
+    interval_s = clock.interval_s
+    for cls, tau, paths, flows in groups:
+        if tau not in range(clock.n_intervals):
+            raise ValueError(f"departure interval {tau} outside the clock's horizon")
+        ods = {(p.origin, p.destination) for p in paths}
+        if len(ods) > 1:
+            raise ValueError(f"a group's paths must share one OD pair, got {sorted(ods)}")
+        if not all(0.0 <= f < math.inf for f in flows):
+            raise ValueError("path flows must be finite and non-negative")
+        members = sorted([(p, f) for p, f in zip(paths, flows, strict=True) if f > 0],
+                         key=lambda m: m[0].link_ids)
+        total = sum(f for _, f in members)
+        n_total = int(math.floor(total + 0.5))
+        if n_total == 0:
+            continue
+        quotas = [f * n_total / total for _, f in members]
+        counts = [int(math.floor(q)) for q in quotas]
+        remainder = n_total - sum(counts)
+        order = sorted(range(len(members)),
+                       key=lambda i: (-(quotas[i] - counts[i]), i))
+        for i in order[:remainder]:
+            counts[i] += 1
+        start = tau * interval_s
+        for (path, _), n in zip(members, counts):
+            for j in range(n):
+                plans.append(VehiclePlan(cls, path, tau,
+                                         float(start + (j * interval_s) // n)))
+    return plans
+
+
+# Whole, half-way (rounding ties) and fractional flows, and zero.
+FLOWS = st.one_of(st.just(0.0), st.integers(0, 9).map(float),
+                  st.integers(0, 9).map(lambda k: k + 0.5),
+                  st.floats(0.0, 9.0, allow_nan=False))
+
+
+@st.composite
+def discretize_cases(draw):
+    """A clock and groups of 1-5 paths of one OD pair each. Paths are fresh
+    objects drawn from a few link-id sequences, so equal link ids in
+    distinct `Path`s occur, and so do repeated (class, OD, interval) keys."""
+    n_int = draw(st.integers(1, 3))
+    interval_s = draw(st.sampled_from([5, 300]))
+    clock = Clock(step_s=1, interval_s=interval_s, horizon_s=interval_s * n_int)
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        od = draw(st.sampled_from([("A", "B"), ("A", "C")]))
+        lids = st.sampled_from([("x",), ("y",), ("x", "z"), ("b",), ("a", "b")])
+        paths = [Path(draw(lids), *od) for _ in range(draw(st.integers(1, 5)))]
+        groups.append((draw(st.sampled_from([UE, SO])), draw(st.integers(0, n_int - 1)),
+                       paths, [draw(FLOWS) for _ in paths]))
+    if groups and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(groups)))     # the same key twice
+    return clock, groups
+
+
+def outcome(discretize, groups, clock):
+    """The plans, each path's identity beside it, or the ValueError message."""
+    try:
+        plans = discretize(groups, clock)
+    except ValueError as exc:
+        return str(exc)
+    return plans, [id(p.path) for p in plans]
+
+
+class TestDiscretizationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(discretize_cases())
+    def test_plans_match_the_spec(self, case):
+        clock, groups = case
+        assert outcome(discretize_assignments, groups, clock) \
+            == outcome(spec_discretize, groups, clock)
+
+    @settings(max_examples=300, deadline=None)
+    @given(discretize_cases(), st.data())
+    def test_bad_groups_raise_as_the_spec_does(self, case, data):
+        clock, groups = case
+        if not groups:
+            groups = [(UE, 0, [AB], [1.0])]
+        k = data.draw(st.integers(0, len(groups) - 1))
+        cls, tau, paths, flows = groups[k]
+        paths, flows = list(paths), list(flows)
+        for fault in data.draw(st.lists(st.sampled_from(
+                ["od", "negative", "nan", "early", "late"]), min_size=1, max_size=3)):
+            i = data.draw(st.integers(0, len(paths) - 1))
+            if fault == "od":
+                paths.append(Path(("w",), "B", "A"))
+                flows.append(data.draw(FLOWS))
+            elif fault == "negative":
+                flows[i] = -data.draw(st.floats(1e-9, 9.0))
+            elif fault == "nan":
+                flows[i] = math.nan
+            else:
+                tau = -1 if fault == "early" else clock.n_intervals
+        groups = groups[:k] + [(cls, tau, paths, flows)] + groups[k + 1:]
+        expected = outcome(spec_discretize, groups, clock)
+        assert isinstance(expected, str)
+        assert outcome(discretize_assignments, groups, clock) == expected
 
 
 class TestMarginalTime:

@@ -104,6 +104,22 @@ class TestShortestPath:
         path, cost = td_shortest_path(net, skims, "O", "D", 1)
         assert cost == skims.path_cost(path, 1, UE_COST)
 
+    @pytest.mark.parametrize("interval", [-1, 4, 5])
+    def test_departure_interval_outside_clock_rejected(self, clock_20min, interval):
+        # S is dearer than L only in the last interval, which a departure at
+        # -1 used to read through negative indexing: ('L',) at 420 s.
+        net = parallel_network()
+        tt = {("S", t): 300.0 for t in range(3)} | {("S", 3): 900.0}
+        tt |= {("L", t): 420.0 for t in range(4)}
+        skims = make_skims(clock_20min, tt)
+        assert td_shortest_path(net, skims, "O", "D", 0) == (Path(("S",), "O", "D"), 300.0)
+        assert td_shortest_path(net, skims, "O", "D", 3) == (Path(("L",), "O", "D"), 420.0)
+        for kind in (UE_COST, SO_COST):
+            with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
+                td_shortest_path(net, skims, "O", "D", interval, kind)
+            with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
+                skims.path_cost(Path(("S",), "O", "D"), interval, kind)
+
     def test_least_marginal_route_can_differ_from_least_time(self, clock_20min):
         net = parallel_network()
         skims = const_skims(net, clock_20min,
@@ -199,9 +215,10 @@ LINK_IDS = ("b", "a10", "a", "B", "a2", "ab", "b0", "a1", "c", "ba", "A", "b1")
 
 
 @st.composite
-def search_cases(draw):
+def search_cases(draw, times=st.integers(1, 25)):
     """A small random network, multi-interval skims and the skims' rows. All
-    costs, times and lengths are whole numbers, so exact ties happen."""
+    costs, times and lengths are whole numbers, so exact ties happen. Travel
+    times are drawn from `times`."""
     nodes = [f"n{i}" for i in range(draw(st.integers(2, 6)))]
     n_int = draw(st.integers(1, 3))
     clock = Clock(step_s=1, interval_s=10, horizon_s=10 * n_int)
@@ -209,11 +226,11 @@ def search_cases(draw):
     links = [Link(lid, draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes)),
                   float(draw(st.integers(1, 3))), 1, 10.0) for lid in ids]
 
-    def rows(top):
-        return {lid: [float(draw(st.integers(1, top))) for _ in range(n_int)]
-                for lid in ids}
+    def rows(values):
+        return {lid: [float(draw(values)) for _ in range(n_int)] for lid in ids}
 
-    tt, costs = rows(25), {UE_COST: rows(3), SO_COST: rows(3)}
+    cheap = st.integers(1, 3)
+    tt, costs = rows(times), {UE_COST: rows(cheap), SO_COST: rows(cheap)}
     network = Network([Node(nid) for nid in nodes], links)
     return network, clock, tt, costs, CostSkims(clock, tt, costs[UE_COST], costs[SO_COST])
 
@@ -248,6 +265,41 @@ class TestSearchOracle:
                     td_shortest_path(network, skims, *unknown, 0)
                 with pytest.raises(UnreachableError):
                     distance_shortest_path(network, *unknown)
+
+
+def naive_path_cost(clock, costs, tt, link_ids, departure_interval):
+    """Reference path cost: each link read at `Clock.interval_of` its arrival."""
+    t = departure_interval * clock.interval_s
+    total = 0.0
+    for lid in link_ids:
+        tau = clock.interval_of(t)
+        total += costs[lid][tau]
+        t += tt[lid][tau]
+    return total
+
+
+class TestPathCostOracle:
+    # Travel times in multiples of half the 10 s interval: arrivals land
+    # exactly on interval ends, and a few links carry them past the horizon.
+    @settings(max_examples=200, deadline=None)
+    @given(search_cases(times=st.sampled_from([5, 10, 15, 20, 30])), st.data())
+    def test_path_cost_matches_the_naive_sum_and_the_tree(self, case, data):
+        network, clock, tt, costs, skims = case
+        ids = sorted(tt)
+        for tau in range(clock.n_intervals):
+            for kind in (UE_COST, SO_COST):
+                lids = tuple(data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                                max_size=6)))
+                assert skims.path_cost(Path(lids, "o", "d"), tau, kind) \
+                    == naive_path_cost(clock, costs[kind], tt, lids, tau)
+                for o in sorted(network.nodes):
+                    for d in sorted(network.nodes):
+                        try:
+                            path, cost = td_shortest_path(network, skims, o, d, tau, kind)
+                        except UnreachableError:
+                            continue
+                        assert cost == skims.path_cost(path, tau, kind) \
+                            == naive_path_cost(clock, costs[kind], tt, path.link_ids, tau)
 
 
 class TestSearchPrecondition:
