@@ -10,6 +10,13 @@ best paths (shortest generalized cost for UE, least marginal time for SO),
 prices every row's paths for the two relative gaps and their mean, then
 blends the all-or-nothing proportions with a successive-averages step (MSWA
 exponent `SolverConfig.gamma`, 0 is plain MSA).
+
+A solve holds one loading at a time. Past the path sets and the log, an
+iteration keeps nothing for the next: its loading, unless it can end the
+solve, goes once its skims are built, and the skims with their search
+trees, the gap rows and the AON paths go before the next loading runs. The
+returned loading is the last one, with per-vehicle records and clearance
+data.
 """
 from __future__ import annotations
 
@@ -124,7 +131,8 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     Only the loadings that can end the solve keep per-vehicle records, so
     the returned `loading.vehicles` is always complete. Without SO demand no
     row routes on marginal time, so only those same loadings keep the
-    clearance data, and the returned loading always has it too.
+    clearance data, and the returned loading always has it too. Each
+    loading runs with no earlier loading of the solve alive.
     """
     t0 = time.perf_counter()
     # (od, class) -> {interval: demand} over the positive class demands.
@@ -147,7 +155,6 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
     routes_so = any(cls == SO for _, cls, _, _ in rows)
 
     log: list[IterationRecord] = []
-    converged = False
     hits = 0
     for it in range(1, config.max_iterations + 1):
         flows = [[p * q for p in ps.proportions[tau]] for ps, _, tau, q in rows]
@@ -157,9 +164,12 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         # the others skip the per-vehicle records and, unless a row routes on
         # the SO cost, the clearance data.
         final = it == config.max_iterations or hits == 1
-        result = load_network(network, groups, clock, records=final,
-                              clearance=routes_so or final)
-        skims = CostSkims.from_loading(result, toll_schedule, config.vot_per_hour)
+        loading = load_network(network, groups, clock, records=final,
+                               clearance=routes_so or final)
+        skims = CostSkims.from_loading(loading, toll_schedule, config.vot_per_hour)
+        tstt = loading.tstt_veh_h
+        if not final:
+            loading = None      # nothing reads it past its skims
 
         # AON searches and path costs over the untouched path sets.
         gap_rows = {UE: [], SO: []}
@@ -184,11 +194,14 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         rgap = (r1gap + r2gap) / 2.0
         if not math.isfinite(rgap):
             raise ArithmeticError("non-finite relative gap")
-        log.append(IterationRecord(it, r1gap, r2gap, rgap, result.tstt_veh_h,
+        log.append(IterationRecord(it, r1gap, r2gap, rgap, tstt,
                                    time.perf_counter() - t0))
         hits = hits + 1 if rgap <= config.gap_tolerance else 0
-        if hits >= 2:
-            converged = True
+        converged = hits >= 2
+        if converged or it == config.max_iterations:
             break
+        # The next loading reads none of this iteration's objects, so it
+        # runs with none of them alive.
+        del loading, skims, gap_rows, aon
 
-    return EquilibriumResult(path_sets, result, log, converged)
+    return EquilibriumResult(path_sets, loading, log, converged)

@@ -62,6 +62,11 @@ intervals (empty at the start, nothing entering) share one state object
 while its FD blend stays the same. `records=False` skips the per-vehicle
 entry logs and records, which only a solve's final loading needs; counts
 and TSTT come from exits.
+
+What a loading holds while it runs: its set-up's sort keys and id-to-path
+map are released before the step loop, which then holds the sorted plans,
+the per-vehicle lists, the link states and the calendar. The per-vehicle
+loop state is released before the records are built.
 """
 from __future__ import annotations
 
@@ -362,6 +367,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
             path.validate(network)
             network.valid_paths.add(path)
     plans = [plans[i] for i in sorted(range(len(plans)), key=keys.__getitem__)]
+    del keys
 
     n_int = clock.n_intervals
     n_steps = clock.n_steps
@@ -379,6 +385,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     # at the origin, entry step + free-flow steps on a link), link entry
     # times (kept only for records) and network exit time.
     veh_route = [routes[id(p.path)] for p in plans]
+    del paths, routes    # set-up only: the step loop reads veh_route
     veh_pos = [-1] * len(plans)
     veh_ready = _ready_steps([p.departure_time for p in plans], dt, n_steps)
     veh_cav = [p.vehicle_class == SO for p in plans]

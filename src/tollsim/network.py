@@ -317,10 +317,12 @@ def network_to_dict(network: Network) -> dict:
 
 
 def write_json(path, obj, indent=2) -> None:
-    """`obj` as JSON with sorted keys and a final newline."""
+    """`obj` as JSON with sorted keys and a final newline. The text is
+    built before the file is opened, so a value that cannot be serialized
+    leaves an existing file as it was."""
+    text = json.dumps(obj, indent=indent, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_csv(path, header, rows) -> None:

@@ -9,6 +9,12 @@ network and demand files through one `_load_inputs`, and a run writes every
 output through one `emit` that records it in `manifest.json`. All randomness
 flows from the single scenario seed through the counter-based demand-split
 generator; repeated runs are byte-identical.
+
+Without a toll section a run releases each ratio's split demand and
+solve once that ratio's files are written, so the next ratio's solve runs
+with no earlier one alive. With a toll section pricing reads every ratio's
+untolled solve again, and the ratio-0 one for the critical density, so they
+stay until the run ends.
 """
 from __future__ import annotations
 
@@ -196,7 +202,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
     metrics_rows = []
     for ratio in scenario.so_ratios:
         tag = _ratio_tag(ratio)
-        _demand, eq = untolled(ratio)
+        eq = untolled(ratio)[1]
         # wall_time_s is left blank: outputs must be byte-identical across runs.
         emit(f"iters_r{tag}.csv", _write_csv,
              ["iter", "r1gap", "r2gap", "rgap", "tstt_veh_h", "wall_time_s"],
@@ -216,6 +222,10 @@ def run_scenario(scenario: Scenario, out_dir: str,
         m = class_zone_summary(eq.loading, network, series,
                                vot_per_hour=scenario.solver.vot_per_hour)
         metrics_rows.append((scenario.scenario_id, ratio, 0, m))
+        if scenario.toll is None:
+            # Only pricing reads a ratio's solve again: without it, the next
+            # ratio's solve runs with this one gone.
+            del runs[ratio], eq
 
     if scenario.toll is not None:
         if not zone:

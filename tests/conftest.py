@@ -5,6 +5,8 @@ so free-flow times come out as round numbers of whole simulation steps.
 """
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from tollsim.network import Clock, Link, Network, Node
@@ -52,3 +54,17 @@ def clock_20min():
 @pytest.fixture
 def clock_1h():
     return Clock(step_s=1, interval_s=300, horizon_s=3600)
+
+
+@pytest.fixture
+def refcount_only():
+    """Cyclic garbage collection off for the test, so an object is freed
+    only once nothing refers to it: a weak reference then dies exactly when
+    the code drops its last reference."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()

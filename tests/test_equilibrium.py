@@ -2,6 +2,7 @@
 and a hand-solved two-route equilibrium."""
 import inspect
 import math
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -254,3 +255,31 @@ class TestSolver:
         params = inspect.signature(loading.load_network).parameters
         assert params["records"].default is True
         assert params["clearance"].default is True
+
+    @pytest.mark.parametrize("cfg, so_ratio, converges", [
+        (SolverConfig(max_iterations=100, gap_tolerance=0.01, gamma=2.0), 0.0, True),
+        (SolverConfig(max_iterations=6, gap_tolerance=1e-12), 0.4, False),
+    ], ids=["converges-after-a-reset", "hits-the-cap"])
+    def test_each_loading_runs_with_no_earlier_one_alive(
+            self, clock_1h, monkeypatch, refcount_only, cfg, so_ratio, converges):
+        loadings = []
+
+        def load_network(*args, **kwargs):
+            assert [ref() for ref in loadings] == [None] * len(loadings)
+            result = loading.load_network(*args, **kwargs)
+            loadings.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(equilibrium, "load_network", load_network)
+        net = bottleneck_pair_network()
+        demand = split_demand({("O", "D", 0): 400.0}, so_ratio)
+        res = solve_mixed_equilibrium(net, demand, clock_1h, cfg)
+        assert res.converged is converges
+        assert len(loadings) == len(res.log)
+        assert res.loading is loadings[-1]()
+        assert len(res.loading.vehicles) == 400 and res.loading.clearance
+        if converges:
+            # A loading made after one hit that did not end the solve: the
+            # next iteration's gap missed the tolerance.
+            gaps = [r.rgap <= cfg.gap_tolerance for r in res.log]
+            assert any(hit and not nxt for hit, nxt in zip(gaps[:-2], gaps[1:-1]))

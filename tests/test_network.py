@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from tollsim.network import (Clock, InvalidPathError, Link, Network, Node,
                              Path, network_from_dict, network_to_dict,
-                             validate_network)
+                             validate_network, write_json)
 from tollsim.pricing import TollSchedule
 
 from conftest import line_network, two_link_network
@@ -222,3 +222,29 @@ class TestNetworkFile:
         doc["links"][0]["lanes"] = 1.5
         with pytest.raises(ValueError, match="lanes must be an integer"):
             network_from_dict(doc)
+
+    @pytest.mark.parametrize("obj, indent", [
+        (network_to_dict(two_link_network(l1=1234.5, zone=("MB",))), 2),
+        ([{"origin": "A", "destination": "B", "interval_index": 0, "total": 0.1 + 0.2},
+          {"origin": "A", "destination": "C", "interval_index": 2, "total": 40.0,
+           "so_ratio": 0.35}], 2),
+        ({"k_cr_veh_km": 31.25, "interval": 3, "low_confidence": False}, None),
+        ({"scenario_hash": "ab" * 32, "tool_version": "0.1.0", "seed": 7,
+          "files": {"metrics.csv": "cd" * 32, "iters_r000.csv": "ef" * 32}}, 2),
+    ], ids=["network", "demand-records", "kcr", "manifest"])
+    def test_write_json_writes_what_json_dump_writes(self, tmp_path, obj, indent):
+        dumped = tmp_path / "dumped.json"
+        with open(dumped, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=indent, sort_keys=True)
+            fh.write("\n")
+        written = tmp_path / "written.json"
+        write_json(written, obj, indent)
+        assert written.read_bytes() == dumped.read_bytes()
+
+    def test_write_json_failure_leaves_the_existing_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"a": 2, "b": object()})
+        assert path.read_bytes() == before

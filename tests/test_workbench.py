@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -303,6 +304,27 @@ class TestRunScenario:
         run_scenario(Scenario.load(path), str(tmp_path / "out"))
         assert splits == [0.5, 0.0]
         assert len(solves) == 2
+
+    @pytest.mark.parametrize("toll", [False, True], ids=["untolled", "tolled"])
+    def test_a_ratio_solve_is_released_unless_pricing_reads_it(
+            self, tmp_path, monkeypatch, refcount_only, toll):
+        # Untolled: each ratio's solve is gone when the next starts. Tolled:
+        # the swept 0.5 solve is still alive when pricing's 0.0 one starts.
+        results = []
+
+        def solve(*args):
+            alive = [ref() is not None for ref in results]
+            assert alive == [toll] * len(results)
+            result = solve_mixed_equilibrium(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(scenario, "solve_mixed_equilibrium", solve)
+        path = write_fixture_scenario(tmp_path / "in", toll=toll,
+                                      so_ratios=(0.5,) if toll else (0.5, 1.0),
+                                      demand_total=400.0, horizon=3600)
+        run_scenario(Scenario.load(path), str(tmp_path / "out"))
+        assert len(results) == 2
 
     @pytest.mark.parametrize("record", [
         {"origin": "O", "destination": "O", "interval_index": 0, "total": 5},
