@@ -238,5 +238,6 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
                 new_omega[(lid, tau)] = congestion_weight(
                     st.travel_time, st.free_flow_time, toll_config.omega_max)
         schedule = TollSchedule(alpha=new_alpha, omega=new_omega)
+        del eq   # the next solve runs with only `best`'s alive
 
     return best

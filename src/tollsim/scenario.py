@@ -10,11 +10,11 @@ output through one `emit` that records it in `manifest.json`. All randomness
 flows from the single scenario seed through the counter-based demand-split
 generator; repeated runs are byte-identical.
 
-Without a toll section a run releases each ratio's split demand and
-solve once that ratio's files are written, so the next ratio's solve runs
-with no earlier one alive. With a toll section pricing reads every ratio's
-untolled solve again, and the ratio-0 one for the critical density, so they
-stay until the run ends.
+A run is one pass over the ratios. With a toll section it first solves the
+all-UE (0%) run for the pricing zone's critical density; then each ratio is
+split, solved and written, and with a toll section priced and written too,
+before the next starts. A ratio's solve begins with no other ratio's alive:
+only the 0% run waits, until a swept 0.0 ratio reuses it.
 """
 from __future__ import annotations
 
@@ -124,7 +124,8 @@ class Scenario:
 
 def _load_inputs(scenario: Scenario):
     """(network, (totals, overrides), problems), a file that failed to load
-    being None; `problems` lists (stage, message) pairs, network first."""
+    being None; `problems` lists (stage, message) pairs, network first and
+    an empty pricing zone of a tolled scenario last."""
     problems = []
 
     def load(stage, loader, path):
@@ -145,11 +146,14 @@ def _load_inputs(scenario: Scenario):
         problems += [("demand", f"demand {o}->{d} at interval {tau} outside "
                                 f"the clock's {n} intervals")
                      for (o, d, tau) in sorted(demand[0]) if tau not in range(n)]
+    if scenario.toll is not None and network is not None and not network.zone_link_ids:
+        problems.append(("pricing", "pricing zone is empty"))
     return network, demand, problems
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Every problem with the scenario's network and demand files."""
+    """Every problem with the scenario's network and demand files, and an
+    empty pricing zone under a toll section."""
     return [message for _stage, message in _load_inputs(scenario)[2]]
 
 
@@ -190,19 +194,26 @@ def run_scenario(scenario: Scenario, out_dir: str,
              if scenario.noise_beta_max > 0 else None)
     zone = sorted(network.zone_link_ids)
 
-    runs = {}   # ratio -> (split demand, its untolled equilibrium)
+    def solved(ratio):
+        demand = stage("demand", split_demand, totals, ratio, noise, overrides)
+        return demand, stage("equilibrium", solve_mixed_equilibrium, network,
+                             demand, scenario.clock, scenario.solver)
 
-    def untolled(ratio):
-        if ratio not in runs:
-            demand = stage("demand", split_demand, totals, ratio, noise, overrides)
-            runs[ratio] = demand, stage("equilibrium", solve_mixed_equilibrium, network,
-                                        demand, scenario.clock, scenario.solver)
-        return runs[ratio]
+    zero = []   # the 0% run, while a swept 0.0 ratio is still to reuse it
+    if scenario.toll is not None:
+        zero.append(solved(0.0))
+        est = stage("pricing", estimate_critical_density,
+                    nfd_series(zero[0][1].loading, network, zone))
+        emit("kcr.json", write_json,
+             {"k_cr_veh_km": est.k_cr, "interval": est.interval,
+              "low_confidence": est.low_confidence}, None)
+        if 0.0 not in scenario.so_ratios:
+            zero.clear()
 
-    metrics_rows = []
+    untolled_rows, tolled_rows = [], []
     for ratio in scenario.so_ratios:
         tag = _ratio_tag(ratio)
-        eq = untolled(ratio)[1]
+        demand, eq = zero.pop() if ratio == 0.0 and zero else solved(ratio)
         # wall_time_s is left blank: outputs must be byte-identical across runs.
         emit(f"iters_r{tag}.csv", _write_csv,
              ["iter", "r1gap", "r2gap", "rgap", "tstt_veh_h", "wall_time_s"],
@@ -221,26 +232,10 @@ def run_scenario(scenario: Scenario, out_dir: str,
                   for v in eq.loading.vehicles])
         m = class_zone_summary(eq.loading, network, series,
                                vot_per_hour=scenario.solver.vot_per_hour)
-        metrics_rows.append((scenario.scenario_id, ratio, 0, m))
-        if scenario.toll is None:
-            # Only pricing reads a ratio's solve again: without it, the next
-            # ratio's solve runs with this one gone.
-            del runs[ratio], eq
-
-    if scenario.toll is not None:
-        if not zone:
-            raise StageError("pricing", ValueError("pricing zone is empty"))
-        _demand, base_eq = untolled(0.0)
-        base_series = nfd_series(base_eq.loading, network, zone)
-        est = stage("pricing", estimate_critical_density, base_series)
-        emit("kcr.json", write_json,
-             {"k_cr_veh_km": est.k_cr, "interval": est.interval,
-              "low_confidence": est.low_confidence}, None)
-        for ratio in scenario.so_ratios:
-            tag = _ratio_tag(ratio)
-            demand, base = untolled(ratio)
+        untolled_rows.append((scenario.scenario_id, ratio, 0, m))
+        if scenario.toll is not None:
             bl = stage("pricing", bilevel_solve, network, demand, scenario.clock,
-                       scenario.toll, scenario.solver, est.k_cr, base)
+                       scenario.toll, scenario.solver, est.k_cr, eq)
             emit(f"toll_r{tag}.csv", bl.schedule.write_alpha_csv)
             emit(f"omega_r{tag}.csv", bl.schedule.write_omega_csv)
             emit(f"controller_r{tag}.csv", _write_csv,
@@ -254,8 +249,11 @@ def run_scenario(scenario: Scenario, out_dir: str,
             m = class_zone_summary(bl.equilibrium.loading, network, tolled_series,
                                    toll_schedule=bl.schedule,
                                    vot_per_hour=scenario.solver.vot_per_hour,
-                                   baseline=base.loading)
-            metrics_rows.append((scenario.scenario_id, ratio, 1, m))
+                                   baseline=eq.loading)
+            tolled_rows.append((scenario.scenario_id, ratio, 1, m))
+            del bl
+        # The next ratio's solve runs with this one gone.
+        del demand, eq
 
     emit("metrics.csv", _write_csv,
          ["scenario_id", "so_ratio", "tolled", "tstt_veh_h", "zone_k_mean",
@@ -263,7 +261,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
           "hysteresis_area"],
          [(sid, ratio, tolled, m.tstt_veh_h, m.zone_k_mean, m.ue_zone_tt_min,
            m.so_zone_tt_min, m.mean_toll_usd, m.bc_ratio, m.hysteresis_area)
-          for (sid, ratio, tolled, m) in metrics_rows])
+          for (sid, ratio, tolled, m) in untolled_rows + tolled_rows])
 
     manifest = {
         "scenario_hash": scenario.content_hash(),

@@ -19,7 +19,8 @@ changed results.
 The file digests are SHA-256s of the bytes `tollsim nguyen`, the toll
 schedule writers and a scenario run write, captured from the writers that
 each opened and formatted their own files, before they shared one JSON and
-one CSV writer.
+one CSV writer (the run without the 0% ratio from the run that priced the
+ratios only after every untolled solve, and solved the 0% run last).
 """
 import hashlib
 import os
@@ -119,6 +120,55 @@ RUN_FILE_DIGESTS = {
         "7567560f9129cfbe40bf59a1a747cdc942a8467a1843d9a40d13732bf7fb533a",
     "trajectories_r000.csv":
         "32bd01d965be084fea86852a5dc12b77b7ffe7050fb6ac5c2ae07428530d1d45",
+    "trajectories_r100.csv":
+        "fcf7484cb06ffee00c36bab14477a73ccb56b7057fc2d44feae505e0ba89e90d",
+}
+
+# The same run without the 0% ratio in the sweep, so its k_cr comes from a
+# solve of its own.
+RUN_WITHOUT_ZERO_FILE_DIGESTS = {
+    "controller_r050.csv":
+        "8e9a0bfd662980aaa6482bf29df118e3be96a2fe16eba1bd39f8982a4a5a549e",
+    "controller_r100.csv":
+        "3a62a25e6d318a3679f521f4fecc945acf86b4d19fd56fafe0345324d8fea02e",
+    "demand.json":
+        "2aa8df0e71910c40c585665eca28e1b8980d392f4f87c2f1a13feb298e29f7ce",
+    "iters_r050.csv":
+        "a0c22e5fde61cce3478d1998f503eab3832ab1a4ea71b94eb8236dd2aa84052e",
+    "iters_r100.csv":
+        "c6e4af5ecbeed3b3c9d70855d848d74e26df3b7cd2fd0c399254bd0b0e56a9e5",
+    "kcr.json":
+        "ae3bd155c3a7915fdb21e577d5cef6d8a7bf04d83a24bfd3ae169526497067fe",
+    "manifest.json":
+        "a350b50e663dee77a9c78d8e061d52b88fe98eec3a4c0b476a053351b238d00d",
+    "metrics.csv":
+        "72406dc4670a17b8afa96e6a9d4a201509cf34a25d4a517bf290a0d0c75b10c6",
+    "net.json":
+        "4a5699c1fee462c70484d3abd41a41a22db4c5820cebe6b212f6fa2ff13f1a4f",
+    "nfd_network_r050.csv":
+        "7b49836c6c0c381ba52df99b9389f6309124df4c122abb36e3029a5cb7edadb0",
+    "nfd_network_r100.csv":
+        "757fea03b2fc5f709b2ce6200e6351b704f4320e8d20cc8ecc45af1ac3538356",
+    "nfd_r050.csv":
+        "8547ac3cd201d362c6ebe541901dd4696b30ec24ce34b6e3fc5bc5e24bc28bf6",
+    "nfd_r100.csv":
+        "9be763f2dae25321ab844bfd75d422b6207c96d81f7651fcbb8cff865cd579ff",
+    "nfd_tolled_r050.csv":
+        "8547ac3cd201d362c6ebe541901dd4696b30ec24ce34b6e3fc5bc5e24bc28bf6",
+    "nfd_tolled_r100.csv":
+        "9be763f2dae25321ab844bfd75d422b6207c96d81f7651fcbb8cff865cd579ff",
+    "omega_r050.csv":
+        "ba5fbac889e250fc55c200a1cff513c889f2994140c4c01f8469ba911924e29b",
+    "omega_r100.csv":
+        "ba5fbac889e250fc55c200a1cff513c889f2994140c4c01f8469ba911924e29b",
+    "scenario.json":
+        "d0bf14fa0b984da9b4a56ac75e163607c28cf6703205e958b02ecf9940b1f607",
+    "toll_r050.csv":
+        "7567560f9129cfbe40bf59a1a747cdc942a8467a1843d9a40d13732bf7fb533a",
+    "toll_r100.csv":
+        "7567560f9129cfbe40bf59a1a747cdc942a8467a1843d9a40d13732bf7fb533a",
+    "trajectories_r050.csv":
+        "ac8c294d0d3a7d595b650129fc79ea7301b24d755d85e70c705447dd6d71ca7b",
     "trajectories_r100.csv":
         "fcf7484cb06ffee00c36bab14477a73ccb56b7057fc2d44feae505e0ba89e90d",
 }
@@ -461,12 +511,22 @@ def test_schedule_csv_bytes(tmp_path):
     assert file_digests(tmp_path) == SCHEDULE_CSV_DIGESTS
 
 
-def test_run_file_bytes(tmp_path):
-    """Every file of a tolled two-ratio run with trajectories."""
-    path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.0, 1.0),
+def tolled_run_file_digests(tmp_path, so_ratios) -> dict:
+    """Every file of a tolled run with trajectories."""
+    path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=so_ratios,
                                   demand_total=400.0, horizon=3600, seed=3,
                                   beta=0.1)
     run_scenario(Scenario.load(path), str(tmp_path / "out"),
                  write_trajectories=True)
-    assert file_digests(tmp_path / "in") | file_digests(tmp_path / "out") \
-        == RUN_FILE_DIGESTS
+    return file_digests(tmp_path / "in") | file_digests(tmp_path / "out")
+
+
+def test_run_file_bytes(tmp_path):
+    """A two-ratio run whose swept 0% ratio gives k_cr."""
+    assert tolled_run_file_digests(tmp_path, (0.0, 1.0)) == RUN_FILE_DIGESTS
+
+
+def test_run_file_bytes_without_the_zero_ratio(tmp_path):
+    """A two-ratio run whose k_cr comes from an unswept 0% run."""
+    assert tolled_run_file_digests(tmp_path, (0.5, 1.0)) \
+        == RUN_WITHOUT_ZERO_FILE_DIGESTS

@@ -2,6 +2,7 @@
 controller and the bi-level outer loop."""
 import csv
 import math
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -445,6 +446,27 @@ class TestBilevel:
         assert charged == [2, 4, 5]
         assert len(solves) == len(charged)
         assert all(any(s.alpha.values()) for s in solves)
+
+    def test_each_charging_solve_runs_with_only_the_best_one_alive(
+            self, clock_1h, monkeypatch, refcount_only):
+        # Outer 4 is the best; outer 5's solve, worse, must be gone when
+        # outer 6's starts.
+        net, demand, solver, cfg, k_cr = charging_and_free_case()
+        untolled = solve_mixed_equilibrium(net, demand, clock_1h, solver)
+        results = []
+
+        def solve(*args, **kwargs):
+            assert sum(ref() is not None for ref in results) <= 1
+            result = solve_mixed_equilibrium(*args, **kwargs)
+            results.append(weakref.ref(result))
+            return result
+
+        monkeypatch.setattr(pricing, "solve_mixed_equilibrium", solve)
+        res = bilevel_solve(net, demand, clock_1h, replace(cfg, outer_cap=6),
+                            solver, k_cr, untolled)
+        assert [r.outer_iteration for r in res.log if r.mean_alpha > 0] \
+            == [2, 4, 5, 6]
+        assert [ref() for ref in results] == [None, res.equilibrium, None, None]
 
     def test_controller_tracks_down_zone_density(self, clock_1h):
         net = tolled_pair_network()

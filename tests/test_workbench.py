@@ -286,7 +286,7 @@ class TestRunScenario:
 
     def test_tolled_run_splits_and_solves_each_ratio_once(self, tmp_path,
                                                           monkeypatch):
-        # 0.0 is not swept here but gives k_cr; 0.5 is swept and then priced.
+        # 0.0 is not swept here but gives k_cr first; 0.5 is swept and priced.
         splits, solves = [], []
 
         def split(totals, ratio, *args):
@@ -302,29 +302,52 @@ class TestRunScenario:
         path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.5,),
                                       demand_total=400.0, horizon=3600)
         run_scenario(Scenario.load(path), str(tmp_path / "out"))
-        assert splits == [0.5, 0.0]
+        assert splits == [0.0, 0.5]
         assert len(solves) == 2
 
-    @pytest.mark.parametrize("toll", [False, True], ids=["untolled", "tolled"])
-    def test_a_ratio_solve_is_released_unless_pricing_reads_it(
-            self, tmp_path, monkeypatch, refcount_only, toll):
-        # Untolled: each ratio's solve is gone when the next starts. Tolled:
-        # the swept 0.5 solve is still alive when pricing's 0.0 one starts.
+    @pytest.mark.parametrize("toll, so_ratios, zero_waits", [
+        (False, (0.5, 1.0), False),
+        (True, (0.5, 1.0), False),
+        (True, (0.5, 0.0), True),
+    ], ids=["untolled", "tolled", "tolled-zero-swept-last"])
+    def test_a_ratio_solve_starts_with_no_other_ratio_alive(
+            self, tmp_path, monkeypatch, refcount_only, toll, so_ratios, zero_waits):
+        # Each solve starts with every earlier one gone, but for the 0% run
+        # k_cr came from while a swept 0.0 ratio is still to reuse it. The
+        # fixture's toll never charges, so each ratio's pricing result holds
+        # its untolled solve: it must be gone too.
         results = []
 
         def solve(*args):
             alive = [ref() is not None for ref in results]
-            assert alive == [toll] * len(results)
+            assert alive == [zero_waits and i == 0 for i in range(len(results))]
             result = solve_mixed_equilibrium(*args)
             results.append(weakref.ref(result))
             return result
 
         monkeypatch.setattr(scenario, "solve_mixed_equilibrium", solve)
-        path = write_fixture_scenario(tmp_path / "in", toll=toll,
-                                      so_ratios=(0.5,) if toll else (0.5, 1.0),
+        path = write_fixture_scenario(tmp_path / "in", toll=toll, so_ratios=so_ratios,
                                       demand_total=400.0, horizon=3600)
         run_scenario(Scenario.load(path), str(tmp_path / "out"))
-        assert len(results) == 2
+        # One solve per ratio, and the 0% run's when 0.0 is not swept.
+        assert len(results) == len(so_ratios) + (toll and 0.0 not in so_ratios)
+
+    def test_tolled_scenario_without_a_zone_fails_its_input_check(
+            self, tmp_path, capsys):
+        path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.5,))
+        with open(tmp_path / "in" / "net.json", encoding="utf-8") as fh:
+            doc = _edited(json.load(fh), ("pricing_zone",), _DROP)
+        with open(tmp_path / "in" / "net.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        sc = Scenario.load(path)
+        assert validate_scenario(sc) == ["pricing zone is empty"]
+        with pytest.raises(StageError) as err:
+            run_scenario(sc, str(tmp_path / "out"))
+        assert err.value.stage == "pricing"
+        assert str(err.value) == "stage 'pricing' failed: pricing zone is empty"
+        assert list((tmp_path / "out").iterdir()) == []
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == "pricing zone is empty\n"
 
     @pytest.mark.parametrize("record", [
         {"origin": "O", "destination": "O", "interval_index": 0, "total": 5},
