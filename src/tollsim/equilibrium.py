@@ -3,13 +3,13 @@ and dual relative gaps.
 
 The solver builds one list of demand rows, (path set, class, interval,
 demand) per positive class demand; each OD pair's path sets, one per class,
-start from its distance-shortest path, searched once per pair. Each
-iteration walks the rows: it loads the rows' path flows (each row is one
-loader group, `(class, interval, paths, flows)`), searches time-dependent
-best paths (shortest generalized cost for UE, least marginal time for SO),
-prices every row's paths for the two relative gaps and their mean, then
-blends the all-or-nothing proportions with a successive-averages step (MSWA
-exponent `SolverConfig.gamma`, 0 is plain MSA).
+start from its distance-shortest path, read off one distance search per
+origin. Each iteration walks the rows: it loads the rows' path flows (each
+row is one loader group, `(class, interval, paths, flows)`), searches
+time-dependent best paths (shortest generalized cost for UE, least marginal
+time for SO), prices every row's paths for the two relative gaps and their
+mean, then blends the all-or-nothing proportions with a successive-averages
+step (MSWA exponent `SolverConfig.gamma`, 0 is plain MSA).
 
 A solve holds one loading at a time. Past the path sets and the log, an
 iteration keeps nothing for the next: its loading, unless it can end the
@@ -28,7 +28,8 @@ from .demand import SO, UE, ClassDemand
 from .loading import load_network
 from .network import Clock, Network
 from .routing import (CAP_SO, CAP_UE, SO_COST, UE_COST, CostSkims, PathSet,
-                      distance_shortest_path, td_shortest_path)
+                      distance_paths, td_shortest_path)
+from .routing import distance_shortest_path  # noqa: F401  (traced here by bench/run.py)
 
 
 class UndefinedGapError(ArithmeticError):
@@ -142,13 +143,17 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
             if q > 0:
                 od_demand.setdefault((o, d, cls), {})[tau] = q
 
+    # (origin, destination) -> distance path, both classes' first path, from
+    # one distance search per origin; the searches are not kept.
+    destinations: dict[str, dict[str, None]] = {}
+    for o, d, _ in od_demand:
+        destinations.setdefault(o, {})[d] = None
+    first_paths = {(o, d): path for o, ds in destinations.items()
+                   for d, path in zip(ds, distance_paths(network, o, ds))}
     path_sets: dict[tuple[str, str, int], PathSet] = {}
     rows = []           # (path set, class, interval, demand), path-set order
-    first_paths = {}    # (origin, destination) -> distance path, both classes'
     for (o, d, cls), by_tau in od_demand.items():
         ps = PathSet(o, d, _CAPS[cls], tuple(by_tau))
-        if (o, d) not in first_paths:
-            first_paths[o, d] = distance_shortest_path(network, o, d)
         ps.insert(first_paths[o, d])
         path_sets[(o, d, cls)] = ps
         rows += [(ps, cls, tau, q) for tau, q in by_tau.items()]

@@ -16,7 +16,17 @@ flows)` group per (class, OD, departure interval), as the solver holds them;
 `discretize_assignments` rounds each group to whole vehicles. A group with
 one positive flow gets that flow rounded, with no remainder to share; only
 a group with several sums them in link-id order and shares the rounded
-total by largest remainder.
+total by largest remainder. Each path's vehicles form one run, n vehicles
+of one class spread uniformly over the interval, and the `VehicleRuns`
+that hold them count and yield vehicles as a list of `VehiclePlan`s does.
+
+Set-up: vehicles load in (departure, class, origin, destination, link ids,
+input order) order. `load_vehicles` sorts the runs on the middle of that
+key once, and then stable-sorts the vehicles, laid out run by run, on their
+departures alone.
+A plain list of plans loads the same way, each plan a run of one. Each
+vehicle's route, ready step, CAV flag and origin queue are gathered from
+its run's values, and so are its record, the TSTT and the stranded counts.
 
 The loader moves whole vehicles and is fully deterministic. Each origin is a
 source queue of its vehicles in departure order, and one transfer loop moves
@@ -64,13 +74,15 @@ entry logs and records, which only a solve's final loading needs; counts
 and TSTT come from exits.
 
 What a loading holds while it runs: its set-up's sort keys and id-to-path
-map are released before the step loop, which then holds the sorted plans,
-the per-vehicle lists, the link states and the calendar. The per-vehicle
-loop state is released before the records are built.
+map are released before the step loop, which then holds the
+sorted runs, each vehicle's departure and run, the per-vehicle lists, the
+link states and the calendar. The per-vehicle loop state is released before
+the records are built.
 """
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -139,7 +151,39 @@ class LinkIntervalState(NamedTuple):
     reaction_time: float  # s, blended value used by the FD
 
 
-def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
+def _departures(start: int, n: int, interval_s: int):
+    """The departure times of a run of n vehicles from second `start`: the
+    j-th at `start + (j * interval_s) // n` seconds, as a float. For a whole
+    `start` that is `(start * n + j * interval_s) // n`, mapped over a range
+    with no Python-level step per vehicle."""
+    return map(float, map(n.__rfloordiv__,
+                          range(start * n, (start + interval_s) * n, interval_s)))
+
+
+class VehicleRuns:
+    """Whole-vehicle plans held as runs, as `discretize_assignments` makes
+    them. A run `(vehicle_class, path, interval, start, n)` is n vehicles,
+    the j-th departing at `start + (j * interval_s) // n` seconds. It holds
+    the vehicles as a list of plans would: `len()` counts them, and
+    iteration yields their `VehiclePlan`s, run by run."""
+
+    __slots__ = ("runs", "interval_s", "_len")
+
+    def __init__(self, runs: list, interval_s: int):
+        self.runs = runs
+        self.interval_s = interval_s
+        self._len = sum(run[4] for run in runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for cls, path, tau, start, n in self.runs:
+            for at in _departures(start, n, self.interval_s):
+                yield VehiclePlan(cls, path, tau, at)
+
+
+def discretize_assignments(groups, clock: Clock) -> VehicleRuns:
     """Turn fractional path flows into whole-vehicle departure plans.
 
     Each group `(vehicle_class, interval, paths, flows)` is one (class, OD,
@@ -147,16 +191,16 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
     flow on each. Its vehicle count is the rounded total of its positive
     flows, shared among those paths (in link-id order) by largest remainder,
     so a lone positive flow takes it all; each path's departures are spread
-    uniformly over the interval. Groups are rounded one by one, so two
-    groups with the same key are rounded separately, not merged. Raises
-    ValueError for a negative or non-finite flow, a group whose paths do
-    not share one OD pair, or a departure interval outside the clock.
+    uniformly over the interval, one run per path with a vehicle. Groups are
+    rounded one by one, so two groups with the same key are rounded
+    separately, not merged. Raises ValueError for a negative or non-finite
+    flow, a group whose paths do not share one OD pair, or a departure
+    interval outside the clock.
     """
-    plans: list[VehiclePlan] = []
-    append = plans.append
+    runs = []
+    append = runs.append
     interval_s = clock.interval_s
     taus = range(clock.n_intervals)
-    new = tuple.__new__      # a VehiclePlan without its Python-level constructor
     for cls, tau, paths, flows in groups:
         if tau not in taus:
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
@@ -187,9 +231,9 @@ def discretize_assignments(groups, clock: Clock) -> list[VehiclePlan]:
                 counts[i] += 1
         start = tau * interval_s
         for (path, _), n in zip(members, counts):
-            for j in range(n):
-                append(new(VehiclePlan, (cls, path, tau, float(start + (j * interval_s) // n))))
-    return plans
+            if n:
+                append((cls, path, tau, start, n))
+    return VehicleRuns(runs, interval_s)
 
 
 class _LinkRT:
@@ -353,21 +397,44 @@ class LoadingResult:
 
 def load_vehicles(network: Network, plans, clock: Clock, *,
                   records: bool = True, clearance: bool = True) -> LoadingResult:
-    """Simulate an explicit list of vehicle plans. See `load_network`."""
-    # id -> path, and each plan's sort key, in one pass over the plans.
-    paths = {}
-    keys = []
-    add_key = keys.append
-    for cls, path, _, departure in plans:
-        paths[id(path)] = path
-        add_key((departure, cls, path.origin, path.destination, path.link_ids))
+    """Simulate vehicle plans: the `VehicleRuns` of `discretize_assignments`,
+    or a plain sequence of `VehiclePlan`s, each of which loads as a run of
+    one. See `load_network`."""
+    if isinstance(plans, VehicleRuns):
+        runs, spread_s = plans.runs, plans.interval_s
+    else:
+        runs, spread_s = [(cls, path, tau, at, 1) for cls, path, tau, at in plans], None
+    paths = {id(run[1]): run[1] for run in runs}
     # Each distinct path is validated once per network.
     for path in paths.values():
         if path not in network.valid_paths:
             path.validate(network)
             network.valid_paths.add(path)
-    plans = [plans[i] for i in sorted(range(len(plans)), key=keys.__getitem__)]
+    # Vehicles load in the order (departure, class, origin, destination,
+    # link ids, input order). The runs are sorted once on the middle of that
+    # key, input order breaking ties as the sort is stable; the vehicles,
+    # laid out run by run in that order and each run's in input order, are
+    # then stable-sorted on their departure alone.
+    keys = [(cls, path.origin, path.destination, path.link_ids)
+            for cls, path, _, _, _ in runs]
+    runs = [runs[r] for r in sorted(range(len(runs)), key=keys.__getitem__)]
     del keys
+    departures = []
+    run_of = []
+    for r, (_, _, _, start, n) in enumerate(runs):
+        if n == 1:
+            # A run of one departs at its start: a plan's own departure,
+            # fractional or not, or a run's first second.
+            departures.append(float(start))
+            run_of.append(r)
+        else:
+            departures += _departures(start, n, spread_s)
+            run_of += [r] * n
+    order = sorted(range(len(departures)), key=departures.__getitem__)
+    veh_dep = list(map(departures.__getitem__, order))
+    veh_run = list(map(run_of.__getitem__, order))
+    del departures, run_of, order
+    n_veh = len(veh_run)
 
     n_int = clock.n_intervals
     n_steps = clock.n_steps
@@ -380,24 +447,28 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
               for key, path in paths.items()}
 
     # Per-vehicle bookkeeping, indexed by vehicle id (position in departure
-    # order): route (its links, then None for the exit), position on it (-1
-    # at the origin), first step it may leave its queue (the departure step
-    # at the origin, entry step + free-flow steps on a link), link entry
-    # times (kept only for records) and network exit time.
-    veh_route = [routes[id(p.path)] for p in plans]
+    # order) and gathered from per-run values: route (its links, then None
+    # for the exit), position on it (-1 at the origin), first step it may
+    # leave its queue (the departure step at the origin, entry step +
+    # free-flow steps on a link), link entry times (kept only for records)
+    # and network exit time.
+    veh_route = list(map([routes[id(run[1])] for run in runs].__getitem__, veh_run))
     del paths, routes    # set-up only: the step loop reads veh_route
-    veh_pos = [-1] * len(plans)
-    veh_ready = _ready_steps([p.departure_time for p in plans], dt, n_steps)
-    veh_cav = [p.vehicle_class == SO for p in plans]
-    veh_log = [[] for _ in plans] if records else None
-    veh_exit = [math.nan] * len(plans)
+    veh_pos = [-1] * n_veh
+    veh_ready = _ready_steps(veh_dep, dt, n_steps)
+    veh_cav = list(map([run[0] == SO for run in runs].__getitem__, veh_run))
+    veh_log = [[] for _ in range(n_veh)] if records else None
+    veh_exit = [math.nan] * n_veh
 
-    by_origin: dict[str, list[int]] = {}
-    for vid, p in enumerate(plans):
-        by_origin.setdefault(p.path.origin, []).append(vid)
+    # Each origin's vehicles, in departure order; origins in name order.
+    origins = {o: k for k, o in enumerate(sorted({run[1].origin for run in runs}))}
+    by_origin = [[] for _ in origins]
+    for vid, k in enumerate(map([origins[run[1].origin] for run in runs].__getitem__,
+                                veh_run)):
+        by_origin[k].append(vid)
     n_links = len(link_order)
-    queues = link_order + [_Source(n_links + k, by_origin[o])
-                           for k, o in enumerate(sorted(by_origin))]
+    queues = link_order + [_Source(n_links + k, vids) for k, vids in enumerate(by_origin)]
+    del by_origin
 
     # The calendar: step -> the queues due then; no other step changes
     # anything. Steps at or past the horizon are never visited: their queues'
@@ -521,9 +592,9 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
 
     if any(rt.queue for rt in queues):
         by_link = {rt.link.id: len(rt.queue) for rt in link_order if rt.queue}
+        ods = [(run[1].origin, run[1].destination) for run in runs]
         raise GridlockError(by_link, dict(Counter(
-            (p.path.origin, p.path.destination)
-            for p, exit_t in zip(plans, veh_exit) if math.isnan(exit_t))))
+            ods[r] for r, exit_t in zip(veh_run, veh_exit) if math.isnan(exit_t))))
     # Nothing enters after the last exit: later intervals keep the last blend.
     while tau < n_int - 1:
         tau += 1
@@ -575,15 +646,15 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
         states[lid] = rows
 
     # In vehicle order, so it equals the sum of the records' travel times.
-    tstt = sum(e - p.departure_time for e, p in zip(veh_exit, plans)) / 3600.0
+    tstt = sum(map(operator.sub, veh_exit, veh_dep)) / 3600.0
     del veh_route, veh_pos, veh_ready, veh_cav     # loop state, before the records
-    vehicles = [VehicleRecord(vid, p.vehicle_class, p.path, p.interval,
-                              p.departure_time, log, exit_t)
-                for vid, (p, log, exit_t) in enumerate(zip(plans, veh_log, veh_exit))
+    vehicles = [VehicleRecord(vid, *runs[r][:3], at, log, exit_t)
+                for vid, (r, at, log, exit_t)
+                in enumerate(zip(veh_run, veh_dep, veh_log, veh_exit))
                 ] if records else ()
     flags = {rt.link.id: rt.queue_flag for rt in link_order} if clearance else None
     return LoadingResult(network, clock, states, vehicles, flags, entry_means,
-                         len(plans), tstt)
+                         n_veh, tstt)
 
 
 def load_network(network: Network, groups, clock: Clock, *,

@@ -16,7 +16,8 @@ are fully deterministic. From one origin it settles nodes in the
 same order whatever the destination, so each (origin, departure interval,
 cost kind) is searched once, to every node, and the tree is kept on the
 skims it was built from; a path query walks that tree back from its
-destination. The distance search runs it on link lengths.
+destination. The distance search runs it on link lengths, once per origin
+for the solver's first paths.
 """
 from __future__ import annotations
 
@@ -224,16 +225,41 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
 
 
 def distance_shortest_path(network: Network, origin: str, destination: str) -> Path:
-    """Static shortest path by link length (used for initialization)."""
+    """Static shortest path by link length, from a search that stops once
+    the destination settles."""
     o, d = network.node_index.get(origin), network.node_index.get(destination)
     if o is None or d is None:
         raise UnreachableError(origin, destination)
+    tree = _search(network, o, 0.0, *_lengths(network), 1, 0, d)
+    return _path(network, tree, origin, destination)[0]
+
+
+def distance_paths(network: Network, origin: str, destinations) -> list[Path]:
+    """`distance_shortest_path` to each destination in turn, read off one
+    search from the origin to every node (used for initialization): the
+    search settles nodes in the same order whatever the destination, so
+    each path is the one a search stopping there finds. Raises as the
+    calls to `distance_shortest_path` would, at the first that would."""
+    o = network.node_index.get(origin)
+    tree = None
+    paths = []
+    for destination in destinations:
+        if o is None or destination not in network.node_index:
+            raise UnreachableError(origin, destination)
+        if tree is None:
+            tree = _search(network, o, 0.0, *_lengths(network), 1, 0)
+        paths.append(_path(network, tree, origin, destination)[0])
+    return paths
+
+
+def _lengths(network: Network) -> tuple[tuple, tuple]:
+    """The link lengths as one-interval cost and time columns for `_search`;
+    ValueError unless every length is finite and positive."""
     if network.bad_length_ids:
         raise ValueError(f"links {list(network.bad_length_ids)} have lengths "
                          "that are not finite and positive")
     lengths = (network.length_column,)
-    tree = _search(network, o, 0.0, lengths, lengths, 1, 0, d)
-    return _path(network, tree, origin, destination)[0]
+    return lengths, lengths
 
 
 @dataclass

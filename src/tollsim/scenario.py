@@ -169,14 +169,15 @@ def _ratio_tag(ratio: float) -> str:
 def run_scenario(scenario: Scenario, out_dir: str,
                  write_trajectories: bool = False) -> dict:
     """Execute the sweep (and bi-level pricing if configured); returns the
-    run manifest. Every output file lands in `out_dir`.
+    run manifest. Every output file lands in `out_dir`, which is created
+    only once the network and demand files pass their input check.
     """
-    os.makedirs(out_dir, exist_ok=True)
     network, demand, problems = _load_inputs(scenario)
     if problems:
         first = problems[0][0]
         raise StageError(first, ValueError("; ".join(
             message for stage, message in problems if stage == first)))
+    os.makedirs(out_dir, exist_ok=True)
     totals, overrides = demand
     outputs = []
 

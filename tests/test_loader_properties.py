@@ -3,13 +3,17 @@ with a merge, a diverge and a spillback bottleneck: vehicle conservation,
 FIFO order per link, storage bounds, independence from plan order, link
 statistics that replay exactly from the vehicle trajectories, loadings
 without vehicle records or without clearance data that equal one with them,
-and loadings that do not depend on earlier loadings of the same network,
-each on a 1 s and a 2 s simulation step."""
+loadings that do not depend on earlier loadings of the same network, each
+on a 1 s and a 2 s simulation step, and discretized runs that load as the
+list of their vehicles does, in (departure, class, origin, destination, link
+ids, input order) order."""
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import SO, UE
-from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.loading import GridlockError, VehiclePlan, discretize_assignments, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 
 from test_golden import loading_dump
@@ -229,3 +233,67 @@ def test_loading_independent_of_earlier_loadings(clock, records, clearance,
     fresh = load_vehicles(merge_diverge_network(), second, clock, records=records,
                           clearance=clearance)
     assert outcome(again) == outcome(fresh)
+
+
+ODS = sorted({(p.origin, p.destination) for p in PATHS})
+
+
+@st.composite
+def loader_groups(draw):
+    """Loader groups over PATHS: each one OD pair's class, interval (0-2)
+    and 1-3 of its paths, some fresh copies of a path, with flows whole,
+    half-way, fractional or zero. Sometimes one group comes twice, so two
+    groups share one key."""
+    groups = []
+    for _ in range(draw(st.integers(0, 6))):
+        od = draw(st.sampled_from(ODS))
+        of_od = [p for p in PATHS if (p.origin, p.destination) == od]
+        paths = [draw(st.sampled_from(of_od)) for _ in range(draw(st.integers(1, 3)))]
+        paths = [Path(p.link_ids, p.origin, p.destination) if draw(st.booleans()) else p
+                 for p in paths]
+        flows = [draw(st.sampled_from([0.0, 0.5, 2.0, 2.5]) | st.floats(0.0, 30.0))
+                 for _ in paths]
+        groups.append((draw(st.sampled_from([UE, SO])), draw(st.integers(0, 2)),
+                       paths, flows))
+    if groups and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(groups)))
+    return groups
+
+
+def loaded(plans, clock, **options) -> tuple:
+    """`outcome` of the loading, or the stranded counts it raised."""
+    try:
+        return outcome(load_vehicles(NET, plans, clock, **options))
+    except GridlockError as err:
+        return err.stranded, err.stranded_by_link, err.stranded_by_od
+
+
+def in_loading_order(plans) -> list:
+    return sorted(plans, key=lambda p: (p.departure_time, p.vehicle_class, p.path.origin,
+                                        p.path.destination, p.path.link_ids))
+
+
+# The 240 s horizon strands the vehicles of many cases.
+@pytest.mark.parametrize("clock", [Clock(step_s=s, interval_s=60, horizon_s=h)
+                                   for s, h in ((1, 1800), (2, 1800), (1, 240))],
+                         ids=lambda c: f"step{c.step_s}-hor{c.horizon_s}")
+@settings(max_examples=40, deadline=None)
+@given(loader_groups(), st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.7]),
+                                 min_size=1, max_size=5))
+def test_runs_load_as_their_vehicles(clock, groups, offsets):
+    runs = discretize_assignments(groups, clock)
+    plans = list(runs)
+    assert len(runs) == len(plans)
+    for records, clearance in product((True, False), repeat=2):
+        assert loaded(runs, clock, records=records, clearance=clearance) \
+            == loaded(plans, clock, records=records, clearance=clearance)
+    # Each plan labelled with its input position: vehicle ids follow the
+    # sorted plans, ties in input order, at whole and fractional seconds.
+    for listed in (plans, shifted(plans, offsets)):
+        labelled = [p._replace(interval=k) for k, p in enumerate(listed)]
+        try:
+            res = load_vehicles(NET, labelled, clock)
+        except GridlockError:
+            continue
+        assert [v.interval for v in res.vehicles] \
+            == [p.interval for p in in_loading_order(labelled)]

@@ -200,12 +200,16 @@ class TestDiscretization:
                                         clock_20min)
         for plans in (crowded, shared):
             assert all(type(p) is VehiclePlan for p in plans)
+        # `len()` counts vehicles, and iteration yields them in group,
+        # link-id and departure order, the same on every pass.
+        assert len(crowded) == 7 and len(shared) == 3
+        assert list(shared) == list(shared)
         assert [p.departure_time for p in crowded] == [5.0, 5.0, 6.0, 7.0, 7.0, 8.0, 9.0]
         assert {(p.vehicle_class, p.path, p.interval) for p in crowded} == {(SO, AB, 1)}
         assert [(p.vehicle_class, p.path, p.interval, p.departure_time)
                 for p in shared] == [(UE, AB, 2, 600.0), (UE, ab2, 2, 600.0),
                                      (UE, ab2, 2, 750.0)]
-        assert shared[2] == VehiclePlan(UE, ab2, 2, 750.0)
+        assert list(shared)[2] == VehiclePlan(UE, ab2, 2, 750.0)
 
     def test_negative_flow_rejected(self, clock_20min):
         # NaN would otherwise be dropped silently (it is neither > 0 nor
@@ -321,12 +325,13 @@ def discretize_cases(draw):
 
 
 def outcome(discretize, groups, clock):
-    """The plans, each path's identity beside it, or the ValueError message."""
+    """The plans as a list, their count, each path's identity beside it, or
+    the ValueError message."""
     try:
         plans = discretize(groups, clock)
     except ValueError as exc:
         return str(exc)
-    return plans, [id(p.path) for p in plans]
+    return list(plans), len(plans), [id(p.path) for p in plans]
 
 
 class TestDiscretizationOracle:

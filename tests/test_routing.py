@@ -9,11 +9,12 @@ from tollsim.demand import UE
 from tollsim.loading import LoadingResult, VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
-                             UnreachableError, distance_shortest_path,
+                             UnreachableError, distance_paths, distance_shortest_path,
                              td_shortest_path)
 
 from conftest import (line_network, links_from, parallel_network,
                       two_link_network)
+from test_golden import uniform_grid
 
 
 def make_skims(clock, tt, ue=None, so=None):
@@ -253,18 +254,25 @@ class TestSearchOracle:
                         else:
                             with pytest.raises(UnreachableError):
                                 td_shortest_path(network, skims, o, d, tau, kind)
+            reachable = []
             for d in nodes:
                 lex = oracle_distance_path(network, o, d)
                 if lex:
                     assert distance_shortest_path(network, o, d) == Path(lex, o, d)
+                    reachable.append(Path(lex, o, d))
                 else:
                     with pytest.raises(UnreachableError):
                         distance_shortest_path(network, o, d)
+                    with pytest.raises(UnreachableError, match=repr(d)):
+                        distance_paths(network, o, [p.destination for p in reachable] + [d])
+            assert distance_paths(network, o, [p.destination for p in reachable]) == reachable
             for unknown in ((o, "nowhere"), ("nowhere", o)):
                 with pytest.raises(UnreachableError):
                     td_shortest_path(network, skims, *unknown, 0)
                 with pytest.raises(UnreachableError):
                     distance_shortest_path(network, *unknown)
+                with pytest.raises(UnreachableError):
+                    distance_paths(network, unknown[0], [unknown[1]])
 
 
 def naive_path_cost(clock, costs, tt, link_ids, departure_interval):
@@ -319,6 +327,8 @@ class TestSearchPrecondition:
         for _ in range(2):      # on every call, not only the first
             with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
                 distance_shortest_path(net, "A", "B")
+            with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
+                distance_paths(net, "A", ["B"])
 
     def test_overflowing_costs_leave_nodes_unreachable(self, clock_20min):
         # Finite entries whose sum overflows tie at infinity with a node not
@@ -342,6 +352,16 @@ class TestStaticShortestPath:
     def test_unreachable_raises(self):
         with pytest.raises(UnreachableError):
             distance_shortest_path(line_network(), "B", "A")
+
+    def test_one_search_per_origin_gives_every_grid_pair_its_path(self):
+        # Equal link lengths: most pairs have many shortest paths, so the
+        # link-id tie-break decides each one.
+        net = uniform_grid(8)
+        nodes = sorted(net.nodes)
+        for o in nodes:
+            others = [d for d in nodes if d != o]
+            assert distance_paths(net, o, others) \
+                == [distance_shortest_path(net, o, d) for d in others]
 
 
 def path_named(*lids):
