@@ -442,8 +442,8 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     interval_s = clock.interval_s
     link_order = [_LinkRT(a, i, clock, n_int, clearance)
                   for i, a in enumerate(network.link_order)]
-    rts = {rt.link.id: rt for rt in link_order}
-    routes = {key: (*map(rts.__getitem__, path.link_ids), None)
+    index = network.link_index
+    routes = {key: (*(link_order[index[lid]] for lid in path.link_ids), None)
               for key, path in paths.items()}
 
     # Per-vehicle bookkeeping, indexed by vehicle id (position in departure

@@ -61,16 +61,16 @@ class Network:
         self.link_list = list(links)
         self.nodes = {n.id: n for n in self.node_list}
         self.links = {a.id: a for a in self.link_list}
-        # Path-search indices; links in id order, so index order is id order.
+        # Link and node indices; links in id order, so index order is id order.
         self.link_order = sorted(self.links.values(), key=lambda a: a.id)
+        self.link_index = {a.id: i for i, a in enumerate(self.link_order)}
         ends = (e for a in self.link_order for e in (a.from_node, a.to_node))
         self.node_index = {nid: i for i, nid in enumerate(dict.fromkeys([*self.nodes, *ends]))}
-        out: dict[str, list[Link]] = {nid: [] for nid in self.node_index}
         self.out_adj = [[] for _ in self.node_index]
         for i, a in enumerate(self.link_order):
-            out[a.from_node].append(a)
             self.out_adj[self.node_index[a.from_node]].append((i, self.node_index[a.to_node]))
-        self.out_links = {nid: tuple(v) for nid, v in out.items()}
+        self.out_links = {nid: tuple(self.link_order[i] for i, _ in self.out_adj[k])
+                          for nid, k in self.node_index.items()}
         # The distance search's link lengths by index, and the ids of the
         # links whose lengths it cannot use.
         self.length_column = tuple(a.length for a in self.link_order)

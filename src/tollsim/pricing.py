@@ -131,6 +131,12 @@ class CriticalDensityEstimate:
     low_confidence: bool
 
 
+def check_critical_density(k_cr: float) -> None:
+    """ValueError unless the controller's setpoint `k_cr` is finite and positive."""
+    if not 0.0 < k_cr < math.inf:
+        raise ValueError(f"critical density must be finite and positive, got {k_cr!r}")
+
+
 def estimate_critical_density(series) -> CriticalDensityEstimate:
     """Density at maximum flow during the loading phase of a no-toll NFD.
 
@@ -193,8 +199,7 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
     positive rate charges nothing, whatever its weights, so the outer
     iterations under one (the first among them) reuse it instead of solving.
     """
-    if not 0.0 < k_cr < math.inf:
-        raise ValueError(f"critical density must be finite and positive, got {k_cr!r}")
+    check_critical_density(k_cr)
     zone_ids = sorted(network.zone_link_ids)
     if not zone_ids:
         raise ValueError("pricing zone is empty")

@@ -1,23 +1,21 @@
 """Time-dependent least-cost path search and bounded path-set management.
 
-`CostSkims` is the one source of path costs: per-link rows, one value per
-interval, of travel times plus two cost kinds, UE_COST (travel time plus the
-toll converted to seconds at the value of time) and SO_COST (the loading's
-link marginal time, never tolled), summed alike by `path_cost` and the
-search below.
+`CostSkims` is the one source of path costs: one network's travel times and
+two cost kinds, UE_COST (travel time plus the toll converted to seconds at
+the value of time) and SO_COST (the loading's link marginal time, never
+tolled), each held once as per-interval columns indexed by position in
+`network.link_order`, and summed alike by `path_cost` and the search below.
 
 Link costs are read at the interval of arrival at each link, clamped to the
 last interval past the horizon; arrival times propagate along travel-time
 skims, so `path_cost` steps its interval forward as they pass interval
 ends. A departure interval outside the clock raises ValueError. One
-label-setting search runs on the network's link and node indices; a cost
-tie goes to the lexicographically smallest link-id sequence, so searches
-are fully deterministic. From one origin it settles nodes in the
-same order whatever the destination, so each (origin, departure interval,
-cost kind) is searched once, to every node, and the tree is kept on the
-skims it was built from; a path query walks that tree back from its
-destination. The distance search runs it on link lengths, once per origin
-for the solver's first paths.
+label-setting search runs on the network's link and node indices, always to
+every node; a cost tie goes to the lexicographically smallest link-id
+sequence, so searches are fully deterministic. Each (origin, departure
+interval, cost kind) is searched once, and the tree is kept on the skims it
+was built from; a path query walks that tree back from its destination. The
+distance search runs it on link lengths, once per origin.
 """
 from __future__ import annotations
 
@@ -40,76 +38,63 @@ class UnreachableError(ValueError):
 
 
 class CostSkims:
-    """Per-link rows of travel times and UE and SO generalized costs.
+    """One network's travel times and UE and SO generalized costs, each a
+    list of per-interval columns with one value per link in
+    `network.link_order`: link `lid`'s value in interval `tau` is
+    `skim[tau][network.link_index[lid]]`. Times past the horizon read the
+    last interval, as `Clock.interval_of` clamps them. `so_cost` is None on
+    skims built from a loading made with `clearance=False`; an SO path cost
+    or search on them raises ValueError. Every entry must be finite and
+    positive, as the search needs."""
 
-    Each of the three skims maps a link id to a list with one value per
-    assignment interval, so a lookup is `row[tau]`. Times past the horizon
-    read the last interval, as `Clock.interval_of` clamps them. `so_cost`
-    is None on skims without SO rows, those built from a loading made with
-    `clearance=False`; an SO path cost or search on them raises ValueError.
-    Every entry must be finite and positive, as the search needs.
-    """
-
-    def __init__(self, clock: Clock, travel_time, ue_cost, so_cost):
-        for what, rows in (("travel time", travel_time), ("UE cost", ue_cost),
-                           ("SO cost", so_cost or {})):
-            for lid, row in rows.items():
-                for tau, value in enumerate(row):
+    def __init__(self, network: Network, clock: Clock, travel_time, ue_cost, so_cost):
+        for what, skim in (("travel time", travel_time), ("UE cost", ue_cost),
+                           ("SO cost", so_cost or ())):
+            for tau, column in enumerate(skim):
+                for a, value in zip(network.link_order, column):
                     if not 0.0 < value < math.inf:
-                        raise ValueError(f"link {lid!r} has {what} {value!r} in interval "
+                        raise ValueError(f"link {a.id!r} has {what} {value!r} in interval "
                                          f"{tau}; path searches need finite positive costs")
+        self.network = network
         self.clock = clock
         self._tt = travel_time
         self._costs = {UE_COST: ue_cost, SO_COST: so_cost}
-        self._by_index: dict[tuple, tuple] = {}  # (network, kind) -> `_columns`
-        self._trees: dict[tuple, tuple] = {}     # (network, origin, interval, kind) -> tree
+        self._trees: dict[tuple, tuple] = {}     # (origin, interval, kind) -> tree
 
-    def _rows(self, kind: str) -> dict:
+    def _columns(self, kind: str) -> list:
         costs = self._costs[kind]
         if costs is None:
-            raise ValueError("these skims have no SO cost rows: build them from "
+            raise ValueError("these skims have no SO costs: build them from "
                              "a loading made with clearance=True")
         return costs
 
-    def _columns(self, network: Network, kind: str) -> tuple[list, list]:
-        """Per interval, the `kind` costs and the travel times by link index."""
-        if (network, kind) not in self._by_index:
-            self._by_index[network, kind] = tuple(
-                [[rows[a.id][tau] for a in network.link_order]
-                 for tau in range(self.clock.n_intervals)]
-                for rows in (self._rows(kind), self._tt))
-        return self._by_index[network, kind]
-
     @classmethod
     def from_loading(cls, result, toll_schedule=None, vot_per_hour=None):
-        """Build skims from a loading; tolls enter the UE cost in seconds at
-        the value of time `vot_per_hour` ($/h), which a tolled build must pass.
-        SO rows (link marginal times) are built only from a loading that kept
-        its clearance data (`result.clearance`)."""
+        """Build skims from a loading, on its network; tolls enter the UE
+        cost in seconds at the value of time `vot_per_hour` ($/h), which a
+        tolled build must pass. Untolled, the UE columns are the travel-time
+        columns. SO columns (link marginal times) are built only from a
+        loading that kept its clearance data (`result.clearance`)."""
         if toll_schedule is not None and vot_per_hour is None:
             raise ValueError("tolled skims need the value of time")
-        tt = {}
-        ue = {}
-        so = {} if result.clearance else None
-        marginal_time = result.marginal_time
-        for lid, rows in result.states.items():
-            link = result.network.links[lid]
-            tt[lid] = [st.travel_time for st in rows]
-            if so is not None:
-                so[lid] = [marginal_time(lid, tau) for tau in range(len(rows))]
-            if toll_schedule is not None and link.in_pricing_zone:
-                ue[lid] = [st.travel_time
-                           + toll_schedule.link_toll(link, tau) / vot_per_hour * 3600.0
-                           for tau, st in enumerate(rows)]
-            else:
-                ue[lid] = tt[lid]
-        return cls(result.clock, tt, ue, so)
+        links = result.network.link_order
+        rows = [result.states[a.id] for a in links]
+        taus = range(result.clock.n_intervals)
+        tt = [[row[tau].travel_time for row in rows] for tau in taus]
+        ue = tt if toll_schedule is None else [
+            [t + toll_schedule.link_toll(a, tau) / vot_per_hour * 3600.0
+             if a.in_pricing_zone else t for a, t in zip(links, column)]
+            for tau, column in zip(taus, tt)]
+        so = ([[result.marginal_time(a.id, tau) for a in links] for tau in taus]
+              if result.clearance else None)
+        return cls(result.network, result.clock, tt, ue, so)
 
     def path_cost(self, path: Path, departure_interval: int, kind: str) -> float:
         """Sum of per-link costs with arrival-interval lookups along the path.
         Raises ValueError for a departure interval outside the clock."""
-        costs = self._rows(kind)
+        costs = self._columns(kind)
         tt = self._tt
+        index = self.network.link_index
         interval_s = self.clock.interval_s
         last = self.clock.n_intervals - 1
         _check_interval(self.clock, departure_interval)
@@ -124,8 +109,9 @@ class CostSkims:
             while t >= end and tau < last:
                 tau += 1
                 end += interval_s
-            total += costs[lid][tau]
-            t += tt[lid][tau]
+            li = index[lid]
+            total += costs[tau][li]
+            t += tt[tau][li]
         return total
 
 
@@ -137,16 +123,15 @@ def _check_interval(clock: Clock, tau: int) -> None:
 
 
 def _search(network: Network, origin: int, t0: float, costs, tt, interval_s,
-            last: int, stop: int = -1) -> tuple[list, list, list]:
-    """Label-setting search from node index `origin` at time `t0` over
-    per-interval columns of link costs and times read at the arrival
-    interval, clamped to `last`, until node `stop` settles: per-node least
-    cost, parent link and parent node (-1 at the origin and unreached
-    nodes). A cost tie goes to the smaller link ids, which gives each node
-    the label a search ordered on (cost, link ids) settles only if every
-    link cost is positive: a zero-cost link could settle a node before an
-    equal-cost, smaller label reaches it.
-    """
+            last: int) -> tuple[list, list, list]:
+    """Label-setting search from node index `origin` at time `t0` to every
+    node, over per-interval columns of link costs and times read at the
+    arrival interval, clamped to `last`: per-node least cost, parent link
+    and parent node (-1 at the origin and unreached nodes). A cost tie goes
+    to the smaller link ids. That gives each node the label a search ordered
+    on (cost, link ids) settles only if every link cost is positive: a
+    zero-cost link could settle a node before an equal-cost, smaller label
+    reaches it."""
     n = len(network.node_index)
     cost, plink, pnode = [math.inf] * n, [-1] * n, [-1] * n
     arrival, done = [0.0] * n, [False] * n
@@ -159,8 +144,6 @@ def _search(network: Network, origin: int, t0: float, costs, tt, interval_s,
         if done[u]:
             continue
         done[u] = True
-        if u == stop:
-            break
         t = arrival[u]
         tau = int(t // interval_s)
         if tau > last:
@@ -209,8 +192,11 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
                      destination: str, departure_interval: int,
                      cost_kind: str = UE_COST) -> tuple[Path, float]:
     """Least-cost acyclic path for a departure at the start of the interval,
-    and its cost, summed as `path_cost` sums it."""
-    key = (network, origin, departure_interval, cost_kind)
+    and its cost, summed as `path_cost` sums it. `network` must be the one
+    the skims were built on, else ValueError."""
+    if network is not skims.network:
+        raise ValueError("these skims were built on another network")
+    key = (origin, departure_interval, cost_kind)
     tree = skims._trees.get(key)
     if tree is None:
         _check_interval(skims.clock, departure_interval)
@@ -220,46 +206,30 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
         interval_s = skims.clock.interval_s
         tree = skims._trees[key] = _search(
             network, o, float(departure_interval * interval_s),
-            *skims._columns(network, cost_kind), interval_s, skims.clock.n_intervals - 1)
+            skims._columns(cost_kind), skims._tt, interval_s, skims.clock.n_intervals - 1)
     return _path(network, tree, origin, destination)
 
 
 def distance_shortest_path(network: Network, origin: str, destination: str) -> Path:
-    """Static shortest path by link length, from a search that stops once
-    the destination settles."""
-    o, d = network.node_index.get(origin), network.node_index.get(destination)
-    if o is None or d is None:
-        raise UnreachableError(origin, destination)
-    tree = _search(network, o, 0.0, *_lengths(network), 1, 0, d)
-    return _path(network, tree, origin, destination)[0]
+    """Static shortest path by link length: `distance_paths` to one
+    destination."""
+    return distance_paths(network, origin, [destination])[0]
 
 
 def distance_paths(network: Network, origin: str, destinations) -> list[Path]:
-    """`distance_shortest_path` to each destination in turn, read off one
-    search from the origin to every node (used for initialization): the
-    search settles nodes in the same order whatever the destination, so
-    each path is the one a search stopping there finds. Raises as the
-    calls to `distance_shortest_path` would, at the first that would."""
-    o = network.node_index.get(origin)
-    tree = None
-    paths = []
-    for destination in destinations:
-        if o is None or destination not in network.node_index:
-            raise UnreachableError(origin, destination)
-        if tree is None:
-            tree = _search(network, o, 0.0, *_lengths(network), 1, 0)
-        paths.append(_path(network, tree, origin, destination)[0])
-    return paths
-
-
-def _lengths(network: Network) -> tuple[tuple, tuple]:
-    """The link lengths as one-interval cost and time columns for `_search`;
-    ValueError unless every length is finite and positive."""
+    """Static shortest paths by link length from `origin` to each
+    destination in turn, read off one search to every node. Raises
+    ValueError unless every link length is finite and positive, and
+    UnreachableError at the first destination without a path."""
     if network.bad_length_ids:
         raise ValueError(f"links {list(network.bad_length_ids)} have lengths "
                          "that are not finite and positive")
+    o = network.node_index.get(origin)
+    if o is None:
+        raise UnreachableError(origin, next(iter(destinations), None))
     lengths = (network.length_column,)
-    return lengths, lengths
+    tree = _search(network, o, 0.0, lengths, lengths, 1, 0)
+    return [_path(network, tree, origin, d)[0] for d in destinations]
 
 
 @dataclass

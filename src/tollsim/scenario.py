@@ -11,10 +11,11 @@ flows from the single scenario seed through the counter-based demand-split
 generator; repeated runs are byte-identical.
 
 A run is one pass over the ratios. With a toll section it first solves the
-all-UE (0%) run for the pricing zone's critical density; then each ratio is
-split, solved and written, and with a toll section priced and written too,
-before the next starts. A ratio's solve begins with no other ratio's alive:
-only the 0% run waits, until a swept 0.0 ratio reuses it.
+all-UE (0%) run for the pricing zone's critical density, which must be
+finite and positive; then each ratio is split, solved and written, and with
+a toll section priced and written too, before the next starts. A ratio's
+solve begins with no other ratio's alive: only the 0% run waits, until a
+swept 0.0 ratio reuses it.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ from .equilibrium import SolverConfig, solve_mixed_equilibrium
 from .network import (Clock, check_fields, load_network_file, parse_int,
                       parse_number, parse_str, read_fields, validate_network,
                       write_csv as _write_csv, write_json)
-from .pricing import (TollConfig, bilevel_solve, estimate_critical_density,
-                      nfd_series)
+from .pricing import (TollConfig, bilevel_solve, check_critical_density,
+                      estimate_critical_density, nfd_series)
 
 
 class StageError(RuntimeError):
@@ -122,6 +123,26 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _unroutable(network, totals) -> list[str]:
+    """A message per demand pair on a node the network lacks, or whose
+    destination no path reaches: one reachability walk per origin."""
+    index, reached, problems = network.node_index, {}, []
+    for o, d in sorted({(o, d) for o, d, _ in totals}):
+        missing = [n for n in (o, d) if n not in index]
+        if not missing and o not in reached:
+            reached[o] = seen = {index[o]}
+            stack = [index[o]]
+            while stack:
+                new = {v for _, v in network.out_adj[stack.pop()]} - seen
+                seen |= new
+                stack += new
+        if missing:
+            problems.append(f"demand {o}->{d}: node {missing[0]!r} is not in the network")
+        elif index[d] not in reached[o]:
+            problems.append(f"demand {o}->{d}: destination unreachable from origin")
+    return problems
+
+
 def _load_inputs(scenario: Scenario):
     """(network, (totals, overrides), problems), a file that failed to load
     being None; `problems` lists (stage, message) pairs, network first and
@@ -146,14 +167,16 @@ def _load_inputs(scenario: Scenario):
         problems += [("demand", f"demand {o}->{d} at interval {tau} outside "
                                 f"the clock's {n} intervals")
                      for (o, d, tau) in sorted(demand[0]) if tau not in range(n)]
+        if network is not None:
+            problems += [("demand", p) for p in _unroutable(network, demand[0])]
     if scenario.toll is not None and network is not None and not network.zone_link_ids:
         problems.append(("pricing", "pricing zone is empty"))
     return network, demand, problems
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Every problem with the scenario's network and demand files, and an
-    empty pricing zone under a toll section."""
+    """Every problem with the scenario's network and demand files, unroutable
+    demand pairs included, and an empty pricing zone under a toll section."""
     return [message for _stage, message in _load_inputs(scenario)[2]]
 
 
@@ -205,6 +228,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
         zero.append(solved(0.0))
         est = stage("pricing", estimate_critical_density,
                     nfd_series(zero[0][1].loading, network, zone))
+        stage("pricing", check_critical_density, est.k_cr)
         emit("kcr.json", write_json,
              {"k_cr_veh_km": est.k_cr, "interval": est.interval,
               "low_confidence": est.low_confidence}, None)

@@ -5,9 +5,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tollsim.demand import UE
+from tollsim.demand import SO, UE
 from tollsim.loading import LoadingResult, VehiclePlan, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
+from tollsim.pricing import TollSchedule
 from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
                              UnreachableError, distance_paths, distance_shortest_path,
                              td_shortest_path)
@@ -17,15 +18,22 @@ from conftest import (line_network, links_from, parallel_network,
 from test_golden import uniform_grid
 
 
-def make_skims(clock, tt, ue=None, so=None):
+def columns(network, rows):
+    """{link_id: [value per interval]} rows as per-interval columns in
+    `network.link_order` order, the layout `CostSkims` holds."""
+    n_int = len(next(iter(rows.values())))
+    return [[rows[a.id][tau] for a in network.link_order] for tau in range(n_int)]
+
+
+def make_skims(net, clock, tt, ue=None, so=None):
     """Skims from {(link_id, interval): seconds} dicts (ue/so default to tt)."""
-    def rows(cells):
-        out = {}
+    def cols(cells):
+        rows = {}
         for (lid, tau), value in sorted(cells.items()):
-            assert tau == len(out.setdefault(lid, []))
-            out[lid].append(value)
-        return out
-    return CostSkims(clock, rows(tt), rows(ue or tt), rows(so or tt))
+            assert tau == len(rows.setdefault(lid, []))
+            rows[lid].append(value)
+        return columns(net, rows)
+    return CostSkims(net, clock, cols(tt), cols(ue or tt), cols(so or tt))
 
 
 def const_skims(net, clock, tt_by_link, ue=None, so=None):
@@ -33,7 +41,7 @@ def const_skims(net, clock, tt_by_link, ue=None, so=None):
     def expand(per_link):
         return {(lid, tau): per_link[lid]
                 for lid in net.links for tau in range(clock.n_intervals)}
-    return make_skims(clock, expand(tt_by_link),
+    return make_skims(net, clock, expand(tt_by_link),
                       expand(ue) if ue else None,
                       expand(so) if so else None)
 
@@ -53,7 +61,7 @@ class TestShortestPath:
         for tau in (2, 3):
             tt[("S", tau)] = 300.0
             tt[("L", tau)] = 420.0
-        skims = make_skims(clock_20min, tt)
+        skims = make_skims(net, clock_20min, tt)
         assert td_shortest_path(net, skims, "O", "D", 0)[0].link_ids == ("L",)
         assert td_shortest_path(net, skims, "O", "D", 1)[0].link_ids == ("S",)
 
@@ -62,8 +70,8 @@ class TestShortestPath:
         net = two_link_network()
         base = {("MB", 0): 50.0, ("MB", 1): 999.0,
                 ("MB", 2): 999.0, ("MB", 3): 999.0}
-        early = make_skims(clock_20min, {("AM", t): 280.0 for t in range(4)} | base)
-        late = make_skims(clock_20min, {("AM", t): 320.0 for t in range(4)} | base)
+        early = make_skims(net, clock_20min, {("AM", t): 280.0 for t in range(4)} | base)
+        late = make_skims(net, clock_20min, {("AM", t): 320.0 for t in range(4)} | base)
         assert td_shortest_path(net, early, "A", "B", 0)[1] == 280.0 + 50.0
         assert td_shortest_path(net, late, "A", "B", 0)[1] == 320.0 + 999.0
         assert early.path_cost(Path(("AM", "MB"), "A", "B"), 0, UE_COST) == 330.0
@@ -74,7 +82,7 @@ class TestShortestPath:
         net = two_link_network()
         tt = {("AM", t): 1000.0 for t in range(4)}
         tt |= {("MB", t): 10.0 * (t + 1) for t in range(4)}
-        skims = make_skims(clock_20min, tt)
+        skims = make_skims(net, clock_20min, tt)
         path = Path(("AM", "MB"), "A", "B")
         assert skims.path_cost(path, 3, UE_COST) == 1040.0
         assert td_shortest_path(net, skims, "A", "B", 3) == (path, 1040.0)
@@ -101,7 +109,7 @@ class TestShortestPath:
         net = parallel_network()
         tt = {("S", t): 300.0 + 10.0 * t for t in range(4)}
         tt |= {("L", t): 420.0 for t in range(4)}
-        skims = make_skims(clock_20min, tt)
+        skims = make_skims(net, clock_20min, tt)
         path, cost = td_shortest_path(net, skims, "O", "D", 1)
         assert cost == skims.path_cost(path, 1, UE_COST)
 
@@ -112,7 +120,7 @@ class TestShortestPath:
         net = parallel_network()
         tt = {("S", t): 300.0 for t in range(3)} | {("S", 3): 900.0}
         tt |= {("L", t): 420.0 for t in range(4)}
-        skims = make_skims(clock_20min, tt)
+        skims = make_skims(net, clock_20min, tt)
         assert td_shortest_path(net, skims, "O", "D", 0) == (Path(("S",), "O", "D"), 300.0)
         assert td_shortest_path(net, skims, "O", "D", 3) == (Path(("L",), "O", "D"), 420.0)
         for kind in (UE_COST, SO_COST):
@@ -150,9 +158,8 @@ class TestSkimsFromLoading:
                  for i in range(20)]
         return load_vehicles(two_link_network(), plans, clock, clearance=clearance)
 
-    def test_so_rows_only_from_a_loading_with_clearance(self, clock_20min,
-                                                        marginal_calls):
-        net = two_link_network()
+    def test_so_costs_only_from_a_loading_with_clearance(self, clock_20min,
+                                                         marginal_calls):
         path = Path(("AM", "MB"), "A", "B")
         full = CostSkims.from_loading(self.loading(clock_20min, True))
         assert len(marginal_calls) == 2 * clock_20min.n_intervals
@@ -160,12 +167,86 @@ class TestSkimsFromLoading:
         bare = CostSkims.from_loading(self.loading(clock_20min, False))
         assert marginal_calls == []
         assert bare.path_cost(path, 0, UE_COST) == full.path_cost(path, 0, UE_COST)
-        assert td_shortest_path(net, bare, "A", "B", 0) \
-            == td_shortest_path(net, full, "A", "B", 0)
-        with pytest.raises(ValueError, match="no SO cost rows"):
+        assert td_shortest_path(bare.network, bare, "A", "B", 0) \
+            == td_shortest_path(full.network, full, "A", "B", 0)
+        with pytest.raises(ValueError, match="no SO costs"):
             bare.path_cost(path, 0, SO_COST)
-        with pytest.raises(ValueError, match="no SO cost rows"):
-            td_shortest_path(net, bare, "A", "B", 0, SO_COST)
+        with pytest.raises(ValueError, match="no SO costs"):
+            td_shortest_path(bare.network, bare, "A", "B", 0, SO_COST)
+
+    def test_search_rejects_skims_built_on_another_network(self, clock_20min):
+        # An equal network built apart is another network: the skims' columns
+        # are indexed by their own network's links.
+        res = self.loading(clock_20min, True)
+        skims = CostSkims.from_loading(res)
+        assert skims.network is res.network
+        with pytest.raises(ValueError, match="built on another network"):
+            td_shortest_path(two_link_network(), skims, "A", "B", 0)
+        assert td_shortest_path(res.network, skims, "A", "B", 0)[0].link_ids \
+            == ("AM", "MB")
+
+
+    def test_tolled_columns_match_a_naive_sum_on_every_simple_path(self):
+        # Three zone links and two outside them. The links take 50 s or more
+        # at free flow on a 60 s interval, and the A-B-C-D stream queues, so
+        # arrivals cross interval ends and travel times vary by interval.
+        net = Network(
+            [Node("A", True), Node("B"), Node("C"), Node("D", True)],
+            [Link("AB", "A", "B", 1000.0, 1, 20.0, in_pricing_zone=True),
+             Link("BC", "B", "C", 1000.0, 1, 20.0, in_pricing_zone=True),
+             Link("CD", "C", "D", 1000.0, 1, 20.0, in_pricing_zone=True),
+             Link("AC", "A", "C", 3000.0, 1, 20.0),
+             Link("BD", "B", "D", 2000.0, 1, 20.0)])
+        clock = Clock(step_s=1, interval_s=60, horizon_s=900)
+        stream = Path(("AB", "BC", "CD"), "A", "D")
+        side = Path(("AC", "CD"), "A", "D")
+        plans = [VehiclePlan(SO if i % 3 == 0 else UE, stream, i // 60, float(i))
+                 for i in range(150)]
+        plans += [VehiclePlan(UE, side, i // 20, float(3 * i)) for i in range(40)]
+        res = load_vehicles(net, plans, clock)
+        schedule = TollSchedule(alpha={0: 0.5, 1: 1.0, 2: 2.0, 4: 0.3},
+                                omega={("AB", 1): 0.5, ("CD", 2): 1.0, ("CD", 3): 0.25})
+        skims = CostSkims.from_loading(res, schedule, 15.0)
+
+        def naive(path, tau, kind):
+            """The path's cost, and the interval its last link is read at."""
+            t = tau * clock.interval_s
+            total = 0.0
+            for lid in path.link_ids:
+                k = clock.interval_of(t)
+                link, st = net.links[lid], res.states[lid][k]
+                if kind == SO_COST:
+                    total += res.marginal_time(lid, k)
+                elif link.in_pricing_zone:
+                    total += st.travel_time + schedule.link_toll(link, k) / 15.0 * 3600.0
+                else:
+                    total += st.travel_time
+                t += st.travel_time
+            return total, k
+
+        def simple_paths(origin, node, ids, seen):
+            for link in links_from(net, node):
+                if link.to_node not in seen:
+                    lids = ids + (link.id,)
+                    yield Path(lids, origin, link.to_node)
+                    yield from simple_paths(origin, link.to_node, lids,
+                                            seen | {link.to_node})
+
+        paths = [p for n in sorted(net.nodes) for p in simple_paths(n, n, (), {n})]
+        assert len(paths) == 10
+        free = CostSkims.from_loading(res)
+        tolled = crossed = 0
+        for path in paths:
+            for tau in range(clock.n_intervals):
+                for kind in (UE_COST, SO_COST):
+                    assert skims.path_cost(path, tau, kind) == naive(path, tau, kind)[0]
+                tolled += skims.path_cost(path, tau, UE_COST) \
+                    > free.path_cost(path, tau, UE_COST)
+                crossed += naive(path, tau, UE_COST)[1] > tau
+        # Tolls raise some UE costs, some links are read past the departure
+        # interval, and the stream queues.
+        assert tolled > 0 and crossed > 0
+        assert any(st.travel_time > st.free_flow_time for st in res.states["AB"])
 
 
 def oracle_tree(network, costs, tt, clock, origin, departure_interval):
@@ -233,7 +314,9 @@ def search_cases(draw, times=st.integers(1, 25)):
     cheap = st.integers(1, 3)
     tt, costs = rows(times), {UE_COST: rows(cheap), SO_COST: rows(cheap)}
     network = Network([Node(nid) for nid in nodes], links)
-    return network, clock, tt, costs, CostSkims(clock, tt, costs[UE_COST], costs[SO_COST])
+    skims = CostSkims(network, clock, columns(network, tt),
+                      columns(network, costs[UE_COST]), columns(network, costs[SO_COST]))
+    return network, clock, tt, costs, skims
 
 
 class TestSearchOracle:
@@ -315,10 +398,11 @@ class TestSearchPrecondition:
     @pytest.mark.parametrize("row", [0, 1, 2])
     def test_skims_reject_entries_that_are_not_finite_and_positive(
             self, clock_20min, bad, row):
+        net = two_link_network()
         rows = [{"AM": [5.0] * 4, "MB": [5.0] * 4} for _ in range(3)]
         rows[row]["MB"][2] = bad
         with pytest.raises(ValueError, match="link 'MB' .* in interval 2"):
-            CostSkims(clock_20min, *rows)
+            CostSkims(net, clock_20min, *(columns(net, r) for r in rows))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_distance_search_rejects_lengths_that_are_not_finite_and_positive(
@@ -361,7 +445,7 @@ class TestStaticShortestPath:
         for o in nodes:
             others = [d for d in nodes if d != o]
             assert distance_paths(net, o, others) \
-                == [distance_shortest_path(net, o, d) for d in others]
+                == [Path(oracle_distance_path(net, o, d), o, d) for d in others]
 
 
 def path_named(*lids):

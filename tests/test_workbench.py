@@ -10,8 +10,8 @@ import weakref
 import pytest
 
 from tollsim.cli import main
-from tollsim.network import (Clock, load_network_file, save_network_file,
-                             validate_network)
+from tollsim.network import (Clock, Link, Network, Node, load_network_file,
+                             save_network_file, validate_network)
 from tollsim.demand import save_demand_file, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.nguyen import DEFAULT_PULSE, OD_PAIRS, ZONE_LINKS, build_nguyen
@@ -348,6 +348,54 @@ class TestRunScenario:
         assert not (tmp_path / "out").exists()
         assert main(["validate", path]) == 1
         assert capsys.readouterr().err == "pricing zone is empty\n"
+
+    def test_unroutable_demand_pairs_fail_the_input_check(self, tmp_path, capsys):
+        # These used to pass `validate`; a run then failed in the equilibrium
+        # stage, after creating out/.
+        path = write_fixture_scenario(tmp_path / "in")
+        save_demand_file({("O", "D", 0): 250.0, ("Z", "D", 0): 5.0, ("D", "O", 1): 5.0,
+                          ("O", "M", 0): 0.0, ("M", "Y", 1): 0.0},
+                         str(tmp_path / "in" / "demand.json"))
+        problems = ["demand D->O: destination unreachable from origin",
+                    "demand M->Y: node 'Y' is not in the network",
+                    "demand Z->D: node 'Z' is not in the network"]
+        sc = Scenario.load(path)
+        assert validate_scenario(sc) == problems
+        with pytest.raises(StageError) as err:
+            run_scenario(sc, str(tmp_path / "out"))
+        assert err.value.stage == "demand"
+        assert str(err.value) == f"stage 'demand' failed: {'; '.join(problems)}"
+        assert not (tmp_path / "out").exists()
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().err == "".join(p + "\n" for p in problems)
+
+    def test_a_zero_critical_density_fails_before_any_ratio_is_solved(
+            self, tmp_path, monkeypatch):
+        # The zone is a link no demand uses, so the 0% run leaves it empty
+        # and k_cr is 0. That used to fail inside `bilevel_solve`, after
+        # kcr.json and the first ratio's solve and files were written.
+        solves = []
+
+        def solve(*args):
+            solves.append(args)
+            return solve_mixed_equilibrium(*args)
+
+        monkeypatch.setattr(scenario, "solve_mixed_equilibrium", solve)
+        path = write_fixture_scenario(tmp_path / "in", toll=True, so_ratios=(0.5, 1.0))
+        links = [dataclasses.replace(a, in_pricing_zone=False)
+                 for a in tolled_pair_network().link_list]
+        network = Network([Node("O", True), Node("M"), Node("D", True)],
+                          links + [Link("DM", "D", "M", 1000.0, 1, 20.0,
+                                        in_pricing_zone=True)])
+        save_network_file(network, str(tmp_path / "in" / "net.json"))
+        sc = Scenario.load(path)
+        assert validate_scenario(sc) == []
+        with pytest.raises(StageError) as err:
+            run_scenario(sc, str(tmp_path / "out"))
+        assert err.value.stage == "pricing"
+        assert "critical density must be finite and positive, got 0.0" in str(err.value)
+        assert len(solves) == 1
+        assert os.listdir(tmp_path / "out") == []
 
     @pytest.mark.parametrize("record", [
         {"origin": "O", "destination": "O", "interval_index": 0, "total": 5},
