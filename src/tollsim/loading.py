@@ -52,15 +52,18 @@ with one interval of one loading: the only state a network carries from one
 loading to the next is `valid_paths`.
 
 Every loading keeps each (link, interval)'s mean entry time. With
-`clearance=True` (the default) it also keeps, per link, one byte per step
-flagging a standing queue, written whenever the link's wake step is set;
-queue clearance delays are read from these flags. Two marginal-time
-estimators read those delays: `marginal_time`, the per-(link, interval) SO
-cost the routing skims sum, and `path_marginal_time`, which advances its
-probe past each clearance and is the one compared with +1-vehicle
-re-simulation; the solver does not route on it yet. Only the SO cost reads
+`clearance=True` (the default) it also keeps, per link, the maximal runs of
+steps that end with a standing queue, a flat list `[start, end, ...]` in
+step order: its server's busy steps whenever its wake step is set, and each
+step its head is blocked downstream. These writes come in step order, so
+each opens a run or extends the last; clearance delays bisect the runs.
+Two marginal-time estimators read those delays: `marginal_time`, the
+per-(link, interval) SO cost the routing skims sum, and
+`path_marginal_time`, which advances its probe past each clearance and is
+the one compared with +1-vehicle re-simulation; the solver does not route
+on it yet. Only the SO cost reads
 them, so a caller that routes no class on it may pass `clearance=False`: the
-loader then writes no flags, `queue_clearance_delay` and the two estimators
+loader then keeps no runs, `queue_clearance_delay` and the two estimators
 that read it raise ValueError, and nothing else changes.
 
 Link statistics come from per-link entry and exit times, one append each
@@ -83,7 +86,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import accumulate
@@ -200,10 +203,8 @@ def discretize_assignments(groups, clock: Clock) -> VehicleRuns:
     runs = []
     append = runs.append
     interval_s = clock.interval_s
-    taus = range(clock.n_intervals)
     for cls, tau, paths, flows in groups:
-        if tau not in taus:
-            raise ValueError(f"departure interval {tau} outside the clock's horizon")
+        clock.check_interval(tau)
         if len(paths) > 1:
             o, d = paths[0].origin, paths[0].destination
             for p in paths:
@@ -242,7 +243,7 @@ class _LinkRT:
     __slots__ = ("link", "index", "ff_steps", "storage", "lanes", "lane_m",
                  "eff_length", "queue", "next_free", "recv_credit", "credit_step",
                  "rate_memo", "reaction", "headway", "enter_hv", "enter_cav",
-                 "entry_times", "exit_times", "stat_cav", "stat_reaction", "queue_flag")
+                 "entry_times", "exit_times", "stat_cav", "stat_reaction", "queue_runs")
 
     def __init__(self, link, index, clock, n_intervals, clearance):
         self.link = link
@@ -265,8 +266,8 @@ class _LinkRT:
         self.exit_times = []
         self.stat_cav = [0.0] * n_intervals
         self.stat_reaction = [0.0] * n_intervals
-        # 1 = standing queue in step; None without clearance data
-        self.queue_flag = bytearray(clock.n_steps) if clearance else None
+        # standing-queue step runs [start, end, ...]; None without clearance
+        self.queue_runs = [] if clearance else None
 
 
 class _Source:
@@ -334,41 +335,48 @@ class LoadingResult:
     records; the counts and TSTT (veh-h) come from the loader's exit times,
     and a returned loading strands no vehicle, so all that entered exited.
     Mean entry times are always kept; `clearance` says whether the
-    standing-queue flags that `queue_clearance_delay` reads were."""
+    standing-queue runs that `queue_clearance_delay` reads were: per link,
+    the maximal runs of steps that end with a standing queue, as a flat
+    list `[start, end, start, end, ...]` of step bounds in step order."""
 
-    def __init__(self, network, clock, states, vehicles, queue_flags,
+    def __init__(self, network, clock, states, vehicles, queue_runs,
                  entry_time_means, n_vehicles, tstt_veh_h):
         self.network = network
         self.clock = clock
         self.states = states                # link_id -> [LinkIntervalState per interval]
         self.vehicles = vehicles            # list[VehicleRecord], or ()
-        self._queue_flags = queue_flags     # link_id -> bytearray, 1 per queued step
+        self._queue_runs = queue_runs       # link_id -> [start, end, ...] step runs
         self._entry_means = entry_time_means  # (link_id, tau) -> mean entry time
-        self.clearance = queue_flags is not None
+        self.clearance = queue_runs is not None
         self.vehicles_entered = self.vehicles_exited = n_vehicles
         self.tstt_veh_h = tstt_veh_h
 
     def queue_clearance_delay(self, link_id: str, t: float) -> float:
-        """Seconds after time t until the link's standing queue dissipates."""
+        """Seconds after time t until the link's standing queue dissipates:
+        until the end of the run that holds t's step (step 0 before time 0),
+        if one does."""
         if not self.clearance:
             raise ValueError("this loading kept no queue clearance data; "
                              "load with clearance=True")
-        flags = self._queue_flags[link_id]
-        step = int(t // self.clock.step_s)
+        if not math.isfinite(t):
+            raise ValueError(f"queue clearance time t must be finite, got {t}")
+        step_s = self.clock.step_s
+        step = int(t // step_s)
         if step < 0:
             step = 0
-        if step >= len(flags):
-            return 0.0
-        clear = flags.find(0, step)     # first step without a standing queue
-        if clear < 0:
-            clear = len(flags)
-        return max(0.0, clear * self.clock.step_s - t)
+        runs = self._queue_runs[link_id]
+        i = bisect_right(runs, step)
+        # An odd i means step is in the run [runs[i - 1], runs[i]).
+        clear = runs[i] if i & 1 else step
+        return max(0.0, clear * step_s - t)
 
     def marginal_time(self, link_id: str, interval: int) -> float:
         """Link marginal travel time for an entry in `interval`: its travel
         time plus the clearance of the queue standing when a vehicle that
         entered at the interval's mean entry time exits. This is the SO cost
-        the routing skims carry."""
+        the routing skims carry. Raises ValueError for an interval outside
+        the clock."""
+        self.clock.check_interval(interval)
         st = self.states[link_id][interval]
         entry = self._entry_means.get((link_id, interval))
         if entry is None:
@@ -382,7 +390,9 @@ class LoadingResult:
         queue standing at the probe's exit. The probe's clock advances past
         that dissipation before the next link is read, so nested queues
         (an upstream queue held back by a downstream one) are not re-counted.
+        Raises ValueError for an interval outside the clock.
         """
+        self.clock.check_interval(interval)
         t = interval * self.clock.interval_s
         total = 0.0
         for lid in path.link_ids:
@@ -508,15 +518,22 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                     # time changes. A step ends with a standing queue while
                     # the server is still busy or the head is ready, and the
                     # head is ready before the wake step only if the server
-                    # is still busy, so exactly the busy steps are flagged.
+                    # is still busy, so the busy steps are exactly the queued
+                    # ones.
                     wake = ready
                     if next_free > free_by:
                         free = step + 1
                         while next_free > free * dt + dt - _EPS:
                             free += 1
                         if clearance:
+                            # The busy steps [step, free), clamped to the
+                            # horizon, open a run or extend the last.
                             end = free if free < n_steps else n_steps
-                            rt.queue_flag[step:end] = b"\x01" * (end - step)
+                            queued = rt.queue_runs
+                            if queued and queued[-1] >= step:
+                                queued[-1] = end
+                            else:
+                                queued += (step, end)
                         if free > wake:
                             wake = free
                     due_then = calendar.get(wake)
@@ -554,7 +571,11 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                         # Blocked downstream: the head retries next step.
                         nrt.recv_credit = credit
                         if clearance and i < n_links:
-                            rt.queue_flag[step] = 1
+                            queued = rt.queue_runs
+                            if queued and queued[-1] >= step:
+                                queued[-1] = step + 1
+                            else:
+                                queued += (step, step + 1)
                         due_then = calendar.get(step + 1)
                         if due_then is None:
                             calendar[step + 1] = [i]
@@ -583,7 +604,7 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                     if not n_down:
                         # Entered while empty: its head is at least a free-flow
                         # step from ready, so a visit later in this step only
-                        # sets its wake step and busy flags.
+                        # sets its wake step and busy run.
                         due.append(nrt.index)
                 if not q:
                     break
@@ -652,8 +673,8 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
                 for vid, (r, at, log, exit_t)
                 in enumerate(zip(veh_run, veh_dep, veh_log, veh_exit))
                 ] if records else ()
-    flags = {rt.link.id: rt.queue_flag for rt in link_order} if clearance else None
-    return LoadingResult(network, clock, states, vehicles, flags, entry_means,
+    queued = {rt.link.id: rt.queue_runs for rt in link_order} if clearance else None
+    return LoadingResult(network, clock, states, vehicles, queued, entry_means,
                          n_veh, tstt)
 
 
@@ -664,7 +685,7 @@ def load_network(network: Network, groups, clock: Clock, *,
     `discretize_assignments`.
 
     `records=False` builds no `VehicleRecord`s (`vehicles` is `()`) and
-    changes nothing else. `clearance=False` keeps no standing-queue flags,
+    changes nothing else. `clearance=False` keeps no standing-queue runs,
     so `queue_clearance_delay`, `marginal_time` and `path_marginal_time`
     raise ValueError and the result's `clearance` is False; mean entry times
     are kept either way, and it too changes nothing else. Raises

@@ -187,6 +187,12 @@ class Clock:
             return 0
         return min(int(t // self.interval_s), self.n_intervals - 1)
 
+    def check_interval(self, tau: int) -> None:
+        """ValueError unless `tau` is one of the clock's intervals; a negative
+        one would index the last interval's values."""
+        if tau not in range(self.n_intervals):
+            raise ValueError(f"departure interval {tau} outside the clock's horizon")
+
 
 def check_fields(record, required, optional, kind: str) -> None:
     if not isinstance(record, dict):

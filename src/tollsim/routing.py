@@ -97,7 +97,7 @@ class CostSkims:
         index = self.network.link_index
         interval_s = self.clock.interval_s
         last = self.clock.n_intervals - 1
-        _check_interval(self.clock, departure_interval)
+        self.clock.check_interval(departure_interval)
         # Arrival times only grow, so the interval advances while t has
         # reached its end: for t >= 0, t >= (tau + 1) * interval_s exactly
         # when int(t // interval_s) > tau.
@@ -113,13 +113,6 @@ class CostSkims:
             total += costs[tau][li]
             t += tt[tau][li]
         return total
-
-
-def _check_interval(clock: Clock, tau: int) -> None:
-    """ValueError unless `tau` is one of the clock's intervals; a negative
-    one would index the last interval's costs."""
-    if tau not in range(clock.n_intervals):
-        raise ValueError(f"departure interval {tau} outside the clock's horizon")
 
 
 def _search(network: Network, origin: int, t0: float, costs, tt, interval_s,
@@ -199,7 +192,7 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
     key = (origin, departure_interval, cost_kind)
     tree = skims._trees.get(key)
     if tree is None:
-        _check_interval(skims.clock, departure_interval)
+        skims.clock.check_interval(departure_interval)
         o = network.node_index.get(origin)
         if o is None:
             raise UnreachableError(origin, destination)

@@ -6,6 +6,7 @@ so free-flow times come out as round numbers of whole simulation steps.
 from __future__ import annotations
 
 import gc
+from itertools import groupby
 
 import pytest
 
@@ -44,6 +45,19 @@ def links_from(network, node):
     """The links leaving `node`, in id order, read from the search index."""
     return [network.link_order[i]
             for i, _ in network.out_adj[network.node_index[node]]]
+
+
+def queue_runs(flags) -> list:
+    """Per-step standing-queue flags as a loading keeps them: the maximal
+    runs of flagged steps, a flat list `[start, end, start, end, ...]` of
+    step bounds in step order. Equal runs mean equal flags at every step."""
+    runs, step = [], 0
+    for flag, steps in groupby(flags):
+        n = len(list(steps))
+        if flag:
+            runs += (step, step + n)
+        step += n
+    return runs
 
 
 @pytest.fixture

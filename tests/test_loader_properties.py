@@ -181,7 +181,7 @@ def test_records_change_nothing_else(clock, plans):
     assert len(full.vehicles) == len(plans) and bare.vehicles == ()
     assert bare.states == full.states
     assert bare._entry_means == full._entry_means
-    assert bare._queue_flags == full._queue_flags
+    assert bare._queue_runs == full._queue_runs
     for lid in NET.links:
         for i in range(clock.n_intervals):
             assert bare.marginal_time(lid, i) == full.marginal_time(lid, i)

@@ -410,6 +410,23 @@ class TestMarginalTime:
         local = base.path_marginal_time(AB, 0)
         assert abs(local - brute) / brute <= 0.20
 
+    @pytest.mark.parametrize("tau", [-1, 4], ids=["before", "past"])
+    def test_interval_outside_the_clock_is_rejected(self, clock_20min, tau):
+        # A negative interval would read the last interval's state.
+        res = load_vehicles(line_network(), stream(120), clock_20min)
+        assert clock_20min.n_intervals == 4
+        for read in (lambda: res.marginal_time("AB", tau),
+                     lambda: res.path_marginal_time(AB, tau)):
+            with pytest.raises(ValueError,
+                               match=rf"departure interval {tau} outside the clock's horizon"):
+                read()
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_clearance_time_is_rejected(self, clock_20min, t):
+        res = load_vehicles(line_network(), stream(120), clock_20min)
+        with pytest.raises(ValueError, match=r"time t must be finite, got"):
+            res.queue_clearance_delay("AB", t)
+
 
 class TestAdaptiveFd:
     def test_first_interval_uses_hv_reaction(self, clock_20min):

@@ -11,10 +11,10 @@ is carried up to one vehicle, `rate * dt` at the current vehicle count is
 added per step since the last refresh, and the credit is capped at
 `1 + rate * dt`; an untouched link holds one vehicle of credit. A link ends
 a step with a standing queue if it holds a vehicle and either its server is
-busy past the step or its head is ready. Link statistics are replayed from
-the vehicle trajectories. There is no calendar, no rate memo and no shared
-idle state, so the production loader's shortcuts are checked by a loop that
-has none of them.
+busy past the step or its head is ready; the loading reports those flags as
+runs of steps. Link statistics are replayed from the vehicle trajectories.
+There is no calendar, no rate memo and no shared idle state, so the
+production loader's shortcuts are checked by a loop that has none of them.
 """
 import math
 from collections import Counter, deque
@@ -34,11 +34,13 @@ from tollsim.loading import (GridlockError, LinkIntervalState, LoadingResult,
 from tollsim.network import Clock
 from tollsim.nguyen import build_nguyen
 
+from conftest import queue_runs
 from test_golden import (grid_merge_plans, long_feeder_network, long_feeder_plans,
                          merge_bottleneck_network, shared_origin_network,
                          shared_origin_plans, spillback_plans, two_lane_merge_network,
                          two_lane_merge_plans, uniform_grid)
-from test_loader_properties import NET, PATHS, fractional_plan_lists, replayed_statistics
+from test_loader_properties import (NET, PATHS, fractional_plan_lists, on_both_steps,
+                                    replayed_statistics)
 
 _EPS = 1e-9
 
@@ -87,7 +89,8 @@ class _Queue:
 
 def reference_load(network, plans, clock) -> LoadingResult:
     """Load `plans` by the rules above, with vehicle records and standing-
-    queue flags. Raises GridlockError if the horizon ends first."""
+    queue flags, reported as runs. Raises GridlockError if the horizon ends
+    first."""
     dt, n_steps, i_s = float(clock.step_s), clock.n_steps, clock.interval_s
     plans = sorted(plans, key=lambda p: (p.departure_time, p.vehicle_class, p.path.origin,
                                          p.path.destination, p.path.link_ids))
@@ -161,13 +164,15 @@ def reference_load(network, plans, clock) -> LoadingResult:
         means.update({(lid, j): entry_sum / n_in
                       for j, (n_in, entry_sum, *_) in enumerate(replay[lid]) if n_in})
     tstt = sum(e - p.departure_time for e, p in zip(exits, plans)) / 3600.0
-    return LoadingResult(network, clock, states, vehicles, flags, means, len(plans), tstt)
+    return LoadingResult(network, clock, states, vehicles,
+                         {lid: queue_runs(f) for lid, f in flags.items()},
+                         means, len(plans), tstt)
 
 
 def report(res, records=True, clearance=True) -> tuple:
     """What a loading reports, as one made with `records` and `clearance`
     would report it."""
-    return (res.states, res._entry_means, res._queue_flags if clearance else None,
+    return (res.states, res._entry_means, res._queue_runs if clearance else None,
             res.vehicles if records else (), res.vehicles_entered, res.vehicles_exited,
             res.tstt_veh_h)
 
@@ -202,6 +207,43 @@ def assert_matches_reference(network, plans, clock):
 @given(fractional_plan_lists)
 def test_random_plans_match_the_reference(clock, plans):
     assert_matches_reference(NET, plans, clock)
+
+
+def naive_clearance_delay(flags, t, step_s) -> float:
+    """Seconds after time t until the first step from t's (or from 0) that
+    is not flagged, scanned step by step."""
+    clear = max(0, int(t // step_s))
+    while clear < len(flags) and flags[clear]:
+        clear += 1
+    return max(0.0, clear * step_s - t)
+
+
+@on_both_steps
+@settings(max_examples=20, deadline=None)
+@given(fractional_plan_lists)
+def test_queue_runs_are_maximal_and_read_as_flags(clock, plans):
+    # Each link's runs are strictly increasing bounds in [0, n_steps], so
+    # every run is non-empty and no two touch; they are the reference's, and
+    # the clearance delay read from them at every step and half-step is the
+    # one a scan over the flags they expand to gives.
+    n_steps, step_s = clock.n_steps, clock.step_s
+    expected = reference_load(NET, plans, clock)._queue_runs
+    times = [(s + off) * step_s for s in range(-1, n_steps + 1) for off in (0.0, 0.5)]
+    for records, clearance in product((True, False), repeat=2):
+        res = load_vehicles(NET, plans, clock, records=records, clearance=clearance)
+        if not clearance:
+            assert res._queue_runs is None
+            continue
+        assert res._queue_runs == expected
+        for lid, runs in res._queue_runs.items():
+            assert len(runs) % 2 == 0
+            assert all(a < b for a, b in zip(runs, runs[1:])), lid
+            assert not runs or (runs[0] >= 0 and runs[-1] <= n_steps), lid
+            flags = bytearray(n_steps)
+            for start, end in zip(runs[::2], runs[1::2]):
+                flags[start:end] = b"\x01" * (end - start)
+            assert [res.queue_clearance_delay(lid, t) for t in times] \
+                == [naive_clearance_delay(flags, t, step_s) for t in times], lid
 
 
 def spaced_plans():
