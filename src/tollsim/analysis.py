@@ -61,9 +61,9 @@ class ScenarioMetrics:
     hysteresis_area: float
 
 
-def class_zone_summary(result, network: Network, nfd, *, vot_per_hour: float,
+def class_zone_summary(result, nfd, *, vot_per_hour: float,
                        toll_schedule=None, baseline=None) -> ScenarioMetrics:
-    """Table-style summary of one run.
+    """Table-style summary of one run, on its loading's network.
 
     `nfd` is the run's pricing-zone NFD series (the whole network's when
     there is no zone). `baseline` is the matching no-toll LoadingResult; the
@@ -71,6 +71,7 @@ def class_zone_summary(result, network: Network, nfd, *, vot_per_hour: float,
     divided by the mean toll converted to minutes at the given VOT. Defined
     only when a toll was actually paid.
     """
+    network = result.network
     zone = network.zone_link_ids
     clock = result.clock
 

@@ -182,7 +182,7 @@ def solve_mixed_equilibrium(network: Network, demand: ClassDemand, clock: Clock,
         for (ps, cls, tau, q), fs in zip(rows, flows):
             kind = _COST_KIND[cls]
             best_path, best_cost = td_shortest_path(
-                network, skims, ps.origin, ps.destination, tau, kind)
+                skims, ps.origin, ps.destination, tau, kind)
             costs = [best_cost if p.link_ids == best_path.link_ids
                      else skims.path_cost(p, tau, kind) for p in ps.paths]
             gap_rows[cls].append((fs, costs, min(min(costs), best_cost), q))

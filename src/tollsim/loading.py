@@ -17,16 +17,16 @@ flows)` group per (class, OD, departure interval), as the solver holds them;
 one positive flow gets that flow rounded, with no remainder to share; only
 a group with several sums them in link-id order and shares the rounded
 total by largest remainder. Each path's vehicles form one run, n vehicles
-of one class spread uniformly over the interval, and the `VehicleRuns`
-that hold them count and yield vehicles as a list of `VehiclePlan`s does.
+of one class spread uniformly over the interval from its first whole
+second. `VehicleRuns` holds the runs and is the loader's one input; a run
+of one departs at exactly its start, which may be fractional.
 
 Set-up: vehicles load in (departure, class, origin, destination, link ids,
 input order) order. `load_vehicles` sorts the runs on the middle of that
 key once, and then stable-sorts the vehicles, laid out run by run, on their
-departures alone.
-A plain list of plans loads the same way, each plan a run of one. Each
-vehicle's route, ready step, CAV flag and origin queue are gathered from
-its run's values, and so are its record, the TSTT and the stranded counts.
+departures alone. Each vehicle's route, ready step, CAV flag and origin
+queue are gathered from its run's values, and so are its record, the TSTT
+and the stranded counts.
 
 The loader moves whole vehicles and is fully deterministic. Each origin is a
 source queue of its vehicles in departure order, and one transfer loop moves
@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
-from .demand import SO, UE
+from .demand import SO
 from .fd import blended_reaction_time, lane_capacity
 from .network import Clock, Network, Path
 
@@ -123,13 +123,6 @@ class GridlockError(RuntimeError):
         self.stranded_by_od = stranded_by_od
 
 
-class VehiclePlan(NamedTuple):
-    vehicle_class: int
-    path: Path
-    interval: int
-    departure_time: float
-
-
 @dataclass(slots=True)
 class VehicleRecord:
     vehicle_id: int
@@ -154,36 +147,22 @@ class LinkIntervalState(NamedTuple):
     reaction_time: float  # s, blended value used by the FD
 
 
-def _departures(start: int, n: int, interval_s: int):
-    """The departure times of a run of n vehicles from second `start`: the
-    j-th at `start + (j * interval_s) // n` seconds, as a float. For a whole
-    `start` that is `(start * n + j * interval_s) // n`, mapped over a range
-    with no Python-level step per vehicle."""
-    return map(float, map(n.__rfloordiv__,
-                          range(start * n, (start + interval_s) * n, interval_s)))
-
-
 class VehicleRuns:
     """Whole-vehicle plans held as runs, as `discretize_assignments` makes
-    them. A run `(vehicle_class, path, interval, start, n)` is n vehicles,
-    the j-th departing at `start + (j * interval_s) // n` seconds. It holds
-    the vehicles as a list of plans would: `len()` counts them, and
-    iteration yields their `VehiclePlan`s, run by run."""
+    them: the loader's input. A run `(vehicle_class, path, interval, start,
+    n)` is n vehicles, the j-th departing at `start + (j * interval_s) // n`
+    seconds on the loading clock, so `start` must be a whole second whenever
+    n > 1; a run of one departs at `start`, which may be fractional. `len()`
+    counts the vehicles."""
 
-    __slots__ = ("runs", "interval_s", "_len")
+    __slots__ = ("runs", "_len")
 
-    def __init__(self, runs: list, interval_s: int):
+    def __init__(self, runs: list):
         self.runs = runs
-        self.interval_s = interval_s
         self._len = sum(run[4] for run in runs)
 
     def __len__(self) -> int:
         return self._len
-
-    def __iter__(self):
-        for cls, path, tau, start, n in self.runs:
-            for at in _departures(start, n, self.interval_s):
-                yield VehiclePlan(cls, path, tau, at)
 
 
 def discretize_assignments(groups, clock: Clock) -> VehicleRuns:
@@ -234,7 +213,7 @@ def discretize_assignments(groups, clock: Clock) -> VehicleRuns:
         for (path, _), n in zip(members, counts):
             if n:
                 append((cls, path, tau, start, n))
-    return VehicleRuns(runs, interval_s)
+    return VehicleRuns(runs)
 
 
 class _LinkRT:
@@ -405,15 +384,11 @@ class LoadingResult:
         return total
 
 
-def load_vehicles(network: Network, plans, clock: Clock, *,
+def load_vehicles(network: Network, runs: VehicleRuns, clock: Clock, *,
                   records: bool = True, clearance: bool = True) -> LoadingResult:
-    """Simulate vehicle plans: the `VehicleRuns` of `discretize_assignments`,
-    or a plain sequence of `VehiclePlan`s, each of which loads as a run of
-    one. See `load_network`."""
-    if isinstance(plans, VehicleRuns):
-        runs, spread_s = plans.runs, plans.interval_s
-    else:
-        runs, spread_s = [(cls, path, tau, at, 1) for cls, path, tau, at in plans], None
+    """Simulate the vehicles of `runs`, as `discretize_assignments` makes
+    them or as runs of one at any departure. See `load_network`."""
+    runs = runs.runs
     paths = {id(run[1]): run[1] for run in runs}
     # Each distinct path is validated once per network.
     for path in paths.values():
@@ -429,16 +404,20 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
             for cls, path, _, _, _ in runs]
     runs = [runs[r] for r in sorted(range(len(runs)), key=keys.__getitem__)]
     del keys
+    interval_s = clock.interval_s
     departures = []
     run_of = []
     for r, (_, _, _, start, n) in enumerate(runs):
         if n == 1:
-            # A run of one departs at its start: a plan's own departure,
-            # fractional or not, or a run's first second.
+            # A run of one departs at its start, fractional or not.
             departures.append(float(start))
             run_of.append(r)
         else:
-            departures += _departures(start, n, spread_s)
+            # The j-th at start + (j * interval_s) // n seconds, which for a
+            # whole start is (start * n + j * interval_s) // n: mapped over a
+            # range, with no Python-level step per vehicle.
+            departures += map(float, map(n.__rfloordiv__, range(
+                start * n, (start + interval_s) * n, interval_s)))
             run_of += [r] * n
     order = sorted(range(len(departures)), key=departures.__getitem__)
     veh_dep = list(map(departures.__getitem__, order))
@@ -449,7 +428,6 @@ def load_vehicles(network: Network, plans, clock: Clock, *,
     n_int = clock.n_intervals
     n_steps = clock.n_steps
     dt = float(clock.step_s)
-    interval_s = clock.interval_s
     link_order = [_LinkRT(a, i, clock, n_int, clearance)
                   for i, a in enumerate(network.link_order)]
     index = network.link_index
@@ -691,5 +669,5 @@ def load_network(network: Network, groups, clock: Clock, *,
     are kept either way, and it too changes nothing else. Raises
     GridlockError if the horizon ends before the network empties.
     """
-    plans = discretize_assignments(groups, clock)
-    return load_vehicles(network, plans, clock, records=records, clearance=clearance)
+    runs = discretize_assignments(groups, clock)
+    return load_vehicles(network, runs, clock, records=records, clearance=clearance)

@@ -187,10 +187,14 @@ class Clock:
             return 0
         return min(int(t // self.interval_s), self.n_intervals - 1)
 
+    @functools.cached_property
+    def _intervals(self) -> range:
+        return range(self.n_intervals)
+
     def check_interval(self, tau: int) -> None:
         """ValueError unless `tau` is one of the clock's intervals; a negative
         one would index the last interval's values."""
-        if tau not in range(self.n_intervals):
+        if tau not in self._intervals:
             raise ValueError(f"departure interval {tau} outside the clock's horizon")
 
 

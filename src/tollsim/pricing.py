@@ -100,9 +100,11 @@ class NFDPoint:
     flow: float      # veh/h, lane-length weighted
 
 
-def nfd_series(result, network: Network, link_ids=None) -> list[NFDPoint]:
-    """Per-interval NFD trajectory over the given links (default: whole
-    network): density and flow, each weighted by the links' lane-lengths."""
+def nfd_series(result, link_ids=None) -> list[NFDPoint]:
+    """Per-interval NFD trajectory of a loading over the given links of its
+    network (default: all of them): density and flow, each weighted by the
+    links' lane-lengths."""
+    network = result.network
     if link_ids is None:
         links = network.link_list
     else:
@@ -212,7 +214,7 @@ def bilevel_solve(network: Network, demand: ClassDemand, clock: Clock,
         eq = (solve_mixed_equilibrium(network, demand, clock, solver_config,
                                       toll_schedule=schedule)
               if any(schedule.alpha.values()) else untolled)
-        series = nfd_series(eq.loading, network, zone_ids)
+        series = nfd_series(eq.loading, zone_ids)
         dens = {pt.interval: pt.density for pt in series}
         objective = sum(abs(dens[tau] - k_cr) for tau in window)
         mean_alpha = sum(schedule.alpha.get(tau, 0.0) for tau in window) / len(window)

@@ -13,9 +13,9 @@ ends. A departure interval outside the clock raises ValueError. One
 label-setting search runs on the network's link and node indices, always to
 every node; a cost tie goes to the lexicographically smallest link-id
 sequence, so searches are fully deterministic. Each (origin, departure
-interval, cost kind) is searched once, and the tree is kept on the skims it
-was built from; a path query walks that tree back from its destination. The
-distance search runs it on link lengths, once per origin.
+interval, cost kind) is searched once, on the skims' own network, and the
+tree is kept on the skims; a path query walks it back from its destination.
+The distance search runs it on link lengths, once per origin.
 """
 from __future__ import annotations
 
@@ -181,14 +181,11 @@ def _path(network: Network, tree, origin: str, destination: str) -> tuple[Path, 
     return Path(tuple(ids[::-1]), origin, destination), least
 
 
-def td_shortest_path(network: Network, skims: CostSkims, origin: str,
-                     destination: str, departure_interval: int,
-                     cost_kind: str = UE_COST) -> tuple[Path, float]:
-    """Least-cost acyclic path for a departure at the start of the interval,
-    and its cost, summed as `path_cost` sums it. `network` must be the one
-    the skims were built on, else ValueError."""
-    if network is not skims.network:
-        raise ValueError("these skims were built on another network")
+def td_shortest_path(skims: CostSkims, origin: str, destination: str,
+                     departure_interval: int, cost_kind: str) -> tuple[Path, float]:
+    """Least-cost acyclic path on the skims' network for a departure at the
+    start of the interval, and its cost, summed as `path_cost` sums it."""
+    network = skims.network
     key = (origin, departure_interval, cost_kind)
     tree = skims._trees.get(key)
     if tree is None:
@@ -205,7 +202,9 @@ def td_shortest_path(network: Network, skims: CostSkims, origin: str,
 
 def distance_shortest_path(network: Network, origin: str, destination: str) -> Path:
     """Static shortest path by link length: `distance_paths` to one
-    destination."""
+    destination. The solver calls `distance_paths`; this wrapper stays only
+    because `equilibrium` imports it for the bench's `routing.distance_path`
+    trace point."""
     return distance_paths(network, origin, [destination])[0]
 
 

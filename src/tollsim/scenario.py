@@ -41,7 +41,6 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 _SCENARIO_FIELDS = {"network", "demand", "clock", "solver", "toll",
@@ -227,7 +226,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
     if scenario.toll is not None:
         zero.append(solved(0.0))
         est = stage("pricing", estimate_critical_density,
-                    nfd_series(zero[0][1].loading, network, zone))
+                    nfd_series(zero[0][1].loading, zone))
         stage("pricing", check_critical_density, est.k_cr)
         emit("kcr.json", write_json,
              {"k_cr_veh_km": est.k_cr, "interval": est.interval,
@@ -244,10 +243,10 @@ def run_scenario(scenario: Scenario, out_dir: str,
              ["iter", "r1gap", "r2gap", "rgap", "tstt_veh_h", "wall_time_s"],
              [(r.iteration, r.r1gap, r.r2gap, r.rgap, r.tstt_veh_h, None)
               for r in eq.log])
-        series = nfd_series(eq.loading, network, zone or None)
+        series = nfd_series(eq.loading, zone or None)
         emit(f"nfd_r{tag}.csv", _write_csv, *_nfd_table(series))
         emit(f"nfd_network_r{tag}.csv", _write_csv,
-             *_nfd_table(nfd_series(eq.loading, network, None)))
+             *_nfd_table(nfd_series(eq.loading)))
         if write_trajectories:
             emit(f"trajectories_r{tag}.csv", _write_csv,
                  ["vehicle_id", "class", "departure_interval", "path_id",
@@ -255,7 +254,7 @@ def run_scenario(scenario: Scenario, out_dir: str,
                  [(v.vehicle_id, v.vehicle_class, v.interval,
                    "|".join(v.path.link_ids), v.departure_time, v.exit_time)
                   for v in eq.loading.vehicles])
-        m = class_zone_summary(eq.loading, network, series,
+        m = class_zone_summary(eq.loading, series,
                                vot_per_hour=scenario.solver.vot_per_hour)
         untolled_rows.append((scenario.scenario_id, ratio, 0, m))
         if scenario.toll is not None:
@@ -269,9 +268,9 @@ def run_scenario(scenario: Scenario, out_dir: str,
                  [(r.outer_iteration, r.objective, r.mean_alpha,
                    r.mean_zone_density, r.inner_gap, r.tstt_veh_h)
                   for r in bl.log])
-            tolled_series = nfd_series(bl.equilibrium.loading, network, zone)
+            tolled_series = nfd_series(bl.equilibrium.loading, zone)
             emit(f"nfd_tolled_r{tag}.csv", _write_csv, *_nfd_table(tolled_series))
-            m = class_zone_summary(bl.equilibrium.loading, network, tolled_series,
+            m = class_zone_summary(bl.equilibrium.loading, tolled_series,
                                    toll_schedule=bl.schedule,
                                    vot_per_hour=scenario.solver.vot_per_hour,
                                    baseline=eq.loading)

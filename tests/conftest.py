@@ -7,10 +7,34 @@ from __future__ import annotations
 
 import gc
 from itertools import groupby
+from typing import NamedTuple
 
 import pytest
 
-from tollsim.network import Clock, Link, Network, Node
+from tollsim.loading import VehicleRuns
+from tollsim.network import Clock, Link, Network, Node, Path
+
+
+class Plan(NamedTuple):
+    """One vehicle: its class, path, departure interval and departure time."""
+    vehicle_class: int
+    path: Path
+    interval: int
+    departure_time: float
+
+
+def runs_of_one(plans) -> VehicleRuns:
+    """The loader's input for vehicles given one by one: each plan a run of
+    one, which departs at exactly its `departure_time`, fractional or not."""
+    return VehicleRuns([(*plan, 1) for plan in plans])
+
+
+def spec_plans(runs: VehicleRuns, interval_s: int) -> list:
+    """The vehicles of `runs` as plans, run by run, by the stated rule: the
+    j-th of a run `(vehicle_class, path, interval, start, n)` departs at
+    `start + (j * interval_s) // n` seconds."""
+    return [Plan(cls, path, tau, float(start + (j * interval_s) // n))
+            for cls, path, tau, start, n in runs.runs for j in range(n)]
 
 
 def line_network(length=1000.0, lanes=1, speed=20.0, in_zone=False):

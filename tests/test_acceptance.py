@@ -12,7 +12,7 @@ from tollsim.demand import NoiseConfig, SO, UE, split_demand
 from tollsim.equilibrium import (SolverConfig, relative_gap,
                                  solve_mixed_equilibrium, step_size)
 from tollsim.fd import lane_capacity
-from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.loading import load_vehicles
 from tollsim.network import Path
 from tollsim.nguyen import (TOLL_I_GAIN, TOLL_OUTER_CAP, TOLL_P_GAIN,
                             TOLL_WINDOW, ZONE_LINKS, build_nguyen)
@@ -22,7 +22,7 @@ from tollsim.routing import SO_COST, UE_COST, CostSkims, td_shortest_path
 from tollsim.analysis import hysteresis_area
 from tollsim.scenario import Scenario, run_scenario
 
-from conftest import line_network, two_link_network
+from conftest import Plan, line_network, runs_of_one, two_link_network
 from test_equilibrium import bottleneck_pair_network
 from test_workbench import write_fixture_scenario
 
@@ -95,9 +95,9 @@ def test_ac02_fd_closed_form_and_simulated_saturation(clock_20min):
     sim_ok = True
     details = []
     for cls, want in ((UE, 1875.0), (SO, 180000.0 / 71.0)):
-        plans = [VehiclePlan(cls, Path(("AB",), "A", "B"), int(i / 2.0) // 300,
-                             i / 2.0) for i in range(400)]
-        res = load_vehicles(net, plans, clock_20min)
+        plans = [Plan(cls, Path(("AB",), "A", "B"), int(i / 2.0) // 300,
+                      i / 2.0) for i in range(400)]
+        res = load_vehicles(net, runs_of_one(plans), clock_20min)
         q_sim = max(st.flow for st in res.states["AB"])
         rel = abs(q_sim - want) / want
         details.append(f"{q_sim:.0f}/{want:.0f}")
@@ -113,8 +113,8 @@ def test_ac03_loader_matches_point_queue_oracle(clock_20min):
     t0 = time.perf_counter()
     net = line_network(length=1000.0, speed=20.0)
     path = Path(("AB",), "A", "B")
-    plans = [VehiclePlan(UE, path, 0, float(i)) for i in range(120)]
-    res = load_vehicles(net, plans, clock_20min)
+    plans = [Plan(UE, path, 0, float(i)) for i in range(120)]
+    res = load_vehicles(net, runs_of_one(plans), clock_20min)
     cap = 20.0 / 37.0
     step = clock_20min.step_s
     worst = 0.0
@@ -134,14 +134,14 @@ def test_ac04_marginal_time_against_resimulation(clock_1h):
     net = bottleneck_pair_network()
     short = Path(("OM", "MD"), "O", "D")
     bypass = Path(("OD",), "O", "D")
-    plans = ([VehiclePlan(UE, short, 0, i * 300.0 / 280) for i in range(280)]
-             + [VehiclePlan(UE, bypass, 0, i * 300.0 / 120)
+    plans = ([Plan(UE, short, 0, i * 300.0 / 280) for i in range(280)]
+             + [Plan(UE, bypass, 0, i * 300.0 / 120)
                 for i in range(120)])
-    base = load_vehicles(net, plans, clock_1h)
+    base = load_vehicles(net, runs_of_one(plans), clock_1h)
     ok = True
     details = []
     for probe_path in (short, bypass):
-        plus = load_vehicles(net, plans + [VehiclePlan(UE, probe_path, 0, 0.0)],
+        plus = load_vehicles(net, runs_of_one(plans + [Plan(UE, probe_path, 0, 0.0)]),
                              clock_1h)
         brute = (plus.tstt_veh_h - base.tstt_veh_h) * 3600.0
         local = base.path_marginal_time(probe_path, 0)
@@ -226,13 +226,13 @@ def test_ac08_so_costs_invariant_to_tolls(clock_1h, clock_20min):
     res = queued_loading(net, clock_20min)
     free = CostSkims.from_loading(res)
     free_cost = free.path_cost(p, 0, SO_COST)
-    free_best = td_shortest_path(net, free, "A", "B", 0, SO_COST)
+    free_best = td_shortest_path(free, "A", "B", 0, SO_COST)
     cost_ok = True
     for a in (0.5, 2.0, 5.0):
         tolled_skims = CostSkims.from_loading(res, TollSchedule(alpha={0: a}), 15.0)
         cost_ok = (cost_ok
                    and tolled_skims.path_cost(p, 0, SO_COST) == free_cost
-                   and td_shortest_path(net, tolled_skims, "A", "B", 0,
+                   and td_shortest_path(tolled_skims, "A", "B", 0,
                                         SO_COST) == free_best
                    and tolled_skims.path_cost(p, 0, UE_COST)
                    > free.path_cost(p, 0, UE_COST))
@@ -302,13 +302,13 @@ def test_ac11_bilevel_reduces_zone_density_and_hysteresis(nguyen_sweep):
     demand = split_demand(totals, 0.0)
 
     base = runs[0.0]  # zone flags do not affect an untolled loading
-    base_series = nfd_series(base.loading, network, ZONE_LINKS)
+    base_series = nfd_series(base.loading, ZONE_LINKS)
     est = estimate_critical_density(base_series)
     toll_cfg = TollConfig(p_gain=TOLL_P_GAIN, i_gain=TOLL_I_GAIN,
                           window=TOLL_WINDOW, outer_cap=TOLL_OUTER_CAP)
     res = bilevel_solve(network, demand, clock, toll_cfg, NGUYEN_SOLVER,
                         est.k_cr, base)
-    tolled_series = nfd_series(res.equilibrium.loading, network, ZONE_LINKS)
+    tolled_series = nfd_series(res.equilibrium.loading, ZONE_LINKS)
 
     def window_mean(series):
         dens = {p.interval: p.density for p in series}

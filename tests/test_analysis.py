@@ -6,11 +6,11 @@ import pytest
 from tollsim.analysis import (class_zone_summary, hysteresis_area,
                               vehicle_toll, vehicle_zone_time)
 from tollsim.demand import SO, UE
-from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.loading import load_vehicles
 from tollsim.network import Path
 from tollsim.pricing import NFDPoint, TollSchedule, nfd_series
 
-from conftest import line_network, two_link_network
+from conftest import Plan, line_network, runs_of_one, two_link_network
 
 AB = Path(("AB",), "A", "B")
 
@@ -18,13 +18,13 @@ AB = Path(("AB",), "A", "B")
 class TestTstt:
     def test_single_free_flow_vehicle(self, clock_20min):
         net = line_network(length=1000.0, speed=20.0)
-        res = load_vehicles(net, [VehiclePlan(UE, AB, 0, 0.0)], clock_20min)
+        res = load_vehicles(net, runs_of_one([Plan(UE, AB, 0, 0.0)]), clock_20min)
         assert res.tstt_veh_h == pytest.approx(50.0 / 3600.0, rel=1e-12)
 
     def test_linear_in_uncongested_vehicle_count(self, clock_20min):
         net = line_network(length=1000.0, speed=20.0)
-        plans = [VehiclePlan(UE, AB, 0, 30.0 * i) for i in range(8)]
-        res = load_vehicles(net, plans, clock_20min)
+        plans = [Plan(UE, AB, 0, 30.0 * i) for i in range(8)]
+        res = load_vehicles(net, runs_of_one(plans), clock_20min)
         assert res.tstt_veh_h == pytest.approx(8 * 50.0 / 3600.0, rel=1e-9)
 
     def test_triangular_queue_delay_oracle(self, clock_20min):
@@ -34,8 +34,8 @@ class TestTstt:
         D, T = 1.0, 120.0
         q_cap = 20.0 / 37.0
         rho = D / q_cap
-        plans = [VehiclePlan(UE, AB, 0, float(i)) for i in range(int(D * T))]
-        res = load_vehicles(net, plans, clock_20min)
+        plans = [Plan(UE, AB, 0, float(i)) for i in range(int(D * T))]
+        res = load_vehicles(net, runs_of_one(plans), clock_20min)
         expected = (D * T * 50.0 + D * T * T * (rho - 1.0) / 2.0) / 3600.0
         assert res.tstt_veh_h == pytest.approx(expected, rel=0.05)
 
@@ -77,7 +77,7 @@ class TestZoneAccounting:
     def test_zone_time_is_time_on_zone_links_only(self, clock_20min):
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
-        res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock_20min)
+        res = load_vehicles(net, runs_of_one([Plan(UE, p, 0, 0.0)]), clock_20min)
         v = res.vehicles[0]
         assert vehicle_zone_time(v, net) == pytest.approx(25.0, abs=1.0)
         assert vehicle_zone_time(v, net) < v.travel_time
@@ -85,7 +85,7 @@ class TestZoneAccounting:
     def test_vehicle_outside_zone_pays_and_spends_nothing(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=())
         p = Path(("AM", "MB"), "A", "B")
-        res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock_20min)
+        res = load_vehicles(net, runs_of_one([Plan(UE, p, 0, 0.0)]), clock_20min)
         sched = TollSchedule(alpha={0: 5.0})
         assert vehicle_zone_time(res.vehicles[0], net) == 0.0
         assert vehicle_toll(res.vehicles[0], net, sched, clock_20min) == 0.0
@@ -93,8 +93,8 @@ class TestZoneAccounting:
     def test_ue_vehicle_pays_distance_toll_so_is_exempt(self, clock_20min):
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
-        res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0),
-                                  VehiclePlan(SO, p, 0, 10.0)], clock_20min)
+        res = load_vehicles(net, runs_of_one([Plan(UE, p, 0, 0.0), Plan(SO, p, 0, 10.0)]),
+                            clock_20min)
         sched = TollSchedule(alpha={0: 0.48})  # 0.48 $/km * 0.5 km = $0.24
         ue_veh = next(v for v in res.vehicles if v.vehicle_class == UE)
         so_veh = next(v for v in res.vehicles if v.vehicle_class == SO)
@@ -108,7 +108,7 @@ class TestZoneAccounting:
         net = self.zone_net()
         p = Path(("AM", "MB"), "A", "B")
         # Departure late in interval 0; the zone link is entered in interval 1.
-        res = load_vehicles(net, [VehiclePlan(UE, p, 0, 280.0)], clock_20min)
+        res = load_vehicles(net, runs_of_one([Plan(UE, p, 0, 280.0)]), clock_20min)
         sched = TollSchedule(alpha={0: 1.0, 1: 2.0})
         assert vehicle_toll(res.vehicles[0], net, sched, clock_20min) \
             == pytest.approx(2.0 * 0.5, rel=1e-12)
@@ -118,11 +118,11 @@ class TestClassZoneSummary:
     def test_summary_fields(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("MB",))
         p = Path(("AM", "MB"), "A", "B")
-        plans = [VehiclePlan(UE, p, 0, 10.0 * i) for i in range(5)] \
-            + [VehiclePlan(SO, p, 0, 5.0 + 10.0 * i) for i in range(5)]
-        res = load_vehicles(net, plans, clock_20min)
+        plans = [Plan(UE, p, 0, 10.0 * i) for i in range(5)] \
+            + [Plan(SO, p, 0, 5.0 + 10.0 * i) for i in range(5)]
+        res = load_vehicles(net, runs_of_one(plans), clock_20min)
         sched = TollSchedule(alpha={tau: 1.0 for tau in range(4)})
-        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids),
+        m = class_zone_summary(res, nfd_series(res, net.zone_link_ids),
                                vot_per_hour=15.0, toll_schedule=sched)
         assert m.tstt_veh_h == pytest.approx(res.tstt_veh_h)
         assert m.ue_zone_tt_min == pytest.approx(25.0 / 60.0, rel=0.10)
@@ -135,8 +135,8 @@ class TestClassZoneSummary:
     def test_no_toll_schedule_means_zero_mean_toll(self, clock_20min):
         net = two_link_network(l1=1000.0, l2=500.0, zone=("MB",))
         p = Path(("AM", "MB"), "A", "B")
-        res = load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock_20min)
-        m = class_zone_summary(res, net, nfd_series(res, net, net.zone_link_ids),
+        res = load_vehicles(net, runs_of_one([Plan(UE, p, 0, 0.0)]), clock_20min)
+        m = class_zone_summary(res, nfd_series(res, net.zone_link_ids),
                                vot_per_hour=15.0)
         assert m.mean_toll_usd == 0.0
         assert m.so_zone_tt_min is None  # no SO vehicles in the run

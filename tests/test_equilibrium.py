@@ -188,8 +188,8 @@ class TestSolver:
         search = equilibrium.td_shortest_path
         rows = []
 
-        def checked_search(network, skims, origin, destination, tau, kind):
-            best_path, best_cost = search(network, skims, origin, destination, tau, kind)
+        def checked_search(skims, origin, destination, tau, kind):
+            best_path, best_cost = search(skims, origin, destination, tau, kind)
             rows.append(kind)
             assert skims.path_cost(best_path, tau, kind) == best_cost
             return best_path, best_cost

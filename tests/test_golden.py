@@ -32,7 +32,7 @@ import pytest
 from tollsim.cli import main
 from tollsim.demand import SO, UE, NoiseConfig, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
-from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.loading import load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.nguyen import build_nguyen
 from tollsim.pricing import TollSchedule, bilevel_solve
@@ -41,6 +41,7 @@ from tollsim.routing import (SO_COST, UE_COST, CostSkims, UnreachableError,
 
 from tollsim.scenario import Scenario, run_scenario
 
+from conftest import Plan, runs_of_one
 from test_pricing import charging_and_free_case
 from test_workbench import write_fixture_scenario
 
@@ -221,10 +222,10 @@ def spillback_plans():
     plans = []
     for i in range(240):
         cls = SO if i % 3 == 0 else UE
-        plans.append(VehiclePlan(cls, via_a, i // 300, float(i)))
+        plans.append(Plan(cls, via_a, i // 300, float(i)))
         if i % 2 == 0:
-            plans.append(VehiclePlan(UE if i % 4 else SO, via_c, i // 300,
-                                     float(i) + 0.5))
+            plans.append(Plan(UE if i % 4 else SO, via_c, i // 300,
+                              float(i) + 0.5))
     return plans
 
 
@@ -246,10 +247,10 @@ def shared_origin_plans():
     direct = Path(("AE",), "A", "E")
     plans = []
     for i in range(200):
-        plans.append(VehiclePlan(SO if i % 3 == 0 else UE, via_m, i // 300, float(i)))
+        plans.append(Plan(SO if i % 3 == 0 else UE, via_m, i // 300, float(i)))
         if i % 2 == 0:
-            plans.append(VehiclePlan(UE if i % 4 else SO, direct, i // 300,
-                                     float(i) + 0.5))
+            plans.append(Plan(UE if i % 4 else SO, direct, i // 300,
+                              float(i) + 0.5))
     return plans
 
 
@@ -275,9 +276,9 @@ def two_lane_merge_plans():
     plans = []
     for i in range(150):
         t = 1.5 * (i // 2)
-        plans.append(VehiclePlan(UE, via_a, 0, t))
+        plans.append(Plan(UE, via_a, 0, t))
         if i % 3 == 0:
-            plans.append(VehiclePlan(SO, via_c, 0, t + 0.5))
+            plans.append(Plan(SO, via_c, 0, t + 0.5))
     return plans
 
 
@@ -320,9 +321,9 @@ def long_feeder_plans():
     early, so the feeders go on emptying in intervals nothing enters."""
     via_a = Path(("AM", "MB"), "A", "B")
     via_c = Path(("CM", "MB"), "C", "B")
-    plans = [VehiclePlan(SO if i % 3 == 0 else UE, via_a, i // 12, 5.0 * i)
+    plans = [Plan(SO if i % 3 == 0 else UE, via_a, i // 12, 5.0 * i)
              for i in range(40)]
-    plans += [VehiclePlan(UE if i % 2 else SO, via_c, 2 + i // 20, 160.0 + 3.0 * i)
+    plans += [Plan(UE if i % 2 else SO, via_c, 2 + i // 20, 160.0 + 3.0 * i)
               for i in range(30)]
     return plans
 
@@ -353,11 +354,11 @@ def grid_merge_plans():
     crossing = Path(("n00n01", "n01n11", "n11n21"), "n00", "n21")
     plans = []
     for i in range(300):
-        plans.append(VehiclePlan(SO if i % 3 == 0 else UE, into_east, i // 240, i * 0.8))
-        plans.append(VehiclePlan(UE if i % 2 else SO, into_south, i // 240,
-                                 i * 0.8 + 0.4))
+        plans.append(Plan(SO if i % 3 == 0 else UE, into_east, i // 240, i * 0.8))
+        plans.append(Plan(UE if i % 2 else SO, into_south, i // 240,
+                          i * 0.8 + 0.4))
         if i % 2 == 0:
-            plans.append(VehiclePlan(UE, crossing, 1 + i // 240, 120.0 + i * 0.8))
+            plans.append(Plan(UE, crossing, 1 + i // 240, 120.0 + i * 0.8))
     return plans
 
 
@@ -371,7 +372,7 @@ def search_dump(network, skims, n_intervals) -> list:
             for tau in range(n_intervals):
                 for kind in (UE_COST, SO_COST):
                     try:
-                        path, cost = td_shortest_path(network, skims, o, d, tau, kind)
+                        path, cost = td_shortest_path(skims, o, d, tau, kind)
                     except UnreachableError:
                         out.append((o, d, tau, kind, None))
                     else:
@@ -389,7 +390,7 @@ def first_nguyen_loading():
 
 def test_spillback_loading_digest():
     clock = Clock(step_s=1, interval_s=300, horizon_s=1800)
-    res = load_vehicles(merge_bottleneck_network(), spillback_plans(), clock)
+    res = load_vehicles(merge_bottleneck_network(), runs_of_one(spillback_plans()), clock)
     assert max(st.travel_time - st.free_flow_time
                for st in res.states["AM"]) > 60.0    # the queue spilled back
     assert digest(loading_dump(res)) == SPILLBACK_DIGEST
@@ -397,7 +398,7 @@ def test_spillback_loading_digest():
 
 def test_shared_origin_loading_digest():
     clock = Clock(step_s=1, interval_s=300, horizon_s=1800)
-    res = load_vehicles(shared_origin_network(), shared_origin_plans(), clock)
+    res = load_vehicles(shared_origin_network(), runs_of_one(shared_origin_plans()), clock)
     waits = [v.link_entries[0] - v.departure_time for v in res.vehicles
              if v.path.link_ids == ("AE",)]
     assert max(waits) > 60.0        # free-link vehicles queued at the origin
@@ -406,7 +407,7 @@ def test_shared_origin_loading_digest():
 
 def test_two_second_step_loading_digest():
     clock = Clock(step_s=2, interval_s=120, horizon_s=1800)
-    res = load_vehicles(two_lane_merge_network(), two_lane_merge_plans(), clock)
+    res = load_vehicles(two_lane_merge_network(), runs_of_one(two_lane_merge_plans()), clock)
     entries = Counter(v.link_entries[0] for v in res.vehicles
                       if v.path.link_ids[0] == "AM")
     assert max(entries.values()) >= 2    # the two-lane link admits a pair a step
@@ -416,7 +417,7 @@ def test_two_second_step_loading_digest():
 
 def test_interval_boundary_loading_digest():
     clock = Clock(step_s=1, interval_s=60, horizon_s=1200)
-    res = load_vehicles(long_feeder_network(), long_feeder_plans(), clock)
+    res = load_vehicles(long_feeder_network(), runs_of_one(long_feeder_plans()), clock)
     trips = [(lid, t_in, t_out) for v in res.vehicles
              for lid, t_in, t_out in zip(v.path.link_ids, v.link_entries,
                                          v.link_entries[1:] + [v.exit_time])]
@@ -446,7 +447,7 @@ def test_nguyen_search_digest():
 def test_grid_search_digest():
     network = uniform_grid()
     clock = Clock(step_s=1, interval_s=120, horizon_s=1200)
-    res = load_vehicles(network, grid_merge_plans(), clock)
+    res = load_vehicles(network, runs_of_one(grid_merge_plans()), clock)
     out = search_dump(network, CostSkims.from_loading(res), clock.n_intervals)
     costs = {}
     for o, d, _tau, kind, *found in out:

@@ -4,18 +4,19 @@ FIFO order per link, storage bounds, independence from plan order, link
 statistics that replay exactly from the vehicle trajectories, loadings
 without vehicle records or without clearance data that equal one with them,
 loadings that do not depend on earlier loadings of the same network, each
-on a 1 s and a 2 s simulation step, and discretized runs that load as the
-list of their vehicles does, in (departure, class, origin, destination, link
-ids, input order) order."""
+on a 1 s and a 2 s simulation step, and discretized runs that load as their
+vehicles do, each a run of one, in (departure, class, origin, destination,
+link ids, input order) order."""
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import SO, UE
-from tollsim.loading import GridlockError, VehiclePlan, discretize_assignments, load_vehicles
+from tollsim.loading import GridlockError, discretize_assignments, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 
+from conftest import Plan, runs_of_one, spec_plans
 from test_golden import loading_dump
 
 on_both_steps = pytest.mark.parametrize(
@@ -53,8 +54,8 @@ PATHS = [Path(("AM", "MN", "NB"), "A", "B"),
 
 def burst(cls, path_idx, start, n, gap):
     """n vehicles on one path, departing every gap/2 s from start/2 s."""
-    return [VehiclePlan(cls, PATHS[path_idx], (start + j * gap) // 120,
-                        (start + j * gap) / 2.0) for j in range(n)]
+    return [Plan(cls, PATHS[path_idx], (start + j * gap) // 120,
+                 (start + j * gap) / 2.0) for j in range(n)]
 
 
 plan_lists = st.lists(
@@ -113,7 +114,7 @@ def replayed_statistics(res) -> dict:
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
 def test_link_statistics_replay_exactly(clock, plans):
-    res = load_vehicles(NET, plans, clock)
+    res = load_vehicles(NET, runs_of_one(plans), clock)
     i_s = clock.interval_s
     for lid, rows in replayed_statistics(res).items():
         link = NET.links[lid]
@@ -130,7 +131,7 @@ def test_link_statistics_replay_exactly(clock, plans):
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
 def test_vehicles_are_conserved(clock, plans):
-    res = load_vehicles(NET, plans, clock)
+    res = load_vehicles(NET, runs_of_one(plans), clock)
     assert res.vehicles_entered == res.vehicles_exited == len(plans)
     for v in res.vehicles:
         assert len(v.link_entries) == len(v.path.link_ids)
@@ -140,7 +141,7 @@ def test_vehicles_are_conserved(clock, plans):
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
 def test_links_are_fifo(clock, plans):
-    res = load_vehicles(NET, plans, clock)
+    res = load_vehicles(NET, runs_of_one(plans), clock)
     for lid, trips in link_traversals(res).items():
         exits = [t_out for _t_in, t_out in sorted(trips)]
         assert exits == sorted(exits), lid
@@ -150,7 +151,7 @@ def test_links_are_fifo(clock, plans):
 @settings(max_examples=40, deadline=None)
 @given(plan_lists)
 def test_on_link_count_never_exceeds_storage(clock, plans):
-    res = load_vehicles(NET, plans, clock)
+    res = load_vehicles(NET, runs_of_one(plans), clock)
     for lid, trips in link_traversals(res).items():
         delta: dict[float, int] = {}
         for t_in, t_out in trips:
@@ -168,16 +169,16 @@ def test_on_link_count_never_exceeds_storage(clock, plans):
 def test_result_independent_of_plan_order(clock, plans, rng):
     shuffled = list(plans)
     rng.shuffle(shuffled)
-    assert loading_dump(load_vehicles(NET, shuffled, clock)) \
-        == loading_dump(load_vehicles(NET, plans, clock))
+    assert loading_dump(load_vehicles(NET, runs_of_one(shuffled), clock)) \
+        == loading_dump(load_vehicles(NET, runs_of_one(plans), clock))
 
 
 @on_both_steps
 @settings(max_examples=40, deadline=None)
 @given(fractional_plan_lists)
 def test_records_change_nothing_else(clock, plans):
-    full = load_vehicles(NET, plans, clock)
-    bare = load_vehicles(NET, plans, clock, records=False)
+    full = load_vehicles(NET, runs_of_one(plans), clock)
+    bare = load_vehicles(NET, runs_of_one(plans), clock, records=False)
     assert len(full.vehicles) == len(plans) and bare.vehicles == ()
     assert bare.states == full.states
     assert bare._entry_means == full._entry_means
@@ -195,8 +196,8 @@ def test_records_change_nothing_else(clock, plans):
 @settings(max_examples=40, deadline=None)
 @given(fractional_plan_lists)
 def test_clearance_changes_nothing_else(clock, plans):
-    full = load_vehicles(NET, plans, clock)
-    bare = load_vehicles(NET, plans, clock, clearance=False)
+    full = load_vehicles(NET, runs_of_one(plans), clock)
+    bare = load_vehicles(NET, runs_of_one(plans), clock, clearance=False)
     assert full.clearance and not bare.clearance
     assert bare.states == full.states
     assert bare._entry_means == full._entry_means
@@ -228,10 +229,10 @@ def test_loading_independent_of_earlier_loadings(clock, records, clearance,
     # A network keeps only the paths it has validated from one loading to
     # the next; no loader state may carry over.
     net = merge_diverge_network()
-    load_vehicles(net, first, clock, records=records, clearance=clearance)
-    again = load_vehicles(net, second, clock, records=records, clearance=clearance)
-    fresh = load_vehicles(merge_diverge_network(), second, clock, records=records,
-                          clearance=clearance)
+    options = {"records": records, "clearance": clearance}
+    load_vehicles(net, runs_of_one(first), clock, **options)
+    again = load_vehicles(net, runs_of_one(second), clock, **options)
+    fresh = load_vehicles(merge_diverge_network(), runs_of_one(second), clock, **options)
     assert outcome(again) == outcome(fresh)
 
 
@@ -260,10 +261,10 @@ def loader_groups(draw):
     return groups
 
 
-def loaded(plans, clock, **options) -> tuple:
+def loaded(runs, clock, **options) -> tuple:
     """`outcome` of the loading, or the stranded counts it raised."""
     try:
-        return outcome(load_vehicles(NET, plans, clock, **options))
+        return outcome(load_vehicles(NET, runs, clock, **options))
     except GridlockError as err:
         return err.stranded, err.stranded_by_link, err.stranded_by_od
 
@@ -281,18 +282,20 @@ def in_loading_order(plans) -> list:
 @given(loader_groups(), st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.7]),
                                  min_size=1, max_size=5))
 def test_runs_load_as_their_vehicles(clock, groups, offsets):
+    # A run of n loads as its n vehicles, expanded by the spec rule, each a
+    # run of one.
     runs = discretize_assignments(groups, clock)
-    plans = list(runs)
+    plans = spec_plans(runs, clock.interval_s)
     assert len(runs) == len(plans)
     for records, clearance in product((True, False), repeat=2):
         assert loaded(runs, clock, records=records, clearance=clearance) \
-            == loaded(plans, clock, records=records, clearance=clearance)
+            == loaded(runs_of_one(plans), clock, records=records, clearance=clearance)
     # Each plan labelled with its input position: vehicle ids follow the
     # sorted plans, ties in input order, at whole and fractional seconds.
     for listed in (plans, shifted(plans, offsets)):
         labelled = [p._replace(interval=k) for k, p in enumerate(listed)]
         try:
-            res = load_vehicles(NET, labelled, clock)
+            res = load_vehicles(NET, runs_of_one(labelled), clock)
         except GridlockError:
             continue
         assert [v.interval for v in res.vehicles] \

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from tollsim.demand import UE, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
-from tollsim.loading import VehiclePlan, load_vehicles
+from tollsim.loading import load_vehicles
 from tollsim.network import Link, Network, Node, Path
 from tollsim import pricing
 from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, TollConfig,
@@ -19,7 +19,7 @@ from tollsim.pricing import (CriticalDensityEstimate, NFDPoint, TollConfig,
                              estimate_critical_density, nfd_series, pi_update)
 from tollsim.routing import SO_COST, UE_COST, CostSkims
 
-from conftest import two_link_network
+from conftest import Plan, runs_of_one, two_link_network
 
 
 class TestCongestionWeight:
@@ -97,13 +97,13 @@ class TestPathToll:
 def one_vehicle_loading(net, clock):
     """A free-flow loading of A->M->B: AM takes 50 s, MB 25 s in every interval."""
     p = Path(("AM", "MB"), "A", "B")
-    return load_vehicles(net, [VehiclePlan(UE, p, 0, 0.0)], clock)
+    return load_vehicles(net, runs_of_one([Plan(UE, p, 0, 0.0)]), clock)
 
 
 def queued_loading(net, clock):
     """150 vehicles at 1 veh/s queue behind AM's ~0.54 veh/s capacity."""
     p = Path(("AM", "MB"), "A", "B")
-    return load_vehicles(net, [VehiclePlan(UE, p, 0, float(i)) for i in range(150)],
+    return load_vehicles(net, runs_of_one([Plan(UE, p, 0, float(i)) for i in range(150)]),
                          clock)
 
 
@@ -170,10 +170,10 @@ class TestNfd:
         states = {lid: [SimpleNamespace(density=k, flow=q) for k, q in kq]
                   for lid, kq in rows.items()}
         n = len(next(iter(rows.values()), ()))
-        result = SimpleNamespace(states=states, clock=SimpleNamespace(n_intervals=n))
         nodes = {end for a in links for end in (a.from_node, a.to_node)}
-        return nfd_series(result, Network([Node(v) for v in sorted(nodes)], links),
-                          link_ids)
+        result = SimpleNamespace(states=states, clock=SimpleNamespace(n_intervals=n),
+                                 network=Network([Node(v) for v in sorted(nodes)], links))
+        return nfd_series(result, link_ids)
 
     def test_lane_length_weighted_fixture(self):
         links = [Link("a", "x", "y", 1000.0, 1, 10.0),
@@ -473,7 +473,7 @@ class TestBilevel:
         demand = split_demand({("O", "D", 0): 400.0}, 0.0)
         solver = SolverConfig(max_iterations=60, gap_tolerance=0.005, gamma=2.0)
         base = solve_mixed_equilibrium(net, demand, clock_1h, solver)
-        series = nfd_series(base.loading, net, ["MD"])
+        series = nfd_series(base.loading, ["MD"])
         est = estimate_critical_density(series)
         cfg = TollConfig(p_gain=0.02, i_gain=0.01, window=(0, 1, 2),
                          outer_cap=10)

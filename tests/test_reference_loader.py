@@ -1,7 +1,9 @@
 """A reference loader: the rules of `load_vehicles` stated once, naively,
 and checked against it to the bit.
 
-`reference_load` walks every step of the clock. At each interval start it
+`reference_load` expands each run to its vehicles by the stated rule, the
+j-th of n departing `start + (j * interval_s) // n` seconds after second
+`start`, and walks every step of the clock. At each interval start it
 re-blends every link's FD from the mix that entered the link during the last
 interval. It then visits every link queue in id order, then every origin's
 queue in origin order, and moves head vehicles while they are ready, the
@@ -29,12 +31,11 @@ from tollsim.demand import SO, UE, split_demand
 from tollsim.equilibrium import SolverConfig, solve_mixed_equilibrium
 from tollsim.fd import blended_reaction_time, lane_capacity
 from tollsim.loading import (GridlockError, LinkIntervalState, LoadingResult,
-                             VehiclePlan, VehicleRecord, discretize_assignments,
-                             load_vehicles)
+                             VehicleRecord, discretize_assignments, load_vehicles)
 from tollsim.network import Clock
 from tollsim.nguyen import build_nguyen
 
-from conftest import queue_runs
+from conftest import Plan, queue_runs, runs_of_one, spec_plans
 from test_golden import (grid_merge_plans, long_feeder_network, long_feeder_plans,
                          merge_bottleneck_network, shared_origin_network,
                          shared_origin_plans, spillback_plans, two_lane_merge_network,
@@ -87,13 +88,14 @@ class _Queue:
         return self.credit >= 1.0 - _EPS and n + 1 <= a.storage + _EPS
 
 
-def reference_load(network, plans, clock) -> LoadingResult:
-    """Load `plans` by the rules above, with vehicle records and standing-
-    queue flags, reported as runs. Raises GridlockError if the horizon ends
-    first."""
+def reference_load(network, runs, clock) -> LoadingResult:
+    """Load the vehicles of `runs` by the rules above, with vehicle records
+    and standing-queue flags, reported as runs. Raises GridlockError if the
+    horizon ends first."""
     dt, n_steps, i_s = float(clock.step_s), clock.n_steps, clock.interval_s
-    plans = sorted(plans, key=lambda p: (p.departure_time, p.vehicle_class, p.path.origin,
-                                         p.path.destination, p.path.link_ids))
+    plans = sorted(spec_plans(runs, i_s),
+                   key=lambda p: (p.departure_time, p.vehicle_class, p.path.origin,
+                                  p.path.destination, p.path.link_ids))
     links = {a.id: _Queue(a, clock.step_s)
              for a in sorted(network.link_list, key=lambda a: a.id)}
     origins = {}
@@ -177,22 +179,22 @@ def report(res, records=True, clearance=True) -> tuple:
             res.tstt_veh_h)
 
 
-def assert_matches_reference(network, plans, clock):
+def assert_matches_reference(network, runs, clock):
     """`load_vehicles`, with and without records and clearance, reports what
     the reference loading does, or strands the same vehicles. Returns the
     reference loading, or None where it strands vehicles."""
     try:
-        ref = reference_load(network, plans, clock)
+        ref = reference_load(network, runs, clock)
     except GridlockError as err:
         stranded = (err.stranded_by_link, err.stranded_by_od)
         ref = None
     for records, clearance in product((True, False), repeat=2):
         if ref is None:
             with pytest.raises(GridlockError) as err:
-                load_vehicles(network, plans, clock, records=records, clearance=clearance)
+                load_vehicles(network, runs, clock, records=records, clearance=clearance)
             assert (err.value.stranded_by_link, err.value.stranded_by_od) == stranded
         else:
-            res = load_vehicles(network, plans, clock, records=records, clearance=clearance)
+            res = load_vehicles(network, runs, clock, records=records, clearance=clearance)
             assert report(res) == report(ref, records, clearance)
     return ref
 
@@ -206,7 +208,7 @@ def assert_matches_reference(network, plans, clock):
 @settings(max_examples=40, deadline=None)
 @given(fractional_plan_lists)
 def test_random_plans_match_the_reference(clock, plans):
-    assert_matches_reference(NET, plans, clock)
+    assert_matches_reference(NET, runs_of_one(plans), clock)
 
 
 def naive_clearance_delay(flags, t, step_s) -> float:
@@ -227,10 +229,11 @@ def test_queue_runs_are_maximal_and_read_as_flags(clock, plans):
     # the clearance delay read from them at every step and half-step is the
     # one a scan over the flags they expand to gives.
     n_steps, step_s = clock.n_steps, clock.step_s
-    expected = reference_load(NET, plans, clock)._queue_runs
+    vehicles = runs_of_one(plans)
+    expected = reference_load(NET, vehicles, clock)._queue_runs
     times = [(s + off) * step_s for s in range(-1, n_steps + 1) for off in (0.0, 0.5)]
     for records, clearance in product((True, False), repeat=2):
-        res = load_vehicles(NET, plans, clock, records=records, clearance=clearance)
+        res = load_vehicles(NET, vehicles, clock, records=records, clearance=clearance)
         if not clearance:
             assert res._queue_runs is None
             continue
@@ -249,7 +252,7 @@ def test_queue_runs_are_maximal_and_read_as_flags(clock, plans):
 def spaced_plans():
     """Vehicles 8 s apart through the MN bottleneck: each enters MN while it
     is empty and its server still serves the vehicle before."""
-    return [VehiclePlan(UE, PATHS[0], 8 * j // 60, 8.0 * j) for j in range(20)]
+    return [Plan(UE, PATHS[0], 8 * j // 60, 8.0 * j) for j in range(20)]
 
 
 @pytest.mark.parametrize("network, plans, clock", [
@@ -262,14 +265,14 @@ def spaced_plans():
 ], ids=["spaced", "spillback", "shared-origin", "two-second-step", "interval-boundary",
         "grid-merge"])
 def test_fixtures_match_the_reference(network, plans, clock):
-    assert assert_matches_reference(network(), plans(), clock) is not None
+    assert assert_matches_reference(network(), runs_of_one(plans()), clock) is not None
 
 
 def test_stranded_vehicles_match_the_reference():
     # The spillback fixture's queues are still standing when a 5-minute
     # horizon ends.
-    assert assert_matches_reference(merge_bottleneck_network(), spillback_plans(),
-                                    Clock(1, 60, 300)) is None
+    assert assert_matches_reference(merge_bottleneck_network(),
+                                    runs_of_one(spillback_plans()), Clock(1, 60, 300)) is None
 
 
 def test_solver_loadings_match_the_reference(monkeypatch):
@@ -286,5 +289,5 @@ def test_solver_loadings_match_the_reference(monkeypatch):
     solve_mixed_equilibrium(network, split_demand(totals, 0.5), clock,
                             SolverConfig(max_iterations=3))
     assert len(captured) == 3
-    for network, plans, clock in captured:
-        assert_matches_reference(network, plans, clock)
+    for network, runs, clock in captured:
+        assert_matches_reference(network, runs, clock)

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tollsim.demand import SO, UE
-from tollsim.loading import LoadingResult, VehiclePlan, load_vehicles
+from tollsim.loading import LoadingResult, load_vehicles
 from tollsim.network import Clock, Link, Network, Node, Path
 from tollsim.pricing import TollSchedule
 from tollsim.routing import (CAP_UE, CostSkims, PathSet, SO_COST, UE_COST,
-                             UnreachableError, distance_paths, distance_shortest_path,
-                             td_shortest_path)
+                             UnreachableError, distance_paths, td_shortest_path)
 
-from conftest import (line_network, links_from, parallel_network,
+from conftest import (Plan, line_network, links_from, parallel_network, runs_of_one,
                       two_link_network)
 from test_golden import uniform_grid
 
@@ -50,7 +49,7 @@ class TestShortestPath:
     def test_picks_faster_of_two_parallel_routes(self, clock_20min):
         net = parallel_network()  # S: 300 s free flow, L: 420 s
         skims = const_skims(net, clock_20min, {"S": 300.0, "L": 420.0})
-        path, cost = td_shortest_path(net, skims, "O", "D", 0)
+        path, cost = td_shortest_path(skims, "O", "D", 0, UE_COST)
         assert path.link_ids == ("S",)
         assert cost == 300.0
 
@@ -62,8 +61,8 @@ class TestShortestPath:
             tt[("S", tau)] = 300.0
             tt[("L", tau)] = 420.0
         skims = make_skims(net, clock_20min, tt)
-        assert td_shortest_path(net, skims, "O", "D", 0)[0].link_ids == ("L",)
-        assert td_shortest_path(net, skims, "O", "D", 1)[0].link_ids == ("S",)
+        assert td_shortest_path(skims, "O", "D", 0, UE_COST)[0].link_ids == ("L",)
+        assert td_shortest_path(skims, "O", "D", 1, UE_COST)[0].link_ids == ("S",)
 
     def test_costs_read_at_arrival_interval(self, clock_20min):
         # First link's travel time decides which interval prices the second.
@@ -72,8 +71,8 @@ class TestShortestPath:
                 ("MB", 2): 999.0, ("MB", 3): 999.0}
         early = make_skims(net, clock_20min, {("AM", t): 280.0 for t in range(4)} | base)
         late = make_skims(net, clock_20min, {("AM", t): 320.0 for t in range(4)} | base)
-        assert td_shortest_path(net, early, "A", "B", 0)[1] == 280.0 + 50.0
-        assert td_shortest_path(net, late, "A", "B", 0)[1] == 320.0 + 999.0
+        assert td_shortest_path(early, "A", "B", 0, UE_COST)[1] == 280.0 + 50.0
+        assert td_shortest_path(late, "A", "B", 0, UE_COST)[1] == 320.0 + 999.0
         assert early.path_cost(Path(("AM", "MB"), "A", "B"), 0, UE_COST) == 330.0
 
     def test_arrival_past_horizon_priced_at_last_interval(self, clock_20min):
@@ -85,13 +84,13 @@ class TestShortestPath:
         skims = make_skims(net, clock_20min, tt)
         path = Path(("AM", "MB"), "A", "B")
         assert skims.path_cost(path, 3, UE_COST) == 1040.0
-        assert td_shortest_path(net, skims, "A", "B", 3) == (path, 1040.0)
+        assert td_shortest_path(skims, "A", "B", 3, UE_COST) == (path, 1040.0)
 
     def test_unreachable_raises(self, clock_20min):
         net = line_network()
         skims = const_skims(net, clock_20min, {"AB": 50.0})
         with pytest.raises(UnreachableError):
-            td_shortest_path(net, skims, "B", "A", 0)
+            td_shortest_path(skims, "B", "A", 0, UE_COST)
 
     def test_lexicographic_tie_break(self, clock_20min):
         net = Network(
@@ -102,7 +101,7 @@ class TestShortestPath:
              Link("b2", "Y", "D", 1000.0, 1, 20.0)])
         skims = const_skims(net, clock_20min,
                             {"a1": 50.0, "a2": 50.0, "b1": 50.0, "b2": 50.0})
-        path, _ = td_shortest_path(net, skims, "O", "D", 0)
+        path, _ = td_shortest_path(skims, "O", "D", 0, UE_COST)
         assert path.link_ids == ("a1", "a2")
 
     def test_returned_cost_matches_path_cost(self, clock_20min):
@@ -110,7 +109,7 @@ class TestShortestPath:
         tt = {("S", t): 300.0 + 10.0 * t for t in range(4)}
         tt |= {("L", t): 420.0 for t in range(4)}
         skims = make_skims(net, clock_20min, tt)
-        path, cost = td_shortest_path(net, skims, "O", "D", 1)
+        path, cost = td_shortest_path(skims, "O", "D", 1, UE_COST)
         assert cost == skims.path_cost(path, 1, UE_COST)
 
     @pytest.mark.parametrize("interval", [-1, 4, 5])
@@ -121,11 +120,11 @@ class TestShortestPath:
         tt = {("S", t): 300.0 for t in range(3)} | {("S", 3): 900.0}
         tt |= {("L", t): 420.0 for t in range(4)}
         skims = make_skims(net, clock_20min, tt)
-        assert td_shortest_path(net, skims, "O", "D", 0) == (Path(("S",), "O", "D"), 300.0)
-        assert td_shortest_path(net, skims, "O", "D", 3) == (Path(("L",), "O", "D"), 420.0)
+        assert td_shortest_path(skims, "O", "D", 0, UE_COST) == (Path(("S",), "O", "D"), 300.0)
+        assert td_shortest_path(skims, "O", "D", 3, UE_COST) == (Path(("L",), "O", "D"), 420.0)
         for kind in (UE_COST, SO_COST):
             with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
-                td_shortest_path(net, skims, "O", "D", interval, kind)
+                td_shortest_path(skims, "O", "D", interval, kind)
             with pytest.raises(ValueError, match=f"departure interval {interval} outside"):
                 skims.path_cost(Path(("S",), "O", "D"), interval, kind)
 
@@ -134,8 +133,8 @@ class TestShortestPath:
         skims = const_skims(net, clock_20min,
                             tt_by_link={"S": 300.0, "L": 420.0},
                             so={"S": 900.0, "L": 420.0})
-        assert td_shortest_path(net, skims, "O", "D", 0)[0].link_ids == ("S",)
-        assert td_shortest_path(net, skims, "O", "D", 0, SO_COST)[0].link_ids \
+        assert td_shortest_path(skims, "O", "D", 0, UE_COST)[0].link_ids == ("S",)
+        assert td_shortest_path(skims, "O", "D", 0, SO_COST)[0].link_ids \
             == ("L",)
         assert skims.path_cost(Path(("S",), "O", "D"), 0, SO_COST) == 900.0
 
@@ -154,9 +153,9 @@ class TestSkimsFromLoading:
         return calls
 
     def loading(self, clock, clearance):
-        plans = [VehiclePlan(UE, Path(("AM", "MB"), "A", "B"), 0, float(i))
+        plans = [Plan(UE, Path(("AM", "MB"), "A", "B"), 0, float(i))
                  for i in range(20)]
-        return load_vehicles(two_link_network(), plans, clock, clearance=clearance)
+        return load_vehicles(two_link_network(), runs_of_one(plans), clock, clearance=clearance)
 
     def test_so_costs_only_from_a_loading_with_clearance(self, clock_20min,
                                                          marginal_calls):
@@ -167,23 +166,13 @@ class TestSkimsFromLoading:
         bare = CostSkims.from_loading(self.loading(clock_20min, False))
         assert marginal_calls == []
         assert bare.path_cost(path, 0, UE_COST) == full.path_cost(path, 0, UE_COST)
-        assert td_shortest_path(bare.network, bare, "A", "B", 0) \
-            == td_shortest_path(full.network, full, "A", "B", 0)
+        assert td_shortest_path(bare, "A", "B", 0, UE_COST) \
+            == td_shortest_path(full, "A", "B", 0, UE_COST)
         with pytest.raises(ValueError, match="no SO costs"):
             bare.path_cost(path, 0, SO_COST)
         with pytest.raises(ValueError, match="no SO costs"):
-            td_shortest_path(bare.network, bare, "A", "B", 0, SO_COST)
+            td_shortest_path(bare, "A", "B", 0, SO_COST)
 
-    def test_search_rejects_skims_built_on_another_network(self, clock_20min):
-        # An equal network built apart is another network: the skims' columns
-        # are indexed by their own network's links.
-        res = self.loading(clock_20min, True)
-        skims = CostSkims.from_loading(res)
-        assert skims.network is res.network
-        with pytest.raises(ValueError, match="built on another network"):
-            td_shortest_path(two_link_network(), skims, "A", "B", 0)
-        assert td_shortest_path(res.network, skims, "A", "B", 0)[0].link_ids \
-            == ("AM", "MB")
 
 
     def test_tolled_columns_match_a_naive_sum_on_every_simple_path(self):
@@ -200,10 +189,10 @@ class TestSkimsFromLoading:
         clock = Clock(step_s=1, interval_s=60, horizon_s=900)
         stream = Path(("AB", "BC", "CD"), "A", "D")
         side = Path(("AC", "CD"), "A", "D")
-        plans = [VehiclePlan(SO if i % 3 == 0 else UE, stream, i // 60, float(i))
+        plans = [Plan(SO if i % 3 == 0 else UE, stream, i // 60, float(i))
                  for i in range(150)]
-        plans += [VehiclePlan(UE, side, i // 20, float(3 * i)) for i in range(40)]
-        res = load_vehicles(net, plans, clock)
+        plans += [Plan(UE, side, i // 20, float(3 * i)) for i in range(40)]
+        res = load_vehicles(net, runs_of_one(plans), clock)
         schedule = TollSchedule(alpha={0: 0.5, 1: 1.0, 2: 2.0, 4: 0.3},
                                 omega={("AB", 1): 0.5, ("CD", 2): 1.0, ("CD", 3): 0.25})
         skims = CostSkims.from_loading(res, schedule, 15.0)
@@ -332,28 +321,26 @@ class TestSearchOracle:
                     for d in nodes:
                         label = tree.get(d, (None, ()))
                         if label[1]:
-                            assert td_shortest_path(network, skims, o, d, tau, kind) \
+                            assert td_shortest_path(skims, o, d, tau, kind) \
                                 == (Path(label[1], o, d), label[0])
                         else:
                             with pytest.raises(UnreachableError):
-                                td_shortest_path(network, skims, o, d, tau, kind)
+                                td_shortest_path(skims, o, d, tau, kind)
             reachable = []
             for d in nodes:
                 lex = oracle_distance_path(network, o, d)
                 if lex:
-                    assert distance_shortest_path(network, o, d) == Path(lex, o, d)
+                    assert distance_paths(network, o, [d]) == [Path(lex, o, d)]
                     reachable.append(Path(lex, o, d))
                 else:
                     with pytest.raises(UnreachableError):
-                        distance_shortest_path(network, o, d)
+                        distance_paths(network, o, [d])
                     with pytest.raises(UnreachableError, match=repr(d)):
                         distance_paths(network, o, [p.destination for p in reachable] + [d])
             assert distance_paths(network, o, [p.destination for p in reachable]) == reachable
             for unknown in ((o, "nowhere"), ("nowhere", o)):
                 with pytest.raises(UnreachableError):
-                    td_shortest_path(network, skims, *unknown, 0)
-                with pytest.raises(UnreachableError):
-                    distance_shortest_path(network, *unknown)
+                    td_shortest_path(skims, *unknown, 0, UE_COST)
                 with pytest.raises(UnreachableError):
                     distance_paths(network, unknown[0], [unknown[1]])
 
@@ -386,7 +373,7 @@ class TestPathCostOracle:
                 for o in sorted(network.nodes):
                     for d in sorted(network.nodes):
                         try:
-                            path, cost = td_shortest_path(network, skims, o, d, tau, kind)
+                            path, cost = td_shortest_path(skims, o, d, tau, kind)
                         except UnreachableError:
                             continue
                         assert cost == skims.path_cost(path, tau, kind) \
@@ -410,8 +397,6 @@ class TestSearchPrecondition:
         net = two_link_network(l2=bad)
         for _ in range(2):      # on every call, not only the first
             with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
-                distance_shortest_path(net, "A", "B")
-            with pytest.raises(ValueError, match=r"\['MB'\] have lengths that are not"):
                 distance_paths(net, "A", ["B"])
 
     def test_overflowing_costs_leave_nodes_unreachable(self, clock_20min):
@@ -420,7 +405,7 @@ class TestSearchPrecondition:
         net = two_link_network()
         skims = const_skims(net, clock_20min, {"AM": 1e308, "MB": 1e308})
         with pytest.raises(UnreachableError):
-            td_shortest_path(net, skims, "A", "B", 0)
+            td_shortest_path(skims, "A", "B", 0, UE_COST)
 
 
 class TestStaticShortestPath:
@@ -431,11 +416,11 @@ class TestStaticShortestPath:
              Link("BD", "B", "D", 100.0, 1, 10.0),
              Link("AC", "A", "C", 150.0, 1, 10.0),
              Link("CD", "C", "D", 10.0, 1, 10.0)])
-        assert distance_shortest_path(net, "A", "D").link_ids == ("AC", "CD")
+        assert distance_paths(net, "A", ["D"]) == [Path(("AC", "CD"), "A", "D")]
 
     def test_unreachable_raises(self):
         with pytest.raises(UnreachableError):
-            distance_shortest_path(line_network(), "B", "A")
+            distance_paths(line_network(), "B", ["A"])
 
     def test_one_search_per_origin_gives_every_grid_pair_its_path(self):
         # Equal link lengths: most pairs have many shortest paths, so the
